@@ -6,11 +6,18 @@ elements span the maximal ideal (which must be nilpotent).  Trace
 ideals are computed straight from the definition, as sums of images of
 module homomorphisms into the algebra, because (R : I) I is unavailable
 without non-zerodivisors.
+
+This module also holds the one submodule-lattice engine of the package,
+used by :func:`enumerate_ideals` here and by the trace-ideal enumeration
+of :mod:`traceforge.trace`.  It walks the lattice upward by covers: the
+covers of a module M are M + F_p v for the lines F_p v of the socle of
+the quotient by M, found as one small kernel per module.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import (DependentGenerators, InfiniteField, NotGorenstein,
@@ -34,6 +41,14 @@ __all__ = [
 ]
 
 IDEAL_ENUMERATION_GUARD = 10**7
+ENUMERATION_DIM_LIMIT = 12
+
+
+def _check_quotient_dim(d: int) -> None:
+    """Refuse a quotient R/c whose dimension exceeds the enumeration limit."""
+    if d > ENUMERATION_DIM_LIMIT:
+        raise WorkloadExceeded(
+            f"dim R/c = {d} exceeds the enumeration limit {ENUMERATION_DIM_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +123,6 @@ class ArtinAlgebra:
                     if not f.is_zero(c):
                         out[r] = f.add(out[r], f.mul(k, c))
         return tuple(out)
-
-    def maximal_ideal_basis(self) -> list[tuple]:
-        return [self.basis_vector(i) for i in range(1, self.dim)]
 
     def to_json(self) -> dict:
         f = self.field
@@ -218,8 +230,7 @@ def semigroup_quotient(H, p: int) -> ArtinAlgebra:
         raise ZeroQuotient("the conductor of N0 is the whole ring")
     exps = list(H.members(c))
     d = len(exps)
-    if d > 12:
-        raise WorkloadExceeded(f"dim R/c = {d} exceeds the enumeration limit 12")
+    _check_quotient_dim(d)
     index = {e: i for i, e in enumerate(exps)}
     labels = tuple("1" if e == 0 else f"t^{e}" for e in exps)
     table = [[(_unit_row(d, index[a + b]) if a + b < c else [0] * d)
@@ -298,12 +309,86 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
     return ideal_generated_by(A, images)
 
 
-def is_trace_ideal_artinian(I: SubIdeal) -> bool:
-    return hom_trace(I) == I
-
-
 # ---------------------------------------------------------------------------
 # enumeration
+
+
+def _ideal_lattice(p: int, d: int, actions) -> list[tuple]:
+    """Every subspace of F_p^d stable under ``actions``, as RREF row tuples.
+
+    ``actions`` are linear maps on F_p^d, each given by its column images
+    (``a[j]`` is the image of the j-th unit vector); they must generate
+    the maximal ideal of a local ring with residue field F_p.  A nonzero
+    submodule S covers a maximal submodule M with S/M simple, hence one
+    dimensional, so S = M + F_p v with v in the socle of the quotient by
+    M.  The search therefore starts at 0 and, layer by layer, adds each
+    socle line to each module.  The result is sorted by dimension, then
+    by rows.
+    """
+    layer = {(): ()}  # RREF rows -> pivot columns
+    lattice = []
+    while layer:
+        lattice += sorted(layer)
+        covers = {}
+        for rows, pivots in layer.items():
+            for v in _socle_lines(p, d, actions, rows, pivots):
+                lead = next(i for i, x in enumerate(v) if x)
+                new = [r if not r[lead] else
+                       tuple((a - r[lead] * b) % p for a, b in zip(r, v))
+                       for r in rows]
+                at = bisect(pivots, lead)
+                new.insert(at, v)
+                key = tuple(new)
+                if key not in covers:
+                    covers[key] = pivots[:at] + (lead,) + pivots[at:]
+        layer = covers
+    return lattice
+
+
+def _socle_lines(p: int, d: int, actions, rows, pivots):
+    """One normalized vector per line of N/M, N = {v : a v in M for all a}.
+
+    M is the span of the RREF ``rows``.  The unit vectors e_j off the
+    pivot columns represent a basis of V/M, so N/M is the kernel of the
+    map sending such e_j to the reductions modulo M of every a e_j; it is
+    found by eliminating those images while tracking e_j.  Each returned
+    vector is zero on ``pivots`` and has leading entry 1.
+    """
+    free = [j for j in range(d) if j not in pivots]
+    reducers = list(zip(pivots, rows))
+    echelon = []  # (pivot, image, tag) with image[pivot] == 1
+    kernel = []
+    for j in free:
+        image = []
+        for a in actions:
+            w = a[j]
+            for c, r in reducers:
+                x = w[c]
+                if x:
+                    w = [(s - x * t) % p for s, t in zip(w, r)]
+            image += [w[i] for i in free]
+        tag = [0] * d
+        tag[j] = 1
+        for c, u, t in echelon:
+            x = image[c]
+            if x:
+                image = [(s - x * y) % p for s, y in zip(image, u)]
+                tag = [(s - x * y) % p for s, y in zip(tag, t)]
+        lead = next((i for i, x in enumerate(image) if x), None)
+        if lead is None:
+            kernel.append(tag)
+            continue
+        inv = pow(image[lead], -1, p)
+        echelon.append((lead, [x * inv % p for x in image], [x * inv % p for x in tag]))
+    for i, first in enumerate(kernel):
+        rest = kernel[i + 1:]
+        for coeffs in itertools.product(range(p), repeat=len(rest)):
+            v = first
+            for k, r in zip(coeffs, rest):
+                if k:
+                    v = [(s + k * t) % p for s, t in zip(v, r)]
+            inv = pow(next(x for x in v if x), -1, p)
+            yield tuple(x * inv % p for x in v)
 
 
 def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
@@ -313,24 +398,7 @@ def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
         raise InfiniteField("exhaustive ideal enumeration needs a finite field")
     if f.p ** A.dim > IDEAL_ENUMERATION_GUARD:
         raise WorkloadExceeded(f"{f.p}^{A.dim} vectors exceed the guard")
-    p, d = f.p, A.dim
-    modules = {(): ()}
-    for lead in range(d):
-        for rest in itertools.product(range(p), repeat=d - lead - 1):
-            v = (0,) * lead + (1,) + rest
-            rows = ideal_generated_by(A, [v]).rows
-            modules.setdefault(rows, rows)
-    queue = list(modules)
-    while queue:
-        a = queue.pop()
-        for b in list(modules):
-            if not a or not b:
-                continue
-            s = _span(f, list(a) + list(b))
-            if s not in modules:
-                modules[s] = s
-                queue.append(s)
-    return [SubIdeal(A, rows) for rows in sorted(modules, key=lambda m: (len(m), m))]
+    return [SubIdeal(A, rows) for rows in _ideal_lattice(f.p, A.dim, A.table[1:])]
 
 
 def enumerate_trace_ideals_artinian(A: ArtinAlgebra) -> list[SubIdeal]:

@@ -4,7 +4,9 @@ The trace of a fractional ideal I is tr(I) = (R : I) * I; an integral
 ideal is a trace ideal exactly when it is a fixed point of that map.
 Over a finite coefficient field every nonzero trace ideal contains the
 conductor, so Tr(R) embeds into the finite lattice of R-submodules of
-R / conductor; this module enumerates that lattice exhaustively and
+R / conductor; this module builds that lattice with the cover-based
+engine of :mod:`traceforge.artin`, fed the shifts by the minimal
+generators below the conductor, lifts every member to an ideal and
 filters it, and layers several whole-theorem checks on top (the
 smallest-trace statements, the blowup bijection for minimal
 multiplicity, the value-set necessary condition, and the colon
@@ -13,12 +15,11 @@ separation probe that certifies infinite families over the rationals).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import (IsDVR, NotMinimalMultiplicity, PreconditionViolated,
-                     WorkloadExceeded)
-from .fields import QQ, GF, Matrix, rref
+from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice
+from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
+from .fields import QQ, GF
 from .ideals import (FractionalIdeal, LaurentPoly, adjoin, colon, contains_ideal,
                      closed_under, conductor_ideal, endomorphism_ring, equals,
                      from_window_vectors, add, integral_closure_ideal,
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 ENUMERATION_PRIMES = (2, 3, 5, 7)
-ENUMERATION_DIM_LIMIT = 12
 
 
 def trace(I: FractionalIdeal) -> FractionalIdeal:
@@ -140,64 +140,22 @@ class TraceEnumeration:
         }
 
 
-def _quotient_basis(H: NumericalSemigroup) -> list[int]:
-    return list(H.members(H.conductor))
+def _generator_shifts(H: NumericalSemigroup, exps: list[int]) -> list[list]:
+    """Multiplication by t^g on R / conductor, one map per minimal generator g.
 
-
-def _submodule_lattice(H: NumericalSemigroup, p: int) -> list[tuple]:
-    """All R-submodules of R / conductor as echelon row tuples over F_p.
-
-    Every submodule is a sum of cyclic ones, and the cyclic module of a
-    vector v is spanned by the monomial translates t^h v, so the lattice
-    is the sum-closure of the cyclic modules of the (projective) vectors.
+    ``exps`` are the members below the conductor, the monomial basis of
+    R / conductor; each map lists the image of every basis monomial.
+    Generators at or past the conductor act as zero and are left out.
     """
-    f = GF(p)
-    exps = _quotient_basis(H)
     d = len(exps)
     index = {e: i for i, e in enumerate(exps)}
-    c = H.conductor
-    # action of t^h on basis monomial t^e: t^(e+h), or 0 past the conductor
-    shift_maps = []
-    for h in exps:
-        shift_maps.append([index.get(e + h) for e in exps])
-
-    def span(vectors):
-        mat = Matrix(f, tuple(vectors))
-        red, piv = rref(mat)
-        return tuple(red.rows[i] for i in range(len(piv)))
-
-    def cyclic(v):
-        vecs = []
-        for mapping in shift_maps:
-            w = [0] * d
-            for src, dst in enumerate(mapping):
-                if dst is not None and v[src]:
-                    w[dst] = (w[dst] + v[src]) % p
-            vecs.append(tuple(w))
-        return span(vecs)
-
-    modules = {(): ()}
-    for lead in range(d):
-        for rest in itertools.product(range(p), repeat=d - lead - 1):
-            v = (0,) * lead + (1,) + rest
-            m = cyclic(v)
-            modules.setdefault(m, m)
-    queue = list(modules)
-    while queue:
-        a = queue.pop()
-        for b in list(modules):
-            if not a or not b:
-                continue
-            s = span(a + b)
-            if s not in modules:
-                modules[s] = s
-                queue.append(s)
-    return sorted(modules, key=lambda m: (len(m), m))
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    zero = (0,) * d
+    return [[units[index[e + g]] if e + g in index else zero for e in exps]
+            for g in H.minimal_generators if g < H.conductor]
 
 
-def _lift(H: NumericalSemigroup, p: int, rows: tuple) -> FractionalIdeal:
-    f = GF(p)
-    exps = _quotient_basis(H)
+def _lift(H: NumericalSemigroup, f, exps: list[int], rows: tuple) -> FractionalIdeal:
     polys = [LaurentPoly.from_dict(f, {exps[i]: c for i, c in enumerate(r)})
              for r in rows]
     return from_window_vectors(f, H, polys, H.conductor)
@@ -211,15 +169,13 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     """
     if p not in ENUMERATION_PRIMES:
         raise ValueError(f"enumeration supports primes {ENUMERATION_PRIMES}")
-    d = len(_quotient_basis(H))
-    if d > ENUMERATION_DIM_LIMIT:
-        raise WorkloadExceeded(
-            f"dim R/c = {d} exceeds the enumeration limit {ENUMERATION_DIM_LIMIT}")
+    exps = list(H.members(H.conductor))
+    _check_quotient_dim(len(exps))
     f = GF(p)
-    lattice = _submodule_lattice(H, p)
+    lattice = _ideal_lattice(p, len(exps), _generator_shifts(H, exps))
     found = []
     for rows in lattice:
-        ideal = _lift(H, p, rows)
+        ideal = _lift(H, f, exps, rows)
         if is_trace_ideal(ideal):
             found.append(ideal)
     R = unit_ideal(f, H)

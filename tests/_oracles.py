@@ -3,13 +3,14 @@
 Everything here deliberately avoids the library's own algorithms:
 membership comes from worklist closure instead of the sieve, semigroup
 counts from exhaustive gap-set filtering, colons from exhaustive
-coefficient search, and Arf from the triple rule instead of the Lipman
-chain.
+coefficient search, Arf from the triple rule instead of the Lipman
+chain, and submodule lattices from a sweep of every cyclic module
+closed under pairwise sums instead of the cover search.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from traceforge.fields import GF
+from traceforge.fields import GF, Matrix, rref
 from traceforge.ideals import LaurentPoly, contains, from_window_vectors
 
 
@@ -102,3 +103,40 @@ def colon_by_search(I, J):
         if all(contains(I, alpha.mul(g)) for g in spanning):
             sols.append(alpha)
     return from_window_vectors(f, I.semigroup, sols, tail)
+
+
+def lattice_by_closure(p, d, multipliers):
+    """Every subspace of F_p^d stable under ``multipliers``, by brute force.
+
+    ``multipliers`` are linear maps given by column images (``m[j]`` is
+    the image of the j-th unit vector) that span the acting ring, the
+    identity included, so the cyclic module of v is the span of the m v.
+    Every submodule is a sum of cyclic ones: sweep the cyclic module of
+    one vector per line of F_p^d, then close under pairwise sums.  Sorted
+    by dimension, then by rows.
+    """
+    f = GF(p)
+
+    def span(vectors):
+        red, piv = rref(Matrix(f, tuple(vectors)))
+        return tuple(red.rows[i] for i in range(len(piv)))
+
+    def cyclic(v):
+        return span([tuple(sum(m[j][i] * v[j] for j in range(d)) % p for i in range(d))
+                     for m in multipliers])
+
+    modules = {()}
+    for lead in range(d):
+        for rest in product(range(p), repeat=d - lead - 1):
+            modules.add(cyclic((0,) * lead + (1,) + rest))
+    queue = list(modules)
+    while queue:
+        a = queue.pop()
+        for b in list(modules):
+            if not a or not b:
+                continue
+            s = span(a + b)
+            if s not in modules:
+                modules.add(s)
+                queue.append(s)
+    return sorted(modules, key=lambda m: (len(m), m))

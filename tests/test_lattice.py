@@ -1,0 +1,125 @@
+"""The cover-based submodule-lattice engine against the brute-force oracle.
+
+The engine is fed the shifts by the minimal generators below the
+conductor (trace) or the non-unit rows of a multiplication table
+(artin); the oracle gets every monomial shift or every table row, the
+identity included, and sweeps all cyclic modules.  RREF bases are
+unique, so the two must agree row for row.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from _oracles import lattice_by_closure
+from traceforge.artin import (_ideal_lattice, enumerate_ideals,
+                              gorenstein_two_generators, semigroup_quotient,
+                              square_zero_two_vars, truncated_dvr)
+from traceforge.errors import NotCofinite, WorkloadExceeded
+from traceforge.fields import GF
+from traceforge.semigroups import (NumericalSemigroup, enumerate_semigroups,
+                                   natural_semigroup)
+from traceforge.trace import _generator_shifts, enumerate_trace_ideals
+
+S = NumericalSemigroup.from_generators
+
+
+def engine_rows(H, p):
+    exps = list(H.members(H.conductor))
+    return _ideal_lattice(p, len(exps), _generator_shifts(H, exps))
+
+
+def oracle_rows(H, p):
+    """The oracle on R/c, acted on by t^h for every member h < c."""
+    exps = list(H.members(H.conductor))
+    d = len(exps)
+    index = {e: i for i, e in enumerate(exps)}
+
+    def image(k):
+        return tuple(int(i == k) for i in range(d))
+
+    shifts = [[image(index.get(e + h)) for e in exps] for h in exps]
+    return lattice_by_closure(p, d, shifts)
+
+
+def test_engine_matches_oracle_genus_at_most_5():
+    for H in enumerate_semigroups(5):
+        for p in (2, 3):
+            assert engine_rows(H, p) == oracle_rows(H, p), (H, p)
+
+
+def test_artin_presets_match_oracle():
+    algebras = []
+    for p in (2, 3, 5):
+        algebras += [truncated_dvr(GF(p), n) for n in (1, 2, 4)]
+        algebras += [square_zero_two_vars(GF(p)), gorenstein_two_generators(GF(p)),
+                     semigroup_quotient(S([3, 7]), p)]
+    algebras += [truncated_dvr(GF(2), 7), truncated_dvr(GF(7), 3),
+                 semigroup_quotient(S([4, 5, 11]), 2),
+                 semigroup_quotient(S([4, 6, 9]), 3),
+                 semigroup_quotient(S([5, 7, 8, 9]), 2)]
+    for A in algebras:
+        rows = [I.rows for I in enumerate_ideals(A)]
+        assert rows == lattice_by_closure(A.field.p, A.dim, A.table), A
+
+
+def test_natural_semigroup_has_zero_quotient():
+    # c = 0: R/c is zero and its only submodule gives the candidate R
+    N0 = natural_semigroup()
+    for p in (2, 3, 5, 7):
+        assert engine_rows(N0, p) == oracle_rows(N0, p) == [()]
+        assert enumerate_trace_ideals(N0, p).census == 1
+
+
+def test_generator_past_the_conductor():
+    H = S([4, 5, 11])
+    assert H.conductor <= 11 and 11 in H.minimal_generators
+    assert len(_generator_shifts(H, list(H.members(H.conductor)))) == 2
+    for p in (2, 3, 5, 7):
+        assert engine_rows(H, p) == oracle_rows(H, p)
+    assert len(engine_rows(H, 2)) == 6  # 0, three lines, m/c, R/c
+
+
+# multiplicity m plus up to four generators close above it keeps dim R/c small
+small_generator_sets = st.integers(2, 7).flatmap(
+    lambda m: st.lists(st.integers(m + 1, 2 * m + 3), min_size=1, max_size=4)
+    .map(lambda rest: [m] + rest))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_generator_sets, st.sampled_from((2, 3, 5, 7)))
+def test_engine_matches_oracle_random_semigroups(gens, p):
+    try:
+        H = S(gens)
+    except NotCofinite:
+        assume(False)
+    d = len(list(H.members(H.conductor)))
+    # the oracle's pairwise closure is quadratic in the lattice size, which
+    # reaches thousands of modules for d = 5 over F_5 and F_7 (m^2 = 0)
+    assume(d <= 5 and p ** d <= 7 ** 4)
+    assert engine_rows(H, p) == oracle_rows(H, p)
+
+
+def test_dimension_five_over_larger_fields():
+    H = S([4, 6, 7])
+    assert len(list(H.members(H.conductor))) == 5
+    for p in (5, 7):
+        assert engine_rows(H, p) == oracle_rows(H, p)
+
+
+def test_former_hard_cases_lattice_size():
+    # each took minutes with the sweep-and-closure engine
+    assert len(engine_rows(S([7, 8, 9, 10, 11, 12]), 2)) == 2826
+    assert len(engine_rows(S([6, 7, 8, 9, 10]), 3)) == 2665
+
+
+def test_dimension_guards_unchanged():
+    # one dimension limit for both paths; only artin adds the p^d guard
+    H = S([2, 19])  # R/c = F_7[x]/(x^9): 7^9 vectors
+    assert enumerate_trace_ideals(H, 7).census == 10
+    with pytest.raises(WorkloadExceeded):
+        enumerate_ideals(semigroup_quotient(H, 7))
+    for call in (lambda: enumerate_trace_ideals(S([2, 27]), 2),
+                 lambda: semigroup_quotient(S([2, 27]), 2)):
+        with pytest.raises(WorkloadExceeded, match="dim R/c = 13 exceeds the enumeration limit 12"):
+            call()
