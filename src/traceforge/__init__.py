@@ -17,10 +17,10 @@ from .ideals import (LaurentPoly, FractionalIdeal, unit_ideal, conductor_ideal,
                      canonical_fractional_ideal, adjoin, endomorphism_ring,
                      minimal_generator_count)
 from .trace import (trace, is_trace_ideal, has_free_summand, TraceEnumeration,
-                    TraceIdealInfo, enumerate_trace_ideals,
-                    verify_smallest_regular_trace, BijectionReport, verify_bijection,
-                    FamilyProbeReport, family_probe, verify_normalization_union,
-                    minimal_trace_classification, MINIMAL_TRACE_SET, LARGER)
+                    TraceIdealInfo, enumerate_trace_ideals, BijectionReport,
+                    verify_bijection, FamilyProbeReport, family_probe,
+                    verify_normalization_union, minimal_trace_classification,
+                    MINIMAL_TRACE_SET, LARGER)
 from .artin import (ArtinAlgebra, SubIdeal, ideal_generated_by, truncated_dvr,
                     square_zero_two_vars, gorenstein_two_generators,
                     semigroup_quotient, socle, hom_trace, enumerate_ideals,

@@ -157,15 +157,21 @@ class SubIdeal:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, v: tuple) -> bool:
+    def coordinates(self, v: tuple):
+        """Coordinates of v in the echelon basis, or None when v is outside."""
         f = self.algebra.field
         w = list(v)
+        out = []
         for row in self.rows:
             lead = next(i for i, x in enumerate(row) if not f.is_zero(x))
             c = w[lead]
+            out.append(c)
             if not f.is_zero(c):
                 w = [f.sub(a, f.mul(c, b)) for a, b in zip(w, row)]
-        return all(f.is_zero(x) for x in w)
+        return out if all(f.is_zero(x) for x in w) else None
+
+    def contains(self, v: tuple) -> bool:
+        return self.coordinates(v) is not None
 
     def __repr__(self):
         return f"SubIdeal(dim {self.dim} of {self.algebra!r})"
@@ -269,26 +275,13 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
         return SubIdeal(A, ())
     d = A.dim
     basis = list(I.rows)
-
-    def coords_in_ideal(v):
-        # exact coordinates of v in I's echelon basis
-        w = list(v)
-        out = [f.zero] * k
-        for idx, row in enumerate(basis):
-            lead = next(i for i, x in enumerate(row) if not f.is_zero(x))
-            c = w[lead]
-            if not f.is_zero(c):
-                out[idx] = c
-                w = [f.sub(a, f.mul(c, b)) for a, b in zip(w, row)]
-        if any(not f.is_zero(x) for x in w):
-            raise AssertionError("vector not inside the ideal")
-        return out
-
     # unknowns w_{i,c} = image of basis[i], coordinate c
     eqs = []
     for g in range(1, d):
         for i in range(k):
-            lam = coords_in_ideal(A.mult(A.basis_vector(g), basis[i]))
+            lam = I.coordinates(A.mult(A.basis_vector(g), basis[i]))
+            if lam is None:
+                raise AssertionError("vector not inside the ideal")
             for r in range(d):
                 row = [f.zero] * (k * d)
                 for c in range(d):

@@ -9,8 +9,8 @@ Subcommands:
     traceforge artin <preset> [--p P | --rationals] [--l L]
     traceforge survey --max-genus G --p P --out DIR [--seed S] [--threads T]
 
-Exit codes: 0 success, 2 input errors, 3 workload guard, 4 a survey
-found a theorem violation.
+Exit codes: 0 success, 2 input errors (unreadable or unwritable paths
+included), 3 workload guard, 4 a survey found a theorem violation.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .batch import survey, thread_count
+from .batch import survey
 from .errors import (BoundTooLarge, EmptyGenerators, IsDVR, NotAMember,
                      NotCofinite, NotMinimalMultiplicity, PreconditionViolated,
                      WorkloadExceeded)
 from .fields import GF, QQ
-from .semigroups import (NumericalSemigroup, blowup, canonical_value_set,
+from .semigroups import (NumericalSemigroup, canonical_value_set,
                          cm_type_list_check, is_arf, kunz_cone_classify,
                          lipman_sequence, parse_generators, value_set_condition)
 from .trace import (enumerate_trace_ideals, family_probe, verify_bijection)
@@ -39,7 +39,7 @@ EXIT_WORKLOAD = 3
 EXIT_VIOLATION = 4
 
 INPUT_ERRORS = (EmptyGenerators, NotCofinite, NotAMember, IsDVR,
-                NotMinimalMultiplicity, PreconditionViolated, ValueError)
+                NotMinimalMultiplicity, PreconditionViolated, ValueError, OSError)
 WORKLOAD_ERRORS = (WorkloadExceeded, BoundTooLarge)
 
 
@@ -160,7 +160,7 @@ def cmd_artin(args) -> int:
 
 def cmd_survey(args) -> int:
     record = survey(args.max_genus, args.p, args.out, seed=args.seed,
-                    threads=thread_count(args.threads))
+                    threads=args.threads)
     print(f"surveyed {record['count']} semigroups of genus <= {args.max_genus} "
           f"over F_{args.p} -> {args.out}")
     if record["flagged_for_study"]:

@@ -33,10 +33,6 @@ class ZeroIdeal(TraceForgeError, ValueError):
     """An operation that needs a nonzero module received none."""
 
 
-class ZeroDivisor(TraceForgeError, ValueError):
-    """Colon denominator is the zero module."""
-
-
 class NotIntegral(TraceForgeError, ValueError):
     """Adjoined element has negative valuation, so it is not integral."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DivisionByZero, FieldMismatch
+from .errors import DivisionByZero
 
 __all__ = [
     "RationalField",
@@ -81,9 +81,6 @@ class RationalField:
             raise DivisionByZero("inversion of zero in QQ")
         return 1 / Fraction(a)
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -144,9 +141,6 @@ class PrimeField:
             raise DivisionByZero(f"inversion of zero in GF({self.p})")
         return pow(a, -1, self.p)
 
-    def eq(self, a, b) -> bool:
-        return (a - b) % self.p == 0
-
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
@@ -187,11 +181,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-
-def _check_same_field(a, b):
-    if a != b:
-        raise FieldMismatch(f"mixed fields {a!r} and {b!r}")
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import FieldMismatch, NotIntegral, ZeroIdeal
 from .fields import Matrix, rref, solve_homogeneous

@@ -2,28 +2,27 @@
 
 The trace of a fractional ideal I is tr(I) = (R : I) * I; an integral
 ideal is a trace ideal exactly when it is a fixed point of that map.
-Over a finite coefficient field every nonzero trace ideal contains the
-conductor, so Tr(R) embeds into the finite lattice of R-submodules of
-R / conductor; this module builds that lattice with the cover-based
-engine of :mod:`traceforge.artin`, fed the shifts by the minimal
-generators below the conductor, lifts every member to an ideal and
-filters it, and layers several whole-theorem checks on top (the
-smallest-trace statements, the blowup bijection for minimal
-multiplicity, the value-set necessary condition, and the colon
-separation probe that certifies infinite families over the rationals).
+Over any field every nonzero trace contains the conductor c, so every
+trace is computed in the finite window K[[t]]/c = K[t]/(t^c).  A finite
+field also makes Tr(R) finite: the enumeration tests every R-submodule
+of R/c from the lattice engine of :mod:`traceforge.artin` by dimensions
+in the window and lifts only the trace ideals.  Whole-theorem checks sit
+on top: the blowup bijection for minimal multiplicity, the normalization
+as a union of endomorphism rings, and the colon separation probe that
+certifies infinite families over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
-from .fields import QQ, GF
+from .fields import QQ, GF, Matrix, rref, solve_homogeneous
 from .ideals import (FractionalIdeal, LaurentPoly, adjoin, colon, contains_ideal,
-                     closed_under, conductor_ideal, endomorphism_ring, equals,
-                     from_window_vectors, add, integral_closure_ideal,
-                     maximal_ideal, multiply, reinterpret, shift, unit_ideal)
+                     endomorphism_ring, equals, from_window_vectors, add,
+                     integral_closure_ideal, shift, unit_ideal)
 from .semigroups import NumericalSemigroup, blowup, canonical_value_set
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "enumerate_trace_ideals",
     "ENUMERATION_PRIMES",
     "ENUMERATION_DIM_LIMIT",
-    "verify_smallest_regular_trace",
     "BijectionReport",
     "verify_bijection",
     "FamilyProbeReport",
@@ -49,23 +47,85 @@ __all__ = [
 ENUMERATION_PRIMES = (2, 3, 5, 7)
 
 
-def trace(I: FractionalIdeal) -> FractionalIdeal:
-    """tr(I) = (R : I) * I.
+# ---------------------------------------------------------------------------
+# the window K[t]/(t^c)
 
-    The formula is invariant under monomial scaling of I, so fractional
-    inputs need no prior normalization; the result is an ideal of R and
-    contains I whenever I is integral.
+
+def _window_vector(f, c: int, coeffs: dict) -> tuple:
+    """The vector of K^c with the given {exponent: coefficient} entries."""
+    return tuple(coeffs.get(j, f.zero) for j in range(c))
+
+
+def _window_basis(I: FractionalIdeal) -> list[tuple]:
+    """I/c as vectors of K^c, for an ideal with c inside I inside K[[t]]."""
+    f, c = I.field, I.semigroup.conductor
+    return ([_window_vector(f, c, dict(r.terms)) for r in I.rows]
+            + [_window_vector(f, c, {k: f.one}) for k in range(I.tail, c)])
+
+
+def _from_window(f, H: NumericalSemigroup, vectors) -> FractionalIdeal:
+    """The ideal span(vectors) + c, for vectors of K^c spanning a module."""
+    polys = [LaurentPoly.from_dict(f, dict(enumerate(v))) for v in vectors]
+    return from_window_vectors(f, H, polys, H.conductor)
+
+
+def _window_product(f, a: tuple, b: tuple) -> tuple:
+    """a*b cut at t^c, for vectors a, b of K^c."""
+    c = len(a)
+    out = [f.zero] * c
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                if i + j >= c:
+                    break
+                out[i + j] += x * y
+    return tuple(v % f.p for v in out) if f.finite else tuple(out)
+
+
+def _trace_window(f, H: NumericalSemigroup, basis) -> tuple:
+    """An echelon basis of tr(T)/c for T = span(basis) + c, basis in K^c.
+
+    Coordinate j is the coefficient of t^j.  R : T lies between c and
+    K[[t]], so modulo c it is the null space of alpha -> the gap
+    coefficients of alpha*b over the basis vectors b; tr(T) contains c,
+    and modulo c it is spanned by the products alpha*b cut at t^c.
     """
-    R = unit_ideal(I.field, I.semigroup)
-    return multiply(colon(R, I), I)
+    c = H.conductor
+    zero = f.zero
+    rows = [tuple(b[g - j] if j <= g else zero for j in range(c))
+            for b in basis for g in H.gaps()]
+    rows = [r for r in rows if any(r)]
+    colon_basis = solve_homogeneous(Matrix(f, tuple(rows)))
+    products = dict.fromkeys(_window_product(f, a, b) for a in colon_basis for b in basis)
+    red, pivots = rref(Matrix(f, tuple(products)))
+    return red.rows[:len(pivots)]
+
+
+def trace(I: FractionalIdeal) -> FractionalIdeal:
+    """tr(I) = (R : I) * I, an ideal of R containing c (and I if integral).
+
+    tr is unchanged by monomial scaling, and I moved to valuation 0
+    holds a unit u of K[[t]], so it contains u*c = c and is read exactly
+    modulo c.
+    """
+    f, H = I.field, I.semigroup
+    return _from_window(f, H, _trace_window(f, H, _window_basis(shift(I, -I.lo))))
 
 
 def is_trace_ideal(I: FractionalIdeal) -> bool:
-    """Fixed-point test tr(I) = I for a nonzero integral ideal."""
-    R = unit_ideal(I.field, I.semigroup)
-    if not contains_ideal(R, I):
+    """Fixed-point test tr(I) = I for a nonzero integral ideal.
+
+    tr(I) contains both c and I, so it equals I exactly when I contains
+    c and tr(I)/c is no bigger than I/c.
+    """
+    f, H = I.field, I.semigroup
+    if not contains_ideal(unit_ideal(f, H), I):
         raise ValueError("trace fixed-point test needs an integral ideal")
-    return equals(trace(I), I)
+    if I.tail > H.conductor:
+        return False
+    basis = _window_basis(I)
+    return len(_trace_window(f, H, basis)) == len(basis)
 
 
 def has_free_summand(I: FractionalIdeal) -> bool:
@@ -106,15 +166,14 @@ class TraceEnumeration:
 
     ``ideals`` lists the nonzero trace ideals in canonical form, sorted
     by dimension over the conductor; the zero ideal is always a trace
-    ideal and is carried as a flag.  ``census`` counts every candidate
-    ideal between the conductor and R that was examined.
+    ideal and is only counted.  ``census`` counts every candidate ideal
+    between the conductor and R that was examined.
     """
 
     field: object
     semigroup: NumericalSemigroup
     ideals: tuple
     census: int
-    zero_ideal_included: bool = True
 
     @property
     def count_with_zero(self) -> int:
@@ -125,7 +184,7 @@ class TraceEnumeration:
             "semigroup": self.semigroup.text,
             "field": repr(self.field),
             "census": self.census,
-            "zero_ideal_included": self.zero_ideal_included,
+            "zero_ideal_included": True,
             "trace_ideals": [
                 {
                     **info.ideal.to_json(),
@@ -155,57 +214,38 @@ def _generator_shifts(H: NumericalSemigroup, exps: list[int]) -> list[list]:
             for g in H.minimal_generators if g < H.conductor]
 
 
-def _lift(H: NumericalSemigroup, f, exps: list[int], rows: tuple) -> FractionalIdeal:
-    polys = [LaurentPoly.from_dict(f, {exps[i]: c for i, c in enumerate(r)})
-             for r in rows]
-    return from_window_vectors(f, H, polys, H.conductor)
-
-
 def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     """All nonzero trace ideals of F_p[[H]], in canonical form.
 
-    Complete because every nonzero trace ideal contains the conductor,
-    so it is one of the finitely many submodules of R / conductor.
+    Every nonzero trace ideal contains c, so it is T = span(rows) + c
+    for a submodule of R/c; as T lies inside tr(T), it is one exactly
+    when dim tr(T)/c = dim T/c.  With d = dim R/c, the conductor, the
+    maximal ideal and R are the submodules of dimension 0, d - 1 and d.
     """
     if p not in ENUMERATION_PRIMES:
         raise ValueError(f"enumeration supports primes {ENUMERATION_PRIMES}")
-    exps = list(H.members(H.conductor))
-    _check_quotient_dim(len(exps))
+    c = H.conductor
+    exps = list(H.members(c))
+    d = len(exps)
+    _check_quotient_dim(d)
     f = GF(p)
-    lattice = _ideal_lattice(p, len(exps), _generator_shifts(H, exps))
-    found = []
+    lattice = _ideal_lattice(p, d, _generator_shifts(H, exps))
+    infos = []
     for rows in lattice:
-        ideal = _lift(H, f, exps, rows)
-        if is_trace_ideal(ideal):
-            found.append(ideal)
-    R = unit_ideal(f, H)
-    C = conductor_ideal(f, H)
-    M = maximal_ideal(f, H)
-    infos = tuple(
-        TraceIdealInfo(
-            ideal=I,
-            is_conductor=equals(I, C),
-            is_maximal_ideal=equals(I, M),
-            is_unit_ideal=equals(I, R),
-            is_monomial=all(r.is_monomial() for r in I.rows),
-        )
-        for I in found
-    )
-    enum = TraceEnumeration(f, H, infos, census=len(lattice))
-    ok_conductor = any(i.is_conductor for i in enum.ideals)
-    ok_unit = any(i.is_unit_ideal for i in enum.ideals)
-    ok_contain = all(contains_ideal(i.ideal, C) for i in enum.ideals)
-    if not (ok_conductor and ok_unit and ok_contain):
+        basis = [_window_vector(f, c, dict(zip(exps, r))) for r in rows]
+        if len(_trace_window(f, H, basis)) != len(rows):
+            continue
+        ideal = _from_window(f, H, basis)
+        infos.append(TraceIdealInfo(
+            ideal=ideal,
+            is_conductor=not rows,
+            is_maximal_ideal=len(rows) == d - 1,
+            is_unit_ideal=len(rows) == d,
+            is_monomial=all(r.is_monomial() for r in ideal.rows),
+        ))
+    if not (any(i.is_conductor for i in infos) and any(i.is_unit_ideal for i in infos)):
         raise AssertionError(f"trace enumeration invariants failed for {H} over {f!r}")
-    return enum
-
-
-def verify_smallest_regular_trace(H: NumericalSemigroup, p: int) -> bool:
-    """Every nonzero trace ideal contains the conductor, which is itself one."""
-    enum = enumerate_trace_ideals(H, p)
-    C = conductor_ideal(enum.field, H)
-    return (any(i.is_conductor for i in enum.ideals)
-            and all(contains_ideal(i.ideal, C) for i in enum.ideals))
+    return TraceEnumeration(f, H, tuple(infos), census=len(lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +278,13 @@ def verify_bijection(H: NumericalSemigroup, p: int) -> BijectionReport:
     L = blowup(H)
     top = enumerate_trace_ideals(H, p)
     bottom = enumerate_trace_ideals(L, p)
-    mapped = []
-    ok = True
-    for info in top.ideals:
-        if info.is_unit_ideal:
-            continue
-        image = shift(info.ideal, -e)
-        if not closed_under(image, L):
-            ok = False
-            continue
-        mapped.append(reinterpret(image, L))
-    keys = {(I.tail, I.rows) for I in mapped}
+    # shifting is injective and keeps canonical form, and every member of
+    # Tr(B) is a module over K[[L]], so equal key sets prove the bijection
+    images = [shift(i.ideal, -e) for i in top.ideals if not i.is_unit_ideal]
+    keys = {(I.tail, I.rows) for I in images}
     target = {(i.ideal.tail, i.ideal.rows) for i in bottom.ideals}
-    ok = ok and len(keys) == len(mapped) and keys == target
-    return BijectionReport(ok=ok,
-                           left_count=len(mapped) + 1,
+    return BijectionReport(ok=keys == target,
+                           left_count=len(images) + 1,
                            right_count=len(bottom.ideals) + 1,
                            semigroup=H.text, blowup=L.text, prime=p)
 
@@ -313,10 +345,7 @@ def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
 def verify_normalization_union(H: NumericalSemigroup, p: int) -> bool:
     """The module sum of I : I over all nonzero trace ideals is K[[t]]."""
     enum = enumerate_trace_ideals(H, p)
-    total = None
-    for info in enum.ideals:
-        E = endomorphism_ring(info.ideal)
-        total = E if total is None else add(total, E)
+    total = reduce(add, (endomorphism_ring(info.ideal) for info in enum.ideals))
     return equals(total, integral_closure_ideal(enum.field, H))
 
 

@@ -4,14 +4,16 @@ Everything here deliberately avoids the library's own algorithms:
 membership comes from worklist closure instead of the sieve, semigroup
 counts from exhaustive gap-set filtering, colons from exhaustive
 coefficient search, Arf from the triple rule instead of the Lipman
-chain, and submodule lattices from a sweep of every cyclic module
-closed under pairwise sums instead of the cover search.
+chain, submodule lattices from a sweep of every cyclic module closed
+under pairwise sums instead of the cover search, and traces from the
+fractional-ideal colon and product instead of the window kernel.
 """
 
 from itertools import combinations, product
 
 from traceforge.fields import GF, Matrix, rref
-from traceforge.ideals import LaurentPoly, contains, from_window_vectors
+from traceforge.ideals import (LaurentPoly, colon, contains, from_window_vectors,
+                               multiply, unit_ideal)
 
 
 def closure_members(gens, bound):
@@ -103,6 +105,16 @@ def colon_by_search(I, J):
         if all(contains(I, alpha.mul(g)) for g in spanning):
             sols.append(alpha)
     return from_window_vectors(f, I.semigroup, sols, tail)
+
+
+def trace_by_colon(I):
+    """tr(I) = (R : I) * I, straight from the definition.
+
+    The colon and the module product are taken on fractional ideals, so
+    nothing assumes that the trace contains the conductor.
+    """
+    R = unit_ideal(I.field, I.semigroup)
+    return multiply(colon(R, I), I)
 
 
 def lattice_by_closure(p, d, multipliers):

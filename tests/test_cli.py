@@ -140,6 +140,26 @@ def test_survey_bound(tmp_path, capsys):
     assert code == 2
 
 
+def test_unwritable_paths_exit_2(tmp_path, capsys):
+    code, _, err = run(capsys, "trace", "enum", "4,5,11", "--p", "2",
+                       "--json", str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and err.startswith("error: ")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run(capsys, "survey", "--max-genus", "2", "--p", "2",
+                       "--out", str(taken))
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_survey_checks_inputs_before_creating_out_dir(tmp_path, capsys):
+    for genus, p in (("3", "11"), ("11", "2")):
+        out_dir = tmp_path / f"g{genus}-p{p}"
+        code, _, err = run(capsys, "survey", "--max-genus", genus, "--p", p,
+                           "--out", str(out_dir))
+        assert code == 2 and err.startswith("error: ")
+        assert not out_dir.exists()
+
+
 def test_read_corpus(tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("# header\n4,5,11\n2,3  # inline\n\n3,7,8\n")

@@ -13,8 +13,9 @@ from traceforge.semigroups import (NumericalSemigroup, enumerate_semigroups, is_
 from traceforge.trace import (LARGER, MINIMAL_TRACE_SET, enumerate_trace_ideals,
                               family_probe, has_free_summand, is_trace_ideal,
                               minimal_trace_classification, trace, verify_bijection,
-                              verify_normalization_union,
-                              verify_smallest_regular_trace)
+                              verify_normalization_union)
+
+from _oracles import trace_by_colon
 
 S = NumericalSemigroup.from_generators
 N0 = natural_semigroup()
@@ -99,16 +100,25 @@ def test_trace_monotone_and_idempotent_on_candidates():
 
 
 def test_nonzero_trace_ideals_contain_conductor():
-    # random integral ideals: whenever the fixed point holds, the conductor
-    # is inside (and principal ideals, which never contain it, always fail)
+    # the window kernel takes c inside tr(I) as given, so check it on the
+    # colon-and-product trace of random ideals, integral and shifted
     rng = random.Random(31)
-    f = GF(2)
-    for H_ in [H, S([4, 5, 6]), S([3, 7, 8])]:
-        C = conductor_ideal(f, H_)
-        for _ in range(25):
-            I = ideal_from_generators(f, H_, [_random_integral_poly(rng, f, H_)])
-            if is_trace_ideal(I):
-                assert contains_ideal(I, C)
+    for field in (GF(2), GF(3), QQ):
+        top = field.p - 1 if field.finite else 9
+        for H_ in [H, S([4, 5, 6]), S([3, 7, 8]), S([2, 9])]:
+            C = conductor_ideal(field, H_)
+            exps = list(H_.members(H_.conductor + 4))
+            for _ in range(10):
+                gens = []
+                for _ in range(rng.randint(1, 2)):
+                    lo = rng.choice(exps[:-2])
+                    support = [e for e in exps if lo <= e <= lo + 5
+                               and (e == lo or rng.random() < 0.5)]
+                    gens.append(LaurentPoly.from_dict(
+                        field, {e: field.element(rng.randint(1, top)) for e in support}))
+                I = ideal_from_generators(field, H_, gens)
+                for k in (0, rng.randint(-6, 6)):
+                    assert contains_ideal(trace_by_colon(shift(I, k)), C), (H_, I, k)
 
 
 GOLDEN = {
@@ -140,6 +150,15 @@ def test_trace_enumeration_census():
     assert enumerate_trace_ideals(H, 3).census == 7
 
 
+@pytest.mark.parametrize("gens, p, count, census", [
+    ((7, 8, 9, 10, 11, 12), 2, 37, 2826),
+    ((6, 7, 8, 9, 10), 3, 44, 2665),
+])
+def test_trace_enumeration_hard_cases(gens, p, count, census):
+    enum = enumerate_trace_ideals(S(gens), p)
+    assert (enum.count_with_zero, enum.census) == (count, census)
+
+
 def test_trace_enumeration_dvr():
     enum = enumerate_trace_ideals(N0, 2)
     assert [i.label() for i in enum.ideals] == ["R"]
@@ -156,12 +175,6 @@ def test_maximal_ideal_trace_iff_not_dvr():
     for H_ in enumerate_semigroups(6):
         m = maximal_ideal(GF(2), H_)
         assert is_trace_ideal(m) == (H_.genus != 0), H_
-
-
-def test_verify_smallest_regular_trace():
-    assert verify_smallest_regular_trace(H, 2)
-    assert verify_smallest_regular_trace(S([4, 6, 9, 11]), 2)
-    assert verify_smallest_regular_trace(N0, 2)
 
 
 def test_bijection_examples():

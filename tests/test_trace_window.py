@@ -1,0 +1,78 @@
+"""The window trace test against the colon-and-product oracle.
+
+``trace``, ``is_trace_ideal`` and ``enumerate_trace_ideals`` decide
+everything in K[t]/(t^c); ``_oracles.trace_by_colon`` computes
+(R : I) * I on fractional ideals and assumes nothing about the
+conductor.  Canonical forms are unique, so the two must agree exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import trace_by_colon
+from traceforge.artin import _ideal_lattice
+from traceforge.fields import GF, QQ
+from traceforge.ideals import (LaurentPoly, conductor_ideal, contains_ideal, equals,
+                               from_window_vectors, ideal_from_generators,
+                               maximal_ideal, shift, unit_ideal)
+from traceforge.semigroups import enumerate_semigroups
+from traceforge.trace import (_generator_shifts, enumerate_trace_ideals,
+                              is_trace_ideal, trace)
+
+
+@st.composite
+def ideals(draw):
+    """An ideal of a genus <= 6 semigroup ring, generated by one to three
+    series supported on H, with or without the conductor, then shifted
+    by t^k (k = 0, so integral, about half of the time)."""
+    H = draw(st.sampled_from(list(enumerate_semigroups(6))))
+    f = draw(st.sampled_from([GF(2), GF(3), GF(5), QQ]))
+    if f.finite:
+        unit = st.integers(1, f.p - 1)
+    else:
+        unit = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    exps = list(H.members(H.conductor + 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.sampled_from(exps))
+        near = [e for e in exps if lo < e <= lo + 6]
+        support = [lo] + (draw(st.lists(st.sampled_from(near), max_size=3)) if near else [])
+        gens.append(LaurentPoly.from_dict(f, {e: f.element(draw(unit)) for e in support}))
+    I = ideal_from_generators(f, H, gens, with_conductor=draw(st.booleans()))
+    return shift(I, draw(st.one_of(st.just(0), st.integers(-5, 5))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideals())
+def test_window_trace_matches_colon_oracle(I):
+    T = trace_by_colon(I)
+    assert equals(trace(I), T)
+    if contains_ideal(unit_ideal(I.field, I.semigroup), I):
+        assert is_trace_ideal(I) == equals(T, I)
+    else:
+        with pytest.raises(ValueError):
+            is_trace_ideal(I)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_enumeration_matches_oracle_fixed_points(p):
+    # lift every lattice member and keep the oracle's fixed points; the
+    # flags read off the dimension must match the named ideals
+    f = GF(p)
+    for H in enumerate_semigroups(5):
+        exps = list(H.members(H.conductor))
+        lattice = _ideal_lattice(p, len(exps), _generator_shifts(H, exps))
+        lifted = [from_window_vectors(f, H, [LaurentPoly.from_dict(f, dict(zip(exps, r)))
+                                             for r in rows], H.conductor)
+                  for rows in lattice]
+        expected = [I for I in lifted if equals(trace_by_colon(I), I)]
+        enum = enumerate_trace_ideals(H, p)
+        assert enum.census == len(lattice), H
+        assert [i.ideal for i in enum.ideals] == expected, H
+        named = (conductor_ideal(f, H), maximal_ideal(f, H), unit_ideal(f, H))
+        for info in enum.ideals:
+            flags = (info.is_conductor, info.is_maximal_ideal, info.is_unit_ideal)
+            assert flags == tuple(equals(info.ideal, N) for N in named), (H, info)
