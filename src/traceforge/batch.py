@@ -23,12 +23,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import PreconditionViolated
 from .semigroups import (NumericalSemigroup, canonical_value_set,
                          enumerate_semigroups, is_arf, kunz_cone_classify,
                          value_set_condition, cm_type_list_check, INTERIOR)
-from .trace import (ENUMERATION_PRIMES, enumerate_trace_ideals, family_probe,
-                    verify_bijection)
+from .trace import (ENUMERATION_PRIMES, _bijection_report, enumerate_trace_ideals,
+                    family_probe)
 
 __all__ = ["JobConfig", "survey", "survey_one", "SCHEMA_VERSION",
            "SUMMARY_COLUMNS", "read_corpus", "thread_count"]
@@ -146,7 +145,7 @@ def survey_one(gens: tuple, prime: int, seed: int) -> dict:
 
     bijection_ok = None
     if H.genus > 0 and H.has_minimal_multiplicity:
-        rep = verify_bijection(H, prime)
+        rep = _bijection_report(enum)
         bijection_ok = rep.ok
         record["bijection"] = {"ok": rep.ok, "left": rep.left_count,
                                "right": rep.right_count, "blowup": rep.blowup}
@@ -162,15 +161,11 @@ def survey_one(gens: tuple, prime: int, seed: int) -> dict:
             violations.append("arf-value-set-condition")
 
     probe = None
-    n = _probe_exponent(H)
+    n = _probe_exponent(H)  # meets family_probe's preconditions
     if n is not None:
-        samples = _probe_samples(gens, seed)
-        try:
-            rep = family_probe(H, n, samples)
-            probe = {"n": n, "samples": list(map(int, rep.samples)),
-                     "distinct": rep.distinct_results, "verdict": rep.verdict}
-        except PreconditionViolated:
-            probe = None
+        rep = family_probe(H, n, _probe_samples(gens, seed))
+        probe = {"n": n, "samples": list(map(int, rep.samples)),
+                 "distinct": rep.distinct_results, "verdict": rep.verdict}
     record["family_probe"] = probe
 
     record["checks"] = {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -81,7 +82,18 @@ def cmd_info(args) -> int:
 
 def cmd_trace_enum(args) -> int:
     H = _semigroup(args.gens)
-    enum = enumerate_trace_ideals(H, args.p)
+    # open --json first, so an unwritable path fails before the enumeration
+    fh = open(args.json, "w") if args.json else None
+    try:
+        enum = enumerate_trace_ideals(H, args.p)
+        if fh:
+            json.dump(enum.to_report(), fh, indent=2, sort_keys=True)
+            fh.close()
+    except BaseException:
+        if fh:
+            fh.close()
+            os.remove(args.json)
+        raise
     print(f"H = <{H.text}>   field = F_{args.p}   conductor exponent = {H.conductor}")
     print(f"trace ideals (zero ideal included): {enum.count_with_zero}")
     print("  0" + " " * 24 + "zero ideal")
@@ -92,8 +104,6 @@ def cmd_trace_enum(args) -> int:
         print(f"  {info.label():<24} {desc}")
     print(f"candidates examined: {enum.census}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(enum.to_report(), fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
     return EXIT_OK
 

@@ -288,7 +288,7 @@ def _canonical(field, H, polys, tail: int) -> FractionalIdeal:
     """Echelonize span(polys) + t^tail K[[t]] and minimize the tail.
 
     The input span must already be closed under the action of K[[H]]
-    modulo the tail; this is asserted on the result.
+    modulo the tail; every caller in this module builds it that way.
     """
     polys = [p.truncate(tail) for p in polys]
     polys = [p for p in polys if not p.is_zero()]
@@ -308,15 +308,15 @@ def _canonical(field, H, polys, tail: int) -> FractionalIdeal:
     while rows and rows[-1].valuation == tail - 1:
         rows.pop()
         tail -= 1
-    ideal = FractionalIdeal(field, H, tail, tuple(rows))
-    if not closed_under(ideal, H):
-        raise AssertionError(f"constructed set is not a module over {H}")
-    return ideal
+    return FractionalIdeal(field, H, tail, tuple(rows))
 
 
 def from_window_vectors(field, H, polys, tail: int) -> FractionalIdeal:
-    """Canonicalize a set already known to be a module: span(polys) + tail."""
-    return _canonical(field, H, list(polys), tail)
+    """Canonicalize a caller's module span(polys) + tail; asserts closure."""
+    ideal = _canonical(field, H, list(polys), tail)
+    if not closed_under(ideal, H):
+        raise AssertionError(f"constructed set is not a module over {H}")
+    return ideal
 
 
 def _module_from(field, H, gens, tail: int) -> FractionalIdeal:
@@ -397,7 +397,7 @@ def shift(I: FractionalIdeal, k: int) -> FractionalIdeal:
 
 def reinterpret(I: FractionalIdeal, H: NumericalSemigroup) -> FractionalIdeal:
     """View the same set of series as a module over K[[H]]; asserts closure."""
-    return _canonical(I.field, H, list(I.rows), I.tail)
+    return from_window_vectors(I.field, H, I.rows, I.tail)
 
 
 def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
@@ -442,9 +442,7 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
 
 def endomorphism_ring(I: FractionalIdeal) -> FractionalIdeal:
     """I : I, a ring between R and K[[t]]."""
-    E = colon(I, I)
-    assert E.lo >= 0 and contains_ideal(E, unit_ideal(I.field, I.semigroup))
-    return E
+    return colon(I, I)
 
 
 def value_set(I: FractionalIdeal) -> SemigroupIdeal:
@@ -479,26 +477,17 @@ def canonical_fractional_ideal(field, H) -> tuple[FractionalIdeal, int]:
 def adjoin(field, H, g: LaurentPoly) -> FractionalIdeal:
     """The ring R[g] as an R-module, for g integral over R (val >= 0).
 
-    Computed as the stabilization of (R + Rg)^k; the chain is trapped
-    between R and K[[t]], so it stabilizes within conductor many steps.
+    R[g] = R[x] for x = g - g(0), and a power of x of valuation c or more
+    lies in the conductor, so R[g] is generated by 1, the powers of x cut
+    at t^c (exact modulo c, an ideal of K[[t]]) and c.
     """
-    if g.is_zero():
-        return unit_ideal(field, H)
-    if g.valuation < 0:
+    if not g.is_zero() and g.valuation < 0:
         raise NotIntegral(f"{g} has negative valuation")
-    J = ideal_from_generators(field, H, [LaurentPoly.monomial(field, 0), g])
-    M = J
-    steps = 0
-    while True:
-        nxt = multiply(M, J)
-        steps += 1
-        if steps > H.conductor + 2:
-            raise AssertionError("ring adjunction failed to stabilize")
-        if equals(nxt, M):
-            break
-        M = nxt
-    assert equals(multiply(M, M), M), "adjoined module is not multiplicatively closed"
-    return M
+    gens = [LaurentPoly.monomial(field, 0)]
+    x = g.sub(gens[0].scale(g.coeff(0)))
+    while not (power := gens[-1].mul(x).truncate(H.conductor)).is_zero():
+        gens.append(power)
+    return ideal_from_generators(field, H, gens, with_conductor=True)
 
 
 def minimal_generator_count(I: FractionalIdeal) -> int:

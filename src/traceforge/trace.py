@@ -274,9 +274,14 @@ def verify_bijection(H: NumericalSemigroup, p: int) -> BijectionReport:
     if not H.has_minimal_multiplicity:
         raise NotMinimalMultiplicity(f"{H} has multiplicity {H.multiplicity} "
                                      f"but embedding dimension {H.embedding_dimension}")
+    return _bijection_report(enumerate_trace_ideals(H, p))
+
+
+def _bijection_report(top: TraceEnumeration) -> BijectionReport:
+    """:func:`verify_bijection` given Tr(H), for an H that passes its guards."""
+    H, p = top.semigroup, top.field.p
     e = H.multiplicity
     L = blowup(H)
-    top = enumerate_trace_ideals(H, p)
     bottom = enumerate_trace_ideals(L, p)
     # shifting is injective and keeps canonical form, and every member of
     # Tr(B) is a module over K[[L]], so equal key sets prove the bijection

@@ -5,14 +5,17 @@ membership comes from worklist closure instead of the sieve, semigroup
 counts from exhaustive gap-set filtering, colons from exhaustive
 coefficient search, Arf from the triple rule instead of the Lipman
 chain, submodule lattices from a sweep of every cyclic module closed
-under pairwise sums instead of the cover search, and traces from the
-fractional-ideal colon and product instead of the window kernel.
+under pairwise sums instead of the cover search, traces from the
+fractional-ideal colon and product instead of the window kernel, and
+ring adjunctions R[g] from powers of R + Rg instead of the closed form.
 """
 
 from itertools import combinations, product
 
+from traceforge.errors import NotIntegral
 from traceforge.fields import GF, Matrix, rref
-from traceforge.ideals import (LaurentPoly, colon, contains, from_window_vectors,
+from traceforge.ideals import (LaurentPoly, colon, contains, equals,
+                               from_window_vectors, ideal_from_generators,
                                multiply, unit_ideal)
 
 
@@ -115,6 +118,31 @@ def trace_by_colon(I):
     """
     R = unit_ideal(I.field, I.semigroup)
     return multiply(colon(R, I), I)
+
+
+def adjoin_by_iteration(field, H, g):
+    """The ring R[g] as an R-module, for g integral over R (val >= 0).
+
+    Computed as the stabilization of (R + Rg)^k; the chain is trapped
+    between R and K[[t]], so it stabilizes within conductor many steps.
+    """
+    if g.is_zero():
+        return unit_ideal(field, H)
+    if g.valuation < 0:
+        raise NotIntegral(f"{g} has negative valuation")
+    J = ideal_from_generators(field, H, [LaurentPoly.monomial(field, 0), g])
+    M = J
+    steps = 0
+    while True:
+        nxt = multiply(M, J)
+        steps += 1
+        if steps > H.conductor + 2:
+            raise AssertionError("ring adjunction failed to stabilize")
+        if equals(nxt, M):
+            break
+        M = nxt
+    assert equals(multiply(M, M), M), "adjoined module is not multiplicatively closed"
+    return M
 
 
 def lattice_by_closure(p, d, multipliers):

@@ -1,8 +1,9 @@
 import json
-from importlib import resources
+from importlib import import_module, resources
 
 import jsonschema
 
+from traceforge import batch, cli
 from traceforge.batch import SUMMARY_COLUMNS, read_corpus, survey, thread_count
 from traceforge.cli import main
 
@@ -58,9 +59,24 @@ def test_trace_enum_output_and_json(tmp_path, capsys):
         ["c", "c+(t^5)", "m = c+(t^4, t^5)", "R"]
 
 
-def test_trace_enum_workload_exit_3(capsys):
+def test_trace_enum_workload_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "trace", "enum", "2,27", "--p", "2")
     assert code == 3 and "exceeds" in err
+    # the --json file is opened first and removed again when the run fails
+    out_file = tmp_path / "x.json"
+    code, _, err = run(capsys, "trace", "enum", "2,27", "--p", "2",
+                       "--json", str(out_file))
+    assert code == 3 and not out_file.exists()
+
+
+def test_trace_enum_checks_json_path_before_enumerating(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated before checking the --json path")
+
+    monkeypatch.setattr(cli, "enumerate_trace_ideals", refuse)
+    code, _, err = run(capsys, "trace", "enum", "4,5,11", "--p", "2",
+                       "--json", str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_trace_bijection_command(capsys):
@@ -132,6 +148,24 @@ def test_survey_parallel_matches_serial(tmp_path):
     parallel = survey(3, 2, tmp_path / "p", seed=1, threads=2)
     serial["config"], parallel["config"] = None, None
     assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
+
+
+def test_survey_enumerates_each_semigroup_once(tmp_path, monkeypatch):
+    # the blowup bijection reuses the record's own Tr(H) and enumerates
+    # only the blowup: 27 records plus 17 of minimal multiplicity
+    trace = import_module("traceforge.trace")  # the package exports a function "trace"
+    calls = []
+    inner = trace.enumerate_trace_ideals
+
+    def counted(H, p):
+        calls.append(H.text)
+        return inner(H, p)
+
+    monkeypatch.setattr(trace, "enumerate_trace_ideals", counted)
+    monkeypatch.setattr(batch, "enumerate_trace_ideals", counted)
+    record = survey(5, 2, tmp_path / "g5", threads=1)
+    assert record["count"] == 27
+    assert len(calls) == 44
 
 
 def test_survey_bound(tmp_path, capsys):

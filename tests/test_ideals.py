@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import colon_by_search
+from _oracles import adjoin_by_iteration, colon_by_search
 from traceforge.errors import FieldMismatch, NotIntegral, ZeroIdeal
 from traceforge.fields import GF, QQ
 from traceforge.ideals import (LaurentPoly, add, adjoin,
-                               canonical_fractional_ideal, colon, conductor_ideal,
-                               contains, contains_ideal, endomorphism_ring, equals,
+                               canonical_fractional_ideal, closed_under, colon,
+                               conductor_ideal, contains, contains_ideal,
+                               endomorphism_ring, equals, from_window_vectors,
                                ideal_from_generators, integral_closure_ideal,
                                maximal_ideal, minimal_generator_count, multiply,
                                reinterpret, shift, unit_ideal, value_set)
@@ -153,6 +156,76 @@ def test_adjoin():
     assert equals(adjoin(QQ, H456, g), RRg)  # g^2 already lies in R
     with pytest.raises(NotIntegral):
         adjoin(QQ, H, P(QQ, "t^-1"))
+
+
+def test_module_checks_on_caller_spans():
+    # only the entry points that take a caller's span check closure
+    f = GF(2)
+    with pytest.raises(AssertionError, match="not a module"):
+        from_window_vectors(f, H, [LaurentPoly.monomial(f, 0)], 8)
+    with pytest.raises(AssertionError, match="not a module"):
+        reinterpret(unit_ideal(f, H), S([3, 4, 5]))
+
+
+GENUS_AT_MOST_6 = list(enumerate_semigroups(6))
+
+
+def _coefficients(f):
+    if f.finite:
+        return st.integers(1, f.p - 1).map(f.element)
+    return st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def _polys(draw, f, max_lo=5):
+    """A polynomial as in _random_ideals: a lowest term t^lo, lo <= max_lo,
+    and a few higher terms, with random nonzero coefficients."""
+    lo = draw(st.integers(0, max_lo))
+    support = [lo] + draw(st.lists(st.integers(lo + 1, lo + 3), max_size=3))
+    return LaurentPoly.from_dict(f, {e: draw(_coefficients(f)) for e in support})
+
+
+@st.composite
+def _ideal_pairs(draw):
+    """Two ideals of one genus <= 6 semigroup ring, built as in _random_ideals,
+    and one integral series g to adjoin."""
+    H_ = draw(st.sampled_from([X for X in GENUS_AT_MOST_6 if X.conductor <= 9]))
+    f = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    I, J = (ideal_from_generators(f, H_, draw(st.lists(_polys(f), min_size=1, max_size=2)),
+                                  with_conductor=draw(st.booleans()))
+            for _ in range(2))
+    return I, J, draw(_polys(f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideal_pairs())
+def test_constructions_are_modules(case):
+    # these constructions do not check closure themselves
+    I, J, g = case
+    f, H_ = I.field, I.semigroup
+    built = [I, J, add(I, J), multiply(I, J), colon(I, J), colon(J, I),
+             adjoin(f, H_, g), maximal_ideal(f, H_), unit_ideal(f, H_)]
+    for X in built:
+        assert closed_under(X, H_), X
+
+
+@st.composite
+def _adjoin_cases(draw):
+    H_ = draw(st.sampled_from(GENUS_AT_MOST_6))
+    f = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    return f, H_, draw(_polys(f, max_lo=H_.conductor + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_adjoin_cases())
+@example((QQ, H, P(QQ, "2 + t^5 + 3*t^6")))   # valuation 0, nonzero constant term
+@example((GF(3), H, P(GF(3), "2")))            # constant: R
+@example((GF(2), S([3, 7, 8]), P(GF(2), "t"))) # t: K[[t]]
+@example((QQ, N0, P(QQ, "1 + t^2")))           # N0
+@example((GF(5), S([4, 5, 6]), LaurentPoly.zero(GF(5))))  # zero: R
+def test_adjoin_matches_iteration(case):
+    f, H_, g = case
+    assert equals(adjoin(f, H_, g), adjoin_by_iteration(f, H_, g)), case
 
 
 def test_endomorphism_ring():
