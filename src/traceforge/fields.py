@@ -4,6 +4,10 @@ Field elements are plain values: `fractions.Fraction` over the rationals
 and `int` residues in [0, p) over a prime field.  A field object
 interprets the values; matrices and polynomials carry a reference to
 their field.  No floating point is used anywhere.
+
+`rref`, the one elimination kernel, takes canonical field elements (zero
+is a false value) and touches only the pivot row's support, with native
+operators and ``% p`` only over F_p.
 """
 
 from __future__ import annotations
@@ -186,11 +190,16 @@ class Matrix:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form of ``m`` and its pivot columns.
 
-    The pivot in each column is the first row with a nonzero entry, so the
-    output is deterministic; this is relied on for canonical ideal forms.
+    The reduced form is unique, which canonical ideal forms rely on; the
+    pivot in each column is the first row with a nonzero entry.  Entries
+    must be canonical field elements, so that zero is false (over F_p
+    they are reduced mod p on entry).  Every other row is updated only at
+    the columns where the scaled pivot row is nonzero, with native
+    operators and ``% p`` only over F_p.
     """
     f = m.field
-    rows = [list(r) for r in m.rows]
+    p = f.p if f.finite else 0
+    rows = [[x % p for x in r] for r in m.rows] if p else [list(r) for r in m.rows]
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots = []
@@ -198,16 +207,27 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     for c in range(nc):
         if r == nr:
             break
-        pr = next((i for i in range(r, nr) if not f.is_zero(rows[i][c])), None)
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        k = f.inv(rows[r][c])
-        rows[r] = [f.mul(k, x) for x in rows[r]]
+        pivot = rows[r]
+        k = f.inv(pivot[c])
+        # entries left of c are zero in every row from r on
+        nz = [j for j in range(c, nc) if pivot[j]]
+        for j in nz:
+            pivot[j] = pivot[j] * k % p if p else pivot[j] * k
         for i in range(nr):
-            if i != r and not f.is_zero(rows[i][c]):
-                k = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(k, y)) for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            k = row[c]
+            if i == r or not k:
+                continue
+            if p:
+                for j in nz:
+                    row[j] = (row[j] - k * pivot[j]) % p
+            else:
+                for j in nz:
+                    row[j] -= k * pivot[j]
         pivots.append(c)
         r += 1
     return Matrix(f, tuple(tuple(row) for row in rows)), tuple(pivots)

@@ -249,13 +249,22 @@ def _check_pair(I: FractionalIdeal, J: FractionalIdeal):
 
 
 def _reduce(I: FractionalIdeal, f: LaurentPoly) -> LaurentPoly:
-    """Remainder of f against I's rows and tail; zero iff f lies in I."""
-    w = f.truncate(I.tail)
+    """Remainder of f against I's rows and tail; zero iff f lies in I.
+
+    One pass over a dict of f's terms below the tail: each row is
+    subtracted only over its own terms, with native operators and ``% p``
+    only over F_p.
+    """
+    F = I.field
+    p = F.p if F.finite else 0
+    w = {e: c % p if p else c for e, c in f.terms if e < I.tail}
     for row in I.rows:
-        c = w.coeff(row.valuation)
-        if not I.field.is_zero(c):
-            w = w.sub(row.scale(c))
-    return w
+        c = w.get(row.valuation)
+        if not c:
+            continue
+        for e, x in row.terms:
+            w[e] = (w.get(e, 0) - c * x) % p if p else w.get(e, 0) - c * x
+    return LaurentPoly.from_dict(F, w)
 
 
 def contains(I: FractionalIdeal, f: LaurentPoly) -> bool:
@@ -295,14 +304,12 @@ def _canonical(field, H, polys, tail: int) -> FractionalIdeal:
     rows = []
     if polys:
         lo0 = min(p.valuation for p in polys)
-        width = tail - lo0
-        mat = Matrix(field, tuple(
-            tuple(p.coeff(lo0 + i) for i in range(width)) for p in polys))
+        zero = field.zero
+        mat = Matrix(field, tuple(tuple(d.get(e, zero) for e in range(lo0, tail))
+                                  for d in (dict(p.terms) for p in polys)))
         red, piv = rref(mat)
-        for r_idx in range(len(piv)):
-            terms = {lo0 + i: c for i, c in enumerate(red.rows[r_idx])
-                     if not field.is_zero(c)}
-            rows.append(LaurentPoly.from_dict(field, terms))
+        rows = [LaurentPoly(field, tuple((lo0 + i, c) for i, c in enumerate(row) if c))
+                for row in red.rows[:len(piv)]]
     # a trailing row that is exactly t^(tail-1) belongs to the tail; in
     # echelon form the other rows have coefficient 0 at a pivot exponent
     while rows and rows[-1].valuation == tail - 1:
@@ -382,11 +389,16 @@ def add(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
 
 
 def multiply(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
-    """Module product I*J; pairwise row products generate it over R."""
+    """Module product I*J: the span of the pairwise row products plus the tail.
+
+    I's rows span I modulo its tail, and t^tail(I) K[[t]] * J is
+    t^(tail(I) + lo(J)) K[[t]], so the products of the rows span I*J
+    modulo the tail below and no generation by R is needed.
+    """
     _check_pair(I, J)
     tail = min(I.tail + J.lo, J.tail + I.lo)
     products = [a.mul(b) for a in I.rows for b in J.rows]
-    return _module_from(I.field, I.semigroup, products, tail)
+    return _canonical(I.field, I.semigroup, products, tail)
 
 
 def shift(I: FractionalIdeal, k: int) -> FractionalIdeal:
@@ -433,10 +445,8 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
         return _canonical(f, H, sols, tail)
     mat = Matrix(f, tuple(
         tuple(col.get(k, f.zero) for col in columns) for k in keys))
-    sols = []
-    for vec in solve_homogeneous(mat):
-        terms = {lo_min + i: c for i, c in enumerate(vec) if not f.is_zero(c)}
-        sols.append(LaurentPoly.from_dict(f, terms))
+    sols = [LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
+            for vec in solve_homogeneous(mat)]
     return _canonical(f, H, sols, tail)
 
 

@@ -6,17 +6,21 @@ counts from exhaustive gap-set filtering, colons from exhaustive
 coefficient search, Arf from the triple rule instead of the Lipman
 chain, submodule lattices from a sweep of every cyclic module closed
 under pairwise sums instead of the cover search, traces from the
-fractional-ideal colon and product instead of the window kernel, and
-ring adjunctions R[g] from powers of R + Rg instead of the closed form.
+fractional-ideal colon and product instead of the window kernel,
+ring adjunctions R[g] from powers of R + Rg instead of the closed form,
+row reduction through the field's own operations on every cell instead
+of native operators on the pivot row's support, remainders from whole
+polynomial subtractions instead of one pass over a dict, and products
+of ideals from module generation instead of the span of row products.
 """
 
 from itertools import combinations, product
 
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, Matrix, rref
-from traceforge.ideals import (LaurentPoly, colon, contains, equals,
-                               from_window_vectors, ideal_from_generators,
-                               multiply, unit_ideal)
+from traceforge.ideals import (LaurentPoly, _module_from, colon, contains,
+                               equals, from_window_vectors,
+                               ideal_from_generators, multiply, unit_ideal)
 
 
 def closure_members(gens, bound):
@@ -180,3 +184,57 @@ def lattice_by_closure(p, d, multipliers):
                 modules.add(s)
                 queue.append(s)
     return sorted(modules, key=lambda m: (len(m), m))
+
+
+def rref_by_field_ops(m):
+    """Reduced row echelon form of ``m`` and its pivot columns.
+
+    The generic loop: every cell of every updated row goes through the
+    field's ``sub`` and ``mul``, zeros included.  The pivot in each column
+    is the first row with a nonzero entry.
+    """
+    f = m.field
+    rows = [list(r) for r in m.rows]
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if not f.is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        k = f.inv(rows[r][c])
+        rows[r] = [f.mul(k, x) for x in rows[r]]
+        for i in range(nr):
+            if i != r and not f.is_zero(rows[i][c]):
+                k = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(k, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix(f, tuple(tuple(row) for row in rows)), tuple(pivots)
+
+
+def reduce_by_poly_ops(I, f):
+    """Remainder of f against I's rows and tail; zero iff f lies in I.
+
+    Each row is subtracted as a whole polynomial after a linear scan for
+    the coefficient at its pivot.
+    """
+    w = f.truncate(I.tail)
+    for row in I.rows:
+        c = w.coeff(row.valuation)
+        if not I.field.is_zero(c):
+            w = w.sub(row.scale(c))
+    return w
+
+
+def multiply_by_module_generation(I, J):
+    """I*J as the R-module generated by the pairwise row products and the
+    tail min(tail(I) + lo(J), tail(J) + lo(I)): every product is shifted
+    by each member of H below the tail before echelonization."""
+    tail = min(I.tail + J.lo, J.tail + I.lo)
+    products = [a.mul(b) for a in I.rows for b in J.rows]
+    return _module_from(I.field, I.semigroup, products, tail)

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import rref_by_field_ops
+from traceforge import fields
 from traceforge.errors import DivisionByZero
 from traceforge.fields import GF, QQ, Matrix, rank, rref, solve_homogeneous
 
@@ -135,3 +138,62 @@ def test_nullspace_vectors_annihilate(m):
             for x, y in zip(row, v):
                 acc = f.add(acc, f.mul(x, y))
             assert f.is_zero(acc)
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against the generic loop
+
+
+KERNEL_FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
+
+
+def _kernel_values(field):
+    """Entries as callers may pass them: over F_p any int, reduced or not."""
+    if field.finite:
+        return st.integers(-3 * field.p, 3 * field.p)
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Up to 10 x 12, sparse or dense, with zero rows and zero columns."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    nr = draw(st.integers(0, 10))
+    nc = draw(st.integers(0, 12))
+    cell = _kernel_values(field)
+    if draw(st.booleans()):
+        # sparse: a few nonzero cells in an all-zero matrix
+        rows = [[0] * nc for _ in range(nr)]
+        if nr and nc:
+            for i, j, x in draw(st.lists(st.tuples(st.integers(0, nr - 1),
+                                                   st.integers(0, nc - 1), cell),
+                                         max_size=nr * nc // 4 + 1)):
+                rows[i][j] = x
+    else:
+        rows = [[draw(cell) for _ in range(nc)] for _ in range(nr)]
+    zero_rows = draw(st.sets(st.integers(0, nr - 1))) if nr else set()
+    zero_cols = draw(st.sets(st.integers(0, nc - 1))) if nc else set()
+    rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+    return field, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_matrices())
+@example((GF(5), [[5, 1], [1, 1]]))        # a multiple of p is zero
+@example((GF(3), [[-1, 2, 0], [2, 2, 1]]))  # negative residues
+@example((QQ, []))                         # no rows
+@example((GF(7), [[], []]))                # no columns
+def test_rref_matches_field_op_loop(case):
+    field, entries = case
+    raw = Matrix(field, tuple(tuple(row) for row in entries))
+    canonical = Matrix.from_rows(field, entries)
+    red, piv = rref(raw)
+    want, want_piv = rref_by_field_ops(canonical)
+    assert piv == want_piv
+    assert red.rows == want.rows
+    if field.finite:
+        assert all(0 <= x < field.p for row in red.rows for x in row)
+    with mock.patch.object(fields, "rref", rref_by_field_ops):
+        want_basis = solve_homogeneous(canonical)
+    assert solve_homogeneous(raw) == want_basis

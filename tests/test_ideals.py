@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import adjoin_by_iteration, colon_by_search
+from _oracles import (adjoin_by_iteration, colon_by_search,
+                      multiply_by_module_generation, reduce_by_poly_ops)
 from traceforge.errors import FieldMismatch, NotIntegral, ZeroIdeal
 from traceforge.fields import GF, QQ
-from traceforge.ideals import (LaurentPoly, add, adjoin,
+from traceforge.ideals import (LaurentPoly, _reduce, add, adjoin,
                                canonical_fractional_ideal, closed_under, colon,
                                conductor_ideal, contains, contains_ideal,
                                endomorphism_ring, equals, from_window_vectors,
@@ -226,6 +227,44 @@ def _adjoin_cases(draw):
 def test_adjoin_matches_iteration(case):
     f, H_, g = case
     assert equals(adjoin(f, H_, g), adjoin_by_iteration(f, H_, g)), case
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideal_pairs(), st.integers(-4, 4), st.integers(-4, 4))
+def test_multiply_matches_module_generation(case, a, b):
+    # the row products span I*J modulo the tail, fractional ideals included
+    I, J, _ = case
+    I, J = shift(I, a), shift(J, b)
+    assert equals(multiply(I, J), multiply_by_module_generation(I, J)), (I, J)
+
+
+@st.composite
+def _reduce_cases(draw):
+    """An ideal built as in _random_ideals and series inside and outside it."""
+    I, J, g = draw(_ideal_pairs())
+    f, H_ = I.field, I.semigroup
+    coeff = _coefficients(f)
+    inside = [r.scale(draw(coeff)).shift(h)
+              for r in I.rows for h in draw(st.lists(st.sampled_from(list(H_.members(6))),
+                                                     max_size=2))]
+    inside += [LaurentPoly.monomial(f, I.tail + k, draw(coeff))
+               for k in draw(st.lists(st.integers(0, 4), max_size=2))]
+    member = LaurentPoly.zero(f)
+    for x in inside:
+        member = member.add(x)
+    k = draw(st.integers(-6, 6))
+    others = [g, g.shift(k), member.add(g), member.shift(k)] + [r.shift(k) for r in J.rows]
+    return I, [member] + inside, others
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reduce_cases())
+def test_reduce_matches_polynomial_subtraction(case):
+    I, inside, others = case
+    for x in inside:
+        assert _reduce(I, x) == reduce_by_poly_ops(I, x) == LaurentPoly.zero(I.field)
+    for x in others:
+        assert _reduce(I, x) == reduce_by_poly_ops(I, x), (I, x)
 
 
 def test_endomorphism_ring():
