@@ -3,9 +3,9 @@
 The zero-dimensional brute-forcer: an algebra is a multiplication table
 on a basis whose first element is the identity and whose remaining
 elements span the maximal ideal (which must be nilpotent).  Trace
-ideals are computed straight from the definition, as sums of images of
-module homomorphisms into the algebra, because (R : I) I is unavailable
-without non-zerodivisors.
+ideals are computed straight from the definition, as the span of the
+images of module homomorphisms into the algebra, because (R : I) I is
+unavailable without non-zerodivisors.
 
 This module also holds the one submodule-lattice engine of the package,
 used by :func:`enumerate_ideals` here and by the trace-ideal enumeration
@@ -266,13 +266,13 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
 
     A homomorphism is a linear map commuting with multiplication by every
     basis element; solving that linear system gives a basis of Hom(I, A),
-    and the trace is the span of all the image vectors.
+    and the trace is the span of all the image vectors.  Hom(I, A) is an
+    A-module, since a * phi is again a homomorphism, so that span is
+    already an ideal.
     """
     A = I.algebra
     f = A.field
     k = I.dim
-    if k == 0:
-        return SubIdeal(A, ())
     d = A.dim
     basis = list(I.rows)
     # unknowns w_{i,c} = image of basis[i], coordinate c
@@ -295,11 +295,11 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
     if eqs:
         sols = solve_homogeneous(Matrix(f, tuple(eqs)))
     else:
-        # no constraints (the algebra is a field): every linear map qualifies
+        # no constraints (A is a field or I = 0): every linear map qualifies
         sols = [tuple(f.one if i == j else f.zero for i in range(k * d))
                 for j in range(k * d)]
     images = [tuple(sol[i * d:(i + 1) * d]) for sol in sols for i in range(k)]
-    return ideal_generated_by(A, images)
+    return SubIdeal(A, _span(f, images))
 
 
 # ---------------------------------------------------------------------------

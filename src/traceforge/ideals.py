@@ -297,7 +297,7 @@ def _canonical(field, H, polys, tail: int) -> FractionalIdeal:
     """Echelonize span(polys) + t^tail K[[t]] and minimize the tail.
 
     The input span must already be closed under the action of K[[H]]
-    modulo the tail; every caller in this module builds it that way.
+    modulo the tail; only :func:`from_window_vectors` checks a caller's span.
     """
     polys = [p.truncate(tail) for p in polys]
     polys = [p for p in polys if not p.is_zero()]
@@ -465,13 +465,14 @@ def canonical_fractional_ideal(field, H) -> tuple[FractionalIdeal, int]:
 
     Returns (W, n) where W is spanned by t^x for x in K(H) and n is the
     least exponent with W^(n+1) = W^n (n = 0 exactly in the symmetric
-    case, where W = R).
+    case, where W = R).  W is a module by construction, because
+    ``SemigroupIdeal.create`` has already checked K(H) + H inside K(H).
     """
     from .semigroups import canonical_value_set
 
     K = canonical_value_set(H)
     rows = [LaurentPoly.monomial(field, x) for x in K.elements(K.stable)]
-    W = from_window_vectors(field, H, rows, K.stable)
+    W = _canonical(field, H, rows, K.stable)
     prev = unit_ideal(field, H)
     cur = W
     n = 0

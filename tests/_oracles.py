@@ -10,14 +10,17 @@ fractional-ideal colon and product instead of the window kernel,
 ring adjunctions R[g] from powers of R + Rg instead of the closed form,
 row reduction through the field's own operations on every cell instead
 of native operators on the pivot row's support, remainders from whole
-polynomial subtractions instead of one pass over a dict, and products
-of ideals from module generation instead of the span of row products.
+polynomial subtractions instead of one pass over a dict, products
+of ideals from module generation instead of the span of row products,
+and Artinian Hom traces from the ideal generated by the images instead
+of their span.
 """
 
 from itertools import combinations, product
 
+from traceforge.artin import SubIdeal, ideal_generated_by
 from traceforge.errors import NotIntegral
-from traceforge.fields import GF, Matrix, rref
+from traceforge.fields import GF, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (LaurentPoly, _module_from, colon, contains,
                                equals, from_window_vectors,
                                ideal_from_generators, multiply, unit_ideal)
@@ -238,3 +241,44 @@ def multiply_by_module_generation(I, J):
     tail = min(I.tail + J.lo, J.tail + I.lo)
     products = [a.mul(b) for a in I.rows for b in J.rows]
     return _module_from(I.field, I.semigroup, products, tail)
+
+
+def hom_trace_by_generation(I):
+    """Sum of the images of all module homomorphisms from I to the algebra.
+
+    Solves for a basis of Hom(I, A) as linear maps commuting with every
+    basis element, then takes the ideal generated by the image vectors:
+    every image is multiplied by every basis element before the span.
+    """
+    A = I.algebra
+    f = A.field
+    k = I.dim
+    if k == 0:
+        return SubIdeal(A, ())
+    d = A.dim
+    basis = list(I.rows)
+    # unknowns w_{i,c} = image of basis[i], coordinate c
+    eqs = []
+    for g in range(1, d):
+        for i in range(k):
+            lam = I.coordinates(A.mult(A.basis_vector(g), basis[i]))
+            if lam is None:
+                raise AssertionError("vector not inside the ideal")
+            for r in range(d):
+                row = [f.zero] * (k * d)
+                for c in range(d):
+                    coef = A.table[g][c][r]
+                    if not f.is_zero(coef):
+                        row[i * d + c] = f.add(row[i * d + c], coef)
+                for j in range(k):
+                    if not f.is_zero(lam[j]):
+                        row[j * d + r] = f.sub(row[j * d + r], lam[j])
+                eqs.append(tuple(row))
+    if eqs:
+        sols = solve_homogeneous(Matrix(f, tuple(eqs)))
+    else:
+        # no constraints (the algebra is a field): every linear map qualifies
+        sols = [tuple(f.one if i == j else f.zero for i in range(k * d))
+                for j in range(k * d)]
+    images = [tuple(sol[i * d:(i + 1) * d]) for sol in sols for i in range(k)]
+    return ideal_generated_by(A, images)

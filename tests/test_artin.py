@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from _oracles import hom_trace_by_generation
 from traceforge.artin import (ArtinAlgebra, enumerate_ideals,
                               enumerate_trace_ideals_artinian,
                               gorenstein_family_separation,
@@ -78,6 +81,24 @@ def test_hom_trace_examples():
     assert hom_trace(xi) == xi  # Gorenstein: every ideal is a trace ideal
     zero = ideal_generated_by(A, [])
     assert hom_trace(zero) == zero
+
+
+def test_hom_trace_matches_generation_oracle():
+    # Hom(I, A) is an A-module, so the span of the images is already an
+    # ideal: generating by every basis multiple adds nothing
+    algebras = [truncated_dvr(GF(2), n) for n in range(1, 7)]
+    algebras += [square_zero_two_vars(GF(p)) for p in (2, 3)]
+    algebras += [gorenstein_two_generators(GF(p)) for p in (2, 3, 7)]
+    algebras += [semigroup_quotient(S(gens), 2)
+                 for gens in ([4, 5, 11], [3, 7, 8], [5, 7, 8, 9])]
+    algebras += [semigroup_quotient(S(gens), 3) for gens in ([4, 5], [4, 6, 9])]
+    ideals = [I for A in algebras for I in enumerate_ideals(A)]
+    Q = gorenstein_two_generators(QQ)
+    cyclic = [(0, 1, a, b) for a in (0, 1, -2, Fraction(1, 3)) for b in (0, 5)]
+    cyclic += [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)]
+    ideals += [ideal_generated_by(Q, [tuple(map(QQ.element, v))]) for v in cyclic]
+    for I in ideals:
+        assert hom_trace(I) == hom_trace_by_generation(I), I
 
 
 def test_enumerate_ideals_examples():

@@ -168,6 +168,21 @@ def test_survey_enumerates_each_semigroup_once(tmp_path, monkeypatch):
     assert len(calls) == 44
 
 
+def test_survey_reports_missing_conductor_as_violation(monkeypatch):
+    # a trace test that rejects the conductor must surface as the survey's
+    # own theorem check, not as an exception out of the enumeration
+    trace = import_module("traceforge.trace")
+    inner = trace._trace_window
+
+    def reject_empty(f, H, basis):
+        return inner(f, H, basis) if basis else (None,)
+
+    monkeypatch.setattr(trace, "_trace_window", reject_empty)
+    record = batch.survey_one((3, 4), 2, 0)
+    assert "conductor-least-trace" in record["violations"]
+    assert record["checks"]["conductor_least_trace"] is False
+
+
 def test_survey_bound(tmp_path, capsys):
     code, _, err = run(capsys, "survey", "--max-genus", "11", "--p", "2",
                        "--out", str(tmp_path / "x"))

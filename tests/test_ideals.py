@@ -205,7 +205,8 @@ def test_constructions_are_modules(case):
     I, J, g = case
     f, H_ = I.field, I.semigroup
     built = [I, J, add(I, J), multiply(I, J), colon(I, J), colon(J, I),
-             adjoin(f, H_, g), maximal_ideal(f, H_), unit_ideal(f, H_)]
+             adjoin(f, H_, g), maximal_ideal(f, H_), unit_ideal(f, H_),
+             canonical_fractional_ideal(f, H_)[0]]
     for X in built:
         assert closed_under(X, H_), X
 

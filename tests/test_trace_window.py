@@ -9,16 +9,16 @@ conductor.  Canonical forms are unique, so the two must agree exactly.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import trace_by_colon
 from traceforge.artin import _ideal_lattice
 from traceforge.fields import GF, QQ
-from traceforge.ideals import (LaurentPoly, conductor_ideal, contains_ideal, equals,
-                               from_window_vectors, ideal_from_generators,
-                               maximal_ideal, shift, unit_ideal)
-from traceforge.semigroups import enumerate_semigroups
+from traceforge.ideals import (LaurentPoly, adjoin, closed_under, colon, conductor_ideal,
+                               contains_ideal, equals, from_window_vectors,
+                               ideal_from_generators, maximal_ideal, shift, unit_ideal)
+from traceforge.semigroups import NumericalSemigroup, enumerate_semigroups
 from traceforge.trace import (_generator_shifts, enumerate_trace_ideals,
                               is_trace_ideal, trace)
 
@@ -48,8 +48,9 @@ def ideals(draw):
 @settings(max_examples=300, deadline=None)
 @given(ideals())
 def test_window_trace_matches_colon_oracle(I):
-    T = trace_by_colon(I)
-    assert equals(trace(I), T)
+    T, W = trace_by_colon(I), trace(I)
+    assert equals(W, T)
+    assert closed_under(W, I.semigroup)  # trace() does not check it
     if contains_ideal(unit_ideal(I.field, I.semigroup), I):
         assert is_trace_ideal(I) == equals(T, I)
     else:
@@ -76,3 +77,37 @@ def test_enumeration_matches_oracle_fixed_points(p):
         for info in enum.ideals:
             flags = (info.is_conductor, info.is_maximal_ideal, info.is_unit_ideal)
             assert flags == tuple(equals(info.ideal, N) for N in named), (H, info)
+
+
+GENUS_AT_MOST_7 = list(enumerate_semigroups(7))
+
+
+@st.composite
+def ring_extensions(draw):
+    """A field, a genus <= 7 semigroup and a series g of valuation >= 0
+    (zero about a tenth of the time) for the ring R[g]."""
+    H = draw(st.sampled_from(GENUS_AT_MOST_7))
+    f = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    if f.finite:
+        unit = st.integers(1, f.p - 1)
+    else:
+        unit = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    if draw(st.integers(0, 9)) == 0:
+        return f, H, LaurentPoly.zero(f)
+    lo = draw(st.integers(0, H.conductor + 1))
+    support = [lo] + draw(st.lists(st.integers(lo + 1, lo + 4), max_size=3))
+    return f, H, LaurentPoly.from_dict(f, {e: f.element(draw(unit)) for e in support})
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_extensions())
+@example((QQ, NumericalSemigroup.from_generators([4, 5, 6]),
+          LaurentPoly.from_dict(QQ, {2: QQ.one, 3: Fraction(1, 3)})))  # a probe template
+def test_trace_of_overring_is_its_colon(case):
+    # R : S is an S-module for a ring S = R[g], so tr(S) = (R : S) S = R : S
+    # is a trace ideal; family_probe relies on this and checks neither
+    f, H, g = case
+    S = adjoin(f, H, g)
+    T = trace(S)
+    assert equals(T, colon(unit_ideal(f, H), S)), case
+    assert is_trace_ideal(T), case
