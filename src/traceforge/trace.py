@@ -3,13 +3,17 @@
 The trace of a fractional ideal I is tr(I) = (R : I) * I; an integral
 ideal is a trace ideal exactly when it is a fixed point of that map.
 Over any field every nonzero trace contains the conductor c, so every
-trace is computed in the finite window K[[t]]/c = K[t]/(t^c).  A finite
-field also makes Tr(R) finite: the enumeration tests every R-submodule
-of R/c from the lattice engine of :mod:`traceforge.artin` by dimensions
-in the window and lifts only the trace ideals.  Whole-theorem checks sit
-on top: the blowup bijection for minimal multiplicity, the normalization
-as a union of endomorphism rings, and the colon separation probe that
-certifies infinite families over the rationals.
+trace is computed in the finite window K[[t]]/c = K[t]/(t^c).  For an
+integral T containing c, R : T is R plus its part on the gaps of H, so
+the fixed-point test solves only for that gap part and stops at the
+first product with T that falls outside T; ``trace`` itself, which also
+takes non-integral ideals, solves for the whole colon.  A finite field
+also makes Tr(R) finite: the enumeration runs the fixed-point test on
+every R-submodule of R/c from the lattice engine of
+:mod:`traceforge.artin` and lifts only the trace ideals.  Whole-theorem
+checks sit on top: the blowup bijection for minimal multiplicity, the
+normalization as a union of endomorphism rings, and the colon
+separation probe that certifies infinite families over the rationals.
 """
 
 from __future__ import annotations
@@ -98,8 +102,8 @@ def _trace_window(f, H: NumericalSemigroup, basis) -> tuple:
             for b in basis for g in H.gaps()]
     rows = [r for r in rows if any(r)]
     colon_basis = solve_homogeneous(Matrix(f, tuple(rows)))
-    products = dict.fromkeys(_window_product(f, a, b) for a in colon_basis for b in basis)
-    red, pivots = rref(Matrix(f, tuple(products)))
+    products = tuple(_window_product(f, a, b) for a in colon_basis for b in basis)
+    red, pivots = rref(Matrix(f, products))
     return red.rows[:len(pivots)]
 
 
@@ -114,19 +118,99 @@ def trace(I: FractionalIdeal) -> FractionalIdeal:
     return _from_window(f, H, _trace_window(f, H, _window_basis(shift(I, -I.lo))))
 
 
+# ---------------------------------------------------------------------------
+# the fixed-point test on the gap part of R : T
+
+
+@dataclass(frozen=True)
+class _GapWindow:
+    """R/c and the gaps of H in the window K[t]/(t^c), built once per (H, K).
+
+    ``exps`` are the members below c, the coordinates of R/c, and the gaps
+    are numbered in increasing order.  ``reach[i]`` lists the pairs (g, j)
+    of gap numbers with exps[i] + gap j = gap g, and ``spread[j]`` the
+    pairs (i, k) with exps[i] + gap j = exps[k].
+    """
+
+    field: object
+    exps: tuple
+    reach: tuple
+    spread: tuple
+
+
+def _gap_window(f, H: NumericalSemigroup) -> _GapWindow:
+    exps = tuple(H.members(H.conductor))
+    gaps = H.gaps()
+    index = {e: i for i, e in enumerate(exps)}
+    gap_index = {g: n for n, g in enumerate(gaps)}
+    reach = tuple(tuple((gap_index[e + j], n) for n, j in enumerate(gaps) if e + j in gap_index)
+                  for e in exps)
+    spread = tuple(tuple((i, index[e + j]) for i, e in enumerate(exps) if e + j in index)
+                   for j in gaps)
+    return _GapWindow(f, exps, reach, spread)
+
+
+def _gap_fixed_point(w: _GapWindow, rows) -> bool:
+    """Whether T = span(rows) + c is a trace ideal, for an R-module T
+    with c inside T inside R and T/c given by RREF ``rows`` over ``w.exps``.
+
+    R T lies in T, so R lies in R : T, and modulo c, R : T = R/c + G,
+    where G holds the elements of R : T supported on the gaps: the null
+    space of gamma -> the gap coefficients of gamma b over the rows b,
+    one unknown per gap.  Hence tr(T) = T + G T, and T is a trace ideal
+    exactly when gamma b lies in T for every basis vector gamma of G and
+    every row b.  The test stops at the first product outside T.
+    """
+    f = w.field
+    p = f.p if f.finite else 0
+    zero = f.zero
+    n = len(w.spread)
+    eqs = {}  # one equation per (row, gap g): the coefficient of t^g in gamma * row
+    for r, b in enumerate(rows):
+        for i, y in enumerate(b):
+            if y:
+                for g, j in w.reach[i]:
+                    eqs.setdefault((r, g), [zero] * n)[j] = y
+    red, gap_pivots = rref(Matrix(f, tuple(map(tuple, eqs.values()))))
+    d = len(w.exps)
+    pivots = [next(k for k, x in enumerate(r) if x) for r in rows]
+    for j in range(n):
+        if j in gap_pivots:
+            continue
+        # the basis vector of G for the free gap j, spread onto R/c
+        gamma = [(j, f.one)] + [(g, -r[j]) for g, r in zip(gap_pivots, red.rows) if r[j]]
+        terms = [(i, k, x) for g, x in gamma for i, k in w.spread[g]]
+        for b in rows:
+            v = [zero] * d
+            for i, k, x in terms:
+                y = b[i]
+                if y:
+                    v[k] += x * y
+            # RREF rows are zero at each other's pivots: v is in T exactly
+            # when removing each row times v's pivot entry leaves zero
+            for pc, r in zip(pivots, rows):
+                x = v[pc]
+                if x:
+                    v = [a - x * y for a, y in zip(v, r)]
+            if any(a % p for a in v) if p else any(v):
+                return False
+    return True
+
+
 def is_trace_ideal(I: FractionalIdeal) -> bool:
     """Fixed-point test tr(I) = I for a nonzero integral ideal.
 
-    tr(I) contains both c and I, so it equals I exactly when I contains
-    c and tr(I)/c is no bigger than I/c.
+    Every nonzero trace ideal contains c.  Otherwise the canonical rows
+    and the tail monomials below c, read on the members of H, are an RREF
+    basis of I/c in R/c, and :func:`_gap_fixed_point` decides.
     """
     f, H = I.field, I.semigroup
     if not contains_ideal(unit_ideal(f, H), I):
         raise ValueError("trace fixed-point test needs an integral ideal")
     if I.tail > H.conductor:
         return False
-    basis = _window_basis(I)
-    return len(_trace_window(f, H, basis)) == len(basis)
+    w = _gap_window(f, H)
+    return _gap_fixed_point(w, [tuple(v[e] for e in w.exps) for v in _window_basis(I)])
 
 
 def has_free_summand(I: FractionalIdeal) -> bool:
@@ -219,8 +303,9 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     """All nonzero trace ideals of F_p[[H]], in canonical form.
 
     Every nonzero trace ideal contains c, so it is T = span(rows) + c
-    for a submodule of R/c; as T lies inside tr(T), it is one exactly
-    when dim tr(T)/c = dim T/c.  With d = dim R/c, the conductor, the
+    for a submodule of R/c, and :func:`_gap_fixed_point` decides from
+    the gap part of R : T whether tr(T) = T; the window tables are built
+    once for all candidates.  With d = dim R/c, the conductor, the
     maximal ideal and R are the submodules of dimension 0, d - 1 and d.
     """
     if p not in ENUMERATION_PRIMES:
@@ -231,11 +316,12 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     _check_quotient_dim(d)
     f = GF(p)
     lattice = _ideal_lattice(p, d, _generator_shifts(H, exps))
+    window = _gap_window(f, H)
     infos = []
     for rows in lattice:
-        basis = [_window_vector(f, c, dict(zip(exps, r))) for r in rows]
-        if len(_trace_window(f, H, basis)) != len(rows):
+        if not _gap_fixed_point(window, rows):
             continue
+        basis = [_window_vector(f, c, dict(zip(exps, r))) for r in rows]
         ideal = _from_window(f, H, basis)
         infos.append(TraceIdealInfo(
             ideal=ideal,

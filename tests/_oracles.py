@@ -12,8 +12,9 @@ row reduction through the field's own operations on every cell instead
 of native operators on the pivot row's support, remainders from whole
 polynomial subtractions instead of one pass over a dict, products
 of ideals from module generation instead of the span of row products,
-and Artinian Hom traces from the ideal generated by the images instead
-of their span.
+Artinian Hom traces from the ideal generated by the images instead
+of their span, and the trace fixed-point test from the rank of the
+whole tr(T)/c instead of the gap part of R : T with an early exit.
 """
 
 from itertools import combinations, product
@@ -24,6 +25,7 @@ from traceforge.fields import GF, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (LaurentPoly, _module_from, colon, contains,
                                equals, from_window_vectors,
                                ideal_from_generators, multiply, unit_ideal)
+from traceforge.trace import _trace_window
 
 
 def closure_members(gens, bound):
@@ -282,3 +284,13 @@ def hom_trace_by_generation(I):
                 for j in range(k * d)]
     images = [tuple(sol[i * d:(i + 1) * d]) for sol in sols for i in range(k)]
     return ideal_generated_by(A, images)
+
+
+def is_trace_by_rank(f, H, basis):
+    """Whether T = span(basis) + c is a trace ideal, for an R-module T
+    with c inside T inside R and a basis of T/c in K^c.
+
+    T lies inside tr(T), so T is a trace ideal exactly when the echelon
+    basis of the whole tr(T)/c is no longer than the basis of T/c.
+    """
+    return len(_trace_window(f, H, basis)) == len(basis)

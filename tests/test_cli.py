@@ -172,12 +172,12 @@ def test_survey_reports_missing_conductor_as_violation(monkeypatch):
     # a trace test that rejects the conductor must surface as the survey's
     # own theorem check, not as an exception out of the enumeration
     trace = import_module("traceforge.trace")
-    inner = trace._trace_window
+    inner = trace._gap_fixed_point
 
-    def reject_empty(f, H, basis):
-        return inner(f, H, basis) if basis else (None,)
+    def reject_empty(window, rows):
+        return inner(window, rows) if rows else False
 
-    monkeypatch.setattr(trace, "_trace_window", reject_empty)
+    monkeypatch.setattr(trace, "_gap_fixed_point", reject_empty)
     record = batch.survey_one((3, 4), 2, 0)
     assert "conductor-least-trace" in record["violations"]
     assert record["checks"]["conductor_least_trace"] is False
