@@ -196,12 +196,13 @@ def survey(max_genus: int, prime: int, out_dir, seed: int = 0,
         raise ValueError("survey bound is genus 10")
     if prime not in ENUMERATION_PRIMES:
         raise ValueError(f"survey supports primes {ENUMERATION_PRIMES}")
+    semigroups = enumerate_semigroups(max_genus)  # rejects a negative genus
     threads = thread_count(threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = JobConfig("survey", max_genus, prime, str(out_dir), seed, threads)
 
-    gens_list = [H.minimal_generators for H in enumerate_semigroups(max_genus)]
+    gens_list = [H.minimal_generators for H in semigroups]
     t0 = time.monotonic()
     jobs = [(g, prime, seed) for g in gens_list]
     if threads > 1:

@@ -248,29 +248,40 @@ def _check_pair(I: FractionalIdeal, J: FractionalIdeal):
         raise FieldMismatch(f"ideals over {I.semigroup} vs {J.semigroup}")
 
 
-def _reduce(I: FractionalIdeal, f: LaurentPoly) -> LaurentPoly:
-    """Remainder of f against I's rows and tail; zero iff f lies in I.
+def _pivot_rows(I: FractionalIdeal) -> dict:
+    """I's rows keyed by pivot, each without its leading t^pivot term."""
+    return {r.valuation: r.terms[1:] for r in I.rows}
 
-    One pass over a dict of f's terms below the tail: each row is
-    subtracted only over its own terms, with native operators and ``% p``
-    only over F_p.
+
+def _remainder(F, pivot_rows: dict, tail: int, terms) -> dict:
+    """Remainder of the series with ``terms`` against the module with the
+    given pivot-to-row map and tail, as {exponent: nonzero coefficient};
+    empty iff the series lies in the module.
+
+    The rows have pivot coefficient 1 and vanish at each other's pivots,
+    so each monomial t^k below the tail has a closed-form remainder: t^k
+    itself off the pivots, minus the rest of the pivot's row on a pivot.
     """
-    F = I.field
-    p = F.p if F.finite else 0
-    w = {e: c % p if p else c for e, c in f.terms if e < I.tail}
-    for row in I.rows:
-        c = w.get(row.valuation)
-        if not c:
+    w = {}
+    for e, c in terms:
+        if e >= tail:
             continue
-        for e, x in row.terms:
-            w[e] = (w.get(e, 0) - c * x) % p if p else w.get(e, 0) - c * x
-    return LaurentPoly.from_dict(F, w)
+        rest = pivot_rows.get(e)
+        if rest is None:
+            w[e] = w.get(e, 0) + c
+        else:
+            for k, x in rest:
+                w[k] = w.get(k, 0) - c * x
+    if F.finite:
+        p = F.p
+        return {e: c % p for e, c in w.items() if c % p}
+    return {e: c for e, c in w.items() if c}
 
 
 def contains(I: FractionalIdeal, f: LaurentPoly) -> bool:
     if I.field != f.field:
         raise FieldMismatch(f"{I.field!r} vs {f.field!r}")
-    return _reduce(I, f).is_zero()
+    return not _remainder(I.field, _pivot_rows(I), I.tail, f.terms)
 
 
 def contains_ideal(I: FractionalIdeal, J: FractionalIdeal) -> bool:
@@ -419,7 +430,9 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     everything above is unconstrained because it lands in I's tail.  The
     membership conditions alpha*g in I, for g running over J's rows and
     the finitely many tail monomials that can reach below tail(I), give a
-    homogeneous linear system.
+    homogeneous linear system in the unknowns: the coefficients of the
+    remainders of t^x * g, one column per window exponent x, from I's
+    pivot-to-row map built once per call.
     """
     _check_pair(I, J)
     f, H = I.field, I.semigroup
@@ -427,16 +440,17 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     tail = I.tail - m
     lo_min = I.lo - m
     window = range(lo_min, tail)
-    spanning = list(J.rows)
-    spanning += [LaurentPoly.monomial(f, j) for j in range(J.tail, I.tail - lo_min)]
     if not window:
         return _canonical(f, H, [], tail)
+    spanning = [g.terms for g in J.rows]
+    spanning += [((j, f.one),) for j in range(J.tail, I.tail - lo_min)]
+    pivot_rows = _pivot_rows(I)
     columns = []
     for x in window:
         col = {}
         for gi, g in enumerate(spanning):
-            res = _reduce(I, g.shift(x))
-            for e, cf in res.terms:
+            res = _remainder(f, pivot_rows, I.tail, [(e + x, c) for e, c in g])
+            for e, cf in res.items():
                 col[(gi, e)] = cf
         columns.append(col)
     keys = sorted({k for col in columns for k in col})

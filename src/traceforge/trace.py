@@ -1,19 +1,21 @@
 """Trace ideals of numerical semigroup rings.
 
-The trace of a fractional ideal I is tr(I) = (R : I) * I; an integral
-ideal is a trace ideal exactly when it is a fixed point of that map.
-Over any field every nonzero trace contains the conductor c, so every
-trace is computed in the finite window K[[t]]/c = K[t]/(t^c).  For an
-integral T containing c, R : T is R plus its part on the gaps of H, so
-the fixed-point test solves only for that gap part and stops at the
-first product with T that falls outside T; ``trace`` itself, which also
-takes non-integral ideals, solves for the whole colon.  A finite field
-also makes Tr(R) finite: the enumeration runs the fixed-point test on
-every R-submodule of R/c from the lattice engine of
+The trace of a fractional ideal I is tr(I) = (R : I) * I, and ``trace``
+takes it from that definition with the colon and the product of
+:mod:`traceforge.ideals`.  An integral ideal is a trace ideal exactly
+when it is a fixed point of that map.  Over any field every nonzero
+trace contains the conductor c, so the fixed-point test works in the
+finite window K[[t]]/c = K[t]/(t^c): for an integral T containing c,
+R : T is R plus its part on the gaps of H, so the test solves only for
+that gap part and stops at the first product with T that falls outside
+T.  A finite field also makes Tr(R) finite: the enumeration runs the
+fixed-point test on every R-submodule of R/c from the lattice engine of
 :mod:`traceforge.artin` and lifts only the trace ideals.  Whole-theorem
 checks sit on top: the blowup bijection for minimal multiplicity, the
 normalization as a union of endomorphism rings, and the colon
-separation probe that certifies infinite families over the rationals.
+separation probe that certifies infinite families over the rationals;
+for a ring S over R the trace of S is R : S, so the probe takes the
+colon alone.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from functools import reduce
 
 from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
-from .fields import QQ, GF, Matrix, rref, solve_homogeneous
-from .ideals import (FractionalIdeal, LaurentPoly, _canonical, adjoin, contains_ideal,
-                     endomorphism_ring, equals, add, integral_closure_ideal, shift,
+from .fields import QQ, GF, Matrix, rref
+from .ideals import (FractionalIdeal, LaurentPoly, _canonical, adjoin, colon, contains_ideal,
+                     endomorphism_ring, equals, add, integral_closure_ideal, multiply, shift,
                      unit_ideal)
 from .semigroups import NumericalSemigroup, blowup, canonical_value_set
 
@@ -52,6 +54,15 @@ ENUMERATION_PRIMES = (2, 3, 5, 7)
 
 
 # ---------------------------------------------------------------------------
+# the trace
+
+
+def trace(I: FractionalIdeal) -> FractionalIdeal:
+    """tr(I) = (R : I) * I, an ideal of R containing c (and I if integral)."""
+    return multiply(colon(unit_ideal(I.field, I.semigroup), I), I)
+
+
+# ---------------------------------------------------------------------------
 # the window K[t]/(t^c)
 
 
@@ -69,53 +80,9 @@ def _window_basis(I: FractionalIdeal) -> list[tuple]:
 
 def _from_window(f, H: NumericalSemigroup, vectors) -> FractionalIdeal:
     """The ideal span(vectors) + c, for vectors of K^c spanning a module by
-    construction (a lattice member, or tr(T) = (R : T) T): closure is not re-checked."""
+    construction (a lattice member): closure is not re-checked."""
     polys = [LaurentPoly.from_dict(f, dict(enumerate(v))) for v in vectors]
     return _canonical(f, H, polys, H.conductor)
-
-
-def _window_product(f, a: tuple, b: tuple) -> tuple:
-    """a*b cut at t^c, for vectors a, b of K^c."""
-    c = len(a)
-    out = [f.zero] * c
-    terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in terms:
-                if i + j >= c:
-                    break
-                out[i + j] += x * y
-    return tuple(v % f.p for v in out) if f.finite else tuple(out)
-
-
-def _trace_window(f, H: NumericalSemigroup, basis) -> tuple:
-    """An echelon basis of tr(T)/c for T = span(basis) + c, basis in K^c.
-
-    Coordinate j is the coefficient of t^j.  R : T lies between c and
-    K[[t]], so modulo c it is the null space of alpha -> the gap
-    coefficients of alpha*b over the basis vectors b; tr(T) contains c,
-    and modulo c it is spanned by the products alpha*b cut at t^c.
-    """
-    c = H.conductor
-    zero = f.zero
-    rows = [tuple(b[g - j] if j <= g else zero for j in range(c))
-            for b in basis for g in H.gaps()]
-    rows = [r for r in rows if any(r)]
-    colon_basis = solve_homogeneous(Matrix(f, tuple(rows)))
-    products = tuple(_window_product(f, a, b) for a in colon_basis for b in basis)
-    red, pivots = rref(Matrix(f, products))
-    return red.rows[:len(pivots)]
-
-
-def trace(I: FractionalIdeal) -> FractionalIdeal:
-    """tr(I) = (R : I) * I, an ideal of R containing c (and I if integral).
-
-    tr is unchanged by monomial scaling, and I moved to valuation 0
-    holds a unit u of K[[t]], so it contains u*c = c and is read exactly
-    modulo c.
-    """
-    f, H = I.field, I.semigroup
-    return _from_window(f, H, _trace_window(f, H, _window_basis(shift(I, -I.lo))))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +364,9 @@ def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
     """Separate tr(R[g]) = R : R[g] for g = t^n + k t^(n+1) over the sample values k.
 
     Requires 1, n and n+1 all outside K(H).  R : S is an S-module for a ring
-    S over R, so tr(S) = (R : S) S = R : S.  When every pair of samples yields
-    a different ideal, the probe certifies an infinite family over QQ.
+    S over R, so tr(S) = (R : S) S = R : S, and the probe takes the colon
+    alone, with no product.  When every pair of samples yields a different
+    ideal, the probe certifies an infinite family over QQ.
     """
     K = canonical_value_set(H)
     bad = [x for x in (1, n, n + 1) if x in K]
@@ -408,9 +376,10 @@ def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
     samples = tuple(QQ.element(s) for s in samples)
     if len(set(samples)) != len(samples):
         raise ValueError("samples must be pairwise distinct")
+    R = unit_ideal(QQ, H)
     results = []
     for k in samples:
-        T = trace(adjoin(QQ, H, LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: k})))
+        T = colon(R, adjoin(QQ, H, LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: k})))
         results.append((T.tail, T.rows))
     distinct = len(set(results))
     witness = len(samples) >= 2 and distinct == len(samples)

@@ -3,15 +3,18 @@
 Everything here deliberately avoids the library's own algorithms:
 membership comes from worklist closure instead of the sieve, semigroup
 counts from exhaustive gap-set filtering, colons from exhaustive
-coefficient search, Arf from the triple rule instead of the Lipman
-chain, submodule lattices from a sweep of every cyclic module closed
-under pairwise sums instead of the cover search, traces from the
-fractional-ideal colon and product instead of the window kernel,
-ring adjunctions R[g] from powers of R + Rg instead of the closed form,
-row reduction through the field's own operations on every cell instead
-of native operators on the pivot row's support, remainders from whole
-polynomial subtractions instead of one pass over a dict, products
-of ideals from module generation instead of the span of row products,
+coefficient search and from a reduction of every shifted spanning
+element, Arf from the triple rule instead of the Lipman chain,
+submodule lattices from a sweep of every cyclic module closed under
+pairwise sums instead of the cover search, traces from the window
+kernel in K[t]/(t^c) instead of the fractional-ideal colon and product
+(``trace_by_colon`` takes that definition as ``trace`` does, and stays
+the reference of the window tests), ring adjunctions R[g] from powers
+of R + Rg instead of the closed form, row reduction through the
+field's own operations on every cell instead of native operators on
+the pivot row's support, remainders from whole polynomial subtractions
+instead of the closed-form remainders of the monomials, products of
+ideals from module generation instead of the span of row products,
 Artinian Hom traces from the ideal generated by the images instead
 of their span, and the trace fixed-point test from the rank of the
 whole tr(T)/c instead of the gap part of R : T with an early exit.
@@ -22,10 +25,11 @@ from itertools import combinations, product
 from traceforge.artin import SubIdeal, ideal_generated_by
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, Matrix, rref, solve_homogeneous
-from traceforge.ideals import (LaurentPoly, _module_from, colon, contains,
-                               equals, from_window_vectors,
-                               ideal_from_generators, multiply, unit_ideal)
-from traceforge.trace import _trace_window
+from traceforge.ideals import (LaurentPoly, _canonical, _check_pair, _module_from, colon,
+                               contains, equals, from_window_vectors,
+                               ideal_from_generators, multiply, shift, unit_ideal)
+from traceforge.semigroups import NumericalSemigroup
+from traceforge.trace import _from_window, _window_basis
 
 
 def closure_members(gens, bound):
@@ -127,6 +131,89 @@ def trace_by_colon(I):
     """
     R = unit_ideal(I.field, I.semigroup)
     return multiply(colon(R, I), I)
+
+
+def colon_by_reduction(I, J):
+    """The colon module I : J = {alpha : alpha * J inside I}.
+
+    Unknown coefficients of alpha live on [lo(I) - lo(J), tail(I) - lo(J));
+    everything above is unconstrained because it lands in I's tail.  The
+    membership conditions alpha*g in I, for g running over J's rows and
+    the finitely many tail monomials that can reach below tail(I), give a
+    homogeneous linear system; each t^x * g is reduced against I's rows
+    by :func:`reduce_by_poly_ops`.
+    """
+    _check_pair(I, J)
+    f, H = I.field, I.semigroup
+    m = J.lo
+    tail = I.tail - m
+    lo_min = I.lo - m
+    window = range(lo_min, tail)
+    spanning = list(J.rows)
+    spanning += [LaurentPoly.monomial(f, j) for j in range(J.tail, I.tail - lo_min)]
+    if not window:
+        return _canonical(f, H, [], tail)
+    columns = []
+    for x in window:
+        col = {}
+        for gi, g in enumerate(spanning):
+            res = reduce_by_poly_ops(I, g.shift(x))
+            for e, cf in res.terms:
+                col[(gi, e)] = cf
+        columns.append(col)
+    keys = sorted({k for col in columns for k in col})
+    if not keys:
+        sols = [LaurentPoly.monomial(f, x) for x in window]
+        return _canonical(f, H, sols, tail)
+    mat = Matrix(f, tuple(
+        tuple(col.get(k, f.zero) for col in columns) for k in keys))
+    sols = [LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
+            for vec in solve_homogeneous(mat)]
+    return _canonical(f, H, sols, tail)
+
+
+def _window_product(f, a: tuple, b: tuple) -> tuple:
+    """a*b cut at t^c, for vectors a, b of K^c."""
+    c = len(a)
+    out = [f.zero] * c
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                if i + j >= c:
+                    break
+                out[i + j] += x * y
+    return tuple(v % f.p for v in out) if f.finite else tuple(out)
+
+
+def _trace_window(f, H: NumericalSemigroup, basis) -> tuple:
+    """An echelon basis of tr(T)/c for T = span(basis) + c, basis in K^c.
+
+    Coordinate j is the coefficient of t^j.  R : T lies between c and
+    K[[t]], so modulo c it is the null space of alpha -> the gap
+    coefficients of alpha*b over the basis vectors b; tr(T) contains c,
+    and modulo c it is spanned by the products alpha*b cut at t^c.
+    """
+    c = H.conductor
+    zero = f.zero
+    rows = [tuple(b[g - j] if j <= g else zero for j in range(c))
+            for b in basis for g in H.gaps()]
+    rows = [r for r in rows if any(r)]
+    colon_basis = solve_homogeneous(Matrix(f, tuple(rows)))
+    products = tuple(_window_product(f, a, b) for a in colon_basis for b in basis)
+    red, pivots = rref(Matrix(f, products))
+    return red.rows[:len(pivots)]
+
+
+def trace_by_window(I):
+    """tr(I) = (R : I) * I, an ideal of R containing c (and I if integral).
+
+    tr is unchanged by monomial scaling, and I moved to valuation 0
+    holds a unit u of K[[t]], so it contains u*c = c and is read exactly
+    modulo c.
+    """
+    f, H = I.field, I.semigroup
+    return _from_window(f, H, _trace_window(f, H, _window_basis(shift(I, -I.lo))))
 
 
 def adjoin_by_iteration(field, H, g):

@@ -201,7 +201,7 @@ def test_unwritable_paths_exit_2(tmp_path, capsys):
 
 
 def test_survey_checks_inputs_before_creating_out_dir(tmp_path, capsys):
-    for genus, p in (("3", "11"), ("11", "2")):
+    for genus, p in (("3", "11"), ("11", "2"), ("-1", "2")):
         out_dir = tmp_path / f"g{genus}-p{p}"
         code, _, err = run(capsys, "survey", "--max-genus", genus, "--p", p,
                            "--out", str(out_dir))

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (adjoin_by_iteration, colon_by_search,
+from _oracles import (adjoin_by_iteration, colon_by_reduction, colon_by_search,
                       multiply_by_module_generation, reduce_by_poly_ops)
 from traceforge.errors import FieldMismatch, NotIntegral, ZeroIdeal
 from traceforge.fields import GF, QQ
-from traceforge.ideals import (LaurentPoly, _reduce, add, adjoin,
+from traceforge.ideals import (LaurentPoly, _pivot_rows, _remainder, add, adjoin,
                                canonical_fractional_ideal, closed_under, colon,
                                conductor_ideal, contains, contains_ideal,
                                endomorphism_ring, equals, from_window_vectors,
@@ -187,11 +187,11 @@ def _polys(draw, f, max_lo=5):
 
 
 @st.composite
-def _ideal_pairs(draw):
+def _ideal_pairs(draw, fields=(GF(2), GF(3), QQ)):
     """Two ideals of one genus <= 6 semigroup ring, built as in _random_ideals,
     and one integral series g to adjoin."""
     H_ = draw(st.sampled_from([X for X in GENUS_AT_MOST_6 if X.conductor <= 9]))
-    f = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    f = draw(st.sampled_from(fields))
     I, J = (ideal_from_generators(f, H_, draw(st.lists(_polys(f), min_size=1, max_size=2)),
                                   with_conductor=draw(st.booleans()))
             for _ in range(2))
@@ -258,14 +258,39 @@ def _reduce_cases(draw):
     return I, [member] + inside, others
 
 
+def _remainder_poly(I, x):
+    return LaurentPoly.from_dict(I.field, _remainder(I.field, _pivot_rows(I), I.tail, x.terms))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_reduce_cases())
 def test_reduce_matches_polynomial_subtraction(case):
     I, inside, others = case
     for x in inside:
-        assert _reduce(I, x) == reduce_by_poly_ops(I, x) == LaurentPoly.zero(I.field)
+        assert _remainder_poly(I, x) == reduce_by_poly_ops(I, x) == LaurentPoly.zero(I.field)
     for x in others:
-        assert _reduce(I, x) == reduce_by_poly_ops(I, x), (I, x)
+        assert _remainder_poly(I, x) == reduce_by_poly_ops(I, x), (I, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ideal_pairs(fields=(QQ, GF(2), GF(3), GF(5), GF(7))),
+       st.integers(-4, 4), st.integers(-4, 4))
+# an empty window: I = t^3 K[[t]] has no rows
+@example((shift(integral_closure_ideal(QQ, H), 3), unit_ideal(QQ, H), None), 0, 0)
+# J = K[[t]]: only tail monomials span J, and they reach below tail(I)
+@example((maximal_ideal(GF(5), H), integral_closure_ideal(GF(5), H), None), 1, -2)
+# I = c
+@example((conductor_ideal(GF(3), H), maximal_ideal(GF(3), H), None), 0, 0)
+# I = R
+@example((unit_ideal(QQ, H),
+          ideal_from_generators(QQ, H, [P(QQ, "t^4 + t^5")], with_conductor=True), None), 0, 0)
+# N0
+@example((unit_ideal(GF(7), N0), ideal_from_generators(GF(7), N0, [P(GF(7), "t^2")]), None),
+         -1, 3)
+def test_colon_matches_reduction_oracle(case, a, b):
+    I, J, _ = case
+    I, J = shift(I, a), shift(J, b)
+    assert equals(colon(I, J), colon_by_reduction(I, J)), (I, J)
 
 
 def test_endomorphism_ring():

@@ -1,9 +1,10 @@
-"""The window trace test against the colon-and-product oracle.
+"""The trace and the window trace test against the oracles.
 
-``trace``, ``is_trace_ideal`` and ``enumerate_trace_ideals`` decide
-everything in K[t]/(t^c); ``_oracles.trace_by_colon`` computes
-(R : I) * I on fractional ideals and assumes nothing about the
-conductor.  Canonical forms are unique, so the two must agree exactly.
+``is_trace_ideal`` and ``enumerate_trace_ideals`` decide everything in
+K[t]/(t^c), and ``_oracles.trace_by_window`` computes the whole trace
+there; ``trace`` and ``_oracles.trace_by_colon`` compute (R : I) * I on
+fractional ideals and assume nothing about the conductor.  Canonical
+forms are unique, so all of them must agree exactly.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import trace_by_colon
+from _oracles import trace_by_colon, trace_by_window
 from traceforge.artin import _ideal_lattice
 from traceforge.fields import GF, QQ
 from traceforge.ideals import (LaurentPoly, adjoin, closed_under, colon, conductor_ideal,
@@ -50,6 +51,7 @@ def ideals(draw):
 def test_window_trace_matches_colon_oracle(I):
     T, W = trace_by_colon(I), trace(I)
     assert equals(W, T)
+    assert equals(W, trace_by_window(I))
     assert closed_under(W, I.semigroup)  # trace() does not check it
     if contains_ideal(unit_ideal(I.field, I.semigroup), I):
         assert is_trace_ideal(I) == equals(T, I)
