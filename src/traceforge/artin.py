@@ -307,7 +307,8 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
 
 
 def _ideal_lattice(p: int, d: int, actions) -> list[tuple]:
-    """Every subspace of F_p^d stable under ``actions``, as RREF row tuples.
+    """Every subspace of F_p^d stable under ``actions``, as pairs of RREF
+    row tuples and their pivot columns.
 
     ``actions`` are linear maps on F_p^d, each given by its column images
     (``a[j]`` is the image of the j-th unit vector); they must generate
@@ -321,7 +322,7 @@ def _ideal_lattice(p: int, d: int, actions) -> list[tuple]:
     layer = {(): ()}  # RREF rows -> pivot columns
     lattice = []
     while layer:
-        lattice += sorted(layer)
+        lattice += sorted(layer.items())
         covers = {}
         for rows, pivots in layer.items():
             for v in _socle_lines(p, d, actions, rows, pivots):
@@ -391,7 +392,7 @@ def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
         raise InfiniteField("exhaustive ideal enumeration needs a finite field")
     if f.p ** A.dim > IDEAL_ENUMERATION_GUARD:
         raise WorkloadExceeded(f"{f.p}^{A.dim} vectors exceed the guard")
-    return [SubIdeal(A, rows) for rows in _ideal_lattice(f.p, A.dim, A.table[1:])]
+    return [SubIdeal(A, rows) for rows, _ in _ideal_lattice(f.p, A.dim, A.table[1:])]
 
 
 def enumerate_trace_ideals_artinian(A: ArtinAlgebra) -> list[SubIdeal]:

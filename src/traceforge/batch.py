@@ -23,9 +23,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .semigroups import (NumericalSemigroup, canonical_value_set,
-                         enumerate_semigroups, is_arf, kunz_cone_classify,
-                         value_set_condition, cm_type_list_check, INTERIOR)
+from .semigroups import (NumericalSemigroup, enumerate_semigroups, is_arf,
+                         kunz_cone_classify, value_set_condition, cm_type_list_check,
+                         INTERIOR)
 from .trace import (ENUMERATION_PRIMES, _bijection_report, enumerate_trace_ideals,
                     family_probe)
 
@@ -79,16 +79,6 @@ def _probe_samples(gens: tuple, seed: int) -> list[int]:
     return sorted(rng.sample(range(0, 40), PROBE_SAMPLE_COUNT))
 
 
-def _probe_exponent(H: NumericalSemigroup) -> int | None:
-    K = canonical_value_set(H)
-    if 1 in K:
-        return None
-    for n in range(2, H.frobenius + 1):
-        if n not in K and (n + 1) not in K:
-            return n
-    return None
-
-
 def survey_one(gens: tuple, prime: int, seed: int) -> dict:
     """The full per-semigroup record; pure given (gens, prime, seed)."""
     H = NumericalSemigroup.from_generators(gens)
@@ -115,16 +105,12 @@ def survey_one(gens: tuple, prime: int, seed: int) -> dict:
         record["kunz"] = None
         kunz_ok = True
     else:
-        e = H.multiplicity
-        kv = H.kunz_coordinates(e) if e >= 2 else None
-        if kv is None:
-            record["kunz"] = None
-            kunz_ok = True
-        else:
-            region = kunz_cone_classify(kv)
-            record["kunz"] = {"e": e, "coords": list(kv.coords), "class": region}
-            kunz_ok = (region != "exterior"
-                       and (region == INTERIOR) == H.has_minimal_multiplicity)
+        e = H.multiplicity  # at least 2, since H has a gap
+        kv = H.kunz_coordinates(e)
+        region = kunz_cone_classify(kv)
+        record["kunz"] = {"e": e, "coords": list(kv.coords), "class": region}
+        kunz_ok = (region != "exterior"
+                   and (region == INTERIOR) == H.has_minimal_multiplicity)
     if not kunz_ok:
         violations.append("kunz-classification")
 
@@ -161,7 +147,9 @@ def survey_one(gens: tuple, prime: int, seed: int) -> dict:
             violations.append("arf-value-set-condition")
 
     probe = None
-    n = _probe_exponent(H)  # meets family_probe's preconditions
+    # the least n >= 2 with n, n + 1 outside K(H), and only when 1 is outside
+    # K(H): exactly family_probe's preconditions
+    n = cond.witness
     if n is not None:
         rep = family_probe(H, n, _probe_samples(gens, seed))
         probe = {"n": n, "samples": list(map(int, rep.samples)),

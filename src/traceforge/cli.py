@@ -117,9 +117,16 @@ def cmd_trace_bijection(args) -> int:
     return EXIT_OK if rep.ok else EXIT_VIOLATION
 
 
+def _sample(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"sample {text.strip()!r} has a zero denominator") from None
+
+
 def cmd_trace_probe(args) -> int:
     H = _semigroup(args.gens)
-    samples = [Fraction(s) for s in args.samples.split(",") if s.strip()]
+    samples = [_sample(s) for s in args.samples.split(",") if s.strip()]
     rep = family_probe(H, args.n, samples)
     print(f"{rep.distinct_results}/{len(rep.samples)} distinct colons "
           f"R : R[{rep.template}] over <{H.text}>")

@@ -339,19 +339,26 @@ def value_set_condition(H: NumericalSemigroup) -> ValueSetCondition:
 FINITE_TYPE_TAGS = ("<1>", "<2,2s-1>", "<3,4>", "<3,5>", "<3,5,7>", "<3,4,5>")
 
 
+def _semigroup_with_value_set(H: NumericalSemigroup) -> NumericalSemigroup:
+    """The semigroup generated by H and K(H), for H other than N0.
+
+    K(H) is the union of the k + H over its generators k as an H-ideal, so
+    H's minimal generators and the nonzero generators of K(H) suffice.
+    """
+    K = canonical_value_set(H)
+    return NumericalSemigroup.from_generators(
+        H.minimal_generators + tuple(k for k in K.generators() if k > 0))
+
+
 def cm_type_list_check(H: NumericalSemigroup) -> str | None:
     """Match the semigroup generated by H and K(H) against the finite list.
 
     Returns the tag of the matching entry, or None.  The entries are <1>,
     the family <2,2s-1>, <3,4>, <3,5>, <3,5,7> and <3,4,5>.
     """
-    c = H.conductor
-    if c == 0:
+    if H.conductor == 0:
         return "<1>"
-    K = canonical_value_set(H)
-    ring = NumericalSemigroup.from_generators(
-        [x for x in K.elements(2 * c) if x > 0])
-    gens = ring.minimal_generators
+    gens = _semigroup_with_value_set(H).minimal_generators
     if gens == (1,):
         return "<1>"
     if len(gens) == 2 and gens[0] == 2 and gens[1] % 2 == 1:

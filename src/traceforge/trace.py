@@ -4,11 +4,12 @@ The trace of a fractional ideal I is tr(I) = (R : I) * I, and ``trace``
 takes it from that definition with the colon and the product of
 :mod:`traceforge.ideals`.  An integral ideal is a trace ideal exactly
 when it is a fixed point of that map.  Over any field every nonzero
-trace contains the conductor c, so the fixed-point test works in the
-finite window K[[t]]/c = K[t]/(t^c): for an integral T containing c,
-R : T is R plus its part on the gaps of H, so the test solves only for
-that gap part and stops at the first product with T that falls outside
-T.  A finite field also makes Tr(R) finite: the enumeration runs the
+trace contains the conductor c, so the fixed-point test works in R/c,
+with one coordinate per member of H below c (:class:`_Quotient`, built
+once per semigroup and field): for an integral T containing c, R : T is
+R plus its part on the gaps of H, so the test solves only for that gap
+part and stops at the first product with T that falls outside T.  A
+finite field also makes Tr(R) finite: the enumeration runs the
 fixed-point test on every R-submodule of R/c from the lattice engine of
 :mod:`traceforge.artin` and lifts only the trace ideals.  Whole-theorem
 checks sit on top: the blowup bijection for minimal multiplicity, the
@@ -63,63 +64,66 @@ def trace(I: FractionalIdeal) -> FractionalIdeal:
 
 
 # ---------------------------------------------------------------------------
-# the window K[t]/(t^c)
-
-
-def _window_vector(f, c: int, coeffs: dict) -> tuple:
-    """The vector of K^c with the given {exponent: coefficient} entries."""
-    return tuple(coeffs.get(j, f.zero) for j in range(c))
-
-
-def _window_basis(I: FractionalIdeal) -> list[tuple]:
-    """I/c as vectors of K^c, for an ideal with c inside I inside K[[t]]."""
-    f, c = I.field, I.semigroup.conductor
-    return ([_window_vector(f, c, dict(r.terms)) for r in I.rows]
-            + [_window_vector(f, c, {k: f.one}) for k in range(I.tail, c)])
-
-
-def _from_window(f, H: NumericalSemigroup, vectors) -> FractionalIdeal:
-    """The ideal span(vectors) + c, for vectors of K^c spanning a module by
-    construction (a lattice member): closure is not re-checked."""
-    polys = [LaurentPoly.from_dict(f, dict(enumerate(v))) for v in vectors]
-    return _canonical(f, H, polys, H.conductor)
-
-
-# ---------------------------------------------------------------------------
-# the fixed-point test on the gap part of R : T
+# R/c and the fixed-point test on the gap part of R : T
 
 
 @dataclass(frozen=True)
-class _GapWindow:
-    """R/c and the gaps of H in the window K[t]/(t^c), built once per (H, K).
+class _Quotient:
+    """R/c for R = K[[H]], the one coordinate system of the trace kernel.
 
-    ``exps`` are the members below c, the coordinates of R/c, and the gaps
-    are numbered in increasing order.  ``reach[i]`` lists the pairs (g, j)
-    of gap numbers with exps[i] + gap j = gap g, and ``spread[j]`` the
-    pairs (i, k) with exps[i] + gap j = exps[k].
+    ``exps`` are the members below c, the coordinates of R/c, and
+    ``index`` numbers them.  ``shifts`` holds multiplication by t^g on R/c
+    for each minimal generator g below c (those past it act as zero), as
+    integer column images for the lattice engine.  The gaps are numbered
+    in increasing order: ``reach[i]`` lists the pairs (g, j) of gap
+    numbers with exps[i] + gap j = gap g, and ``spread[j]`` the pairs
+    (i, k) with exps[i] + gap j = exps[k].
     """
 
     field: object
+    semigroup: NumericalSemigroup
     exps: tuple
+    index: dict
+    shifts: tuple
     reach: tuple
     spread: tuple
 
+    def read(self, I: FractionalIdeal) -> tuple[list, list]:
+        """RREF rows of I/c and their pivots, for an ideal with c inside I
+        inside R.  The gap c - 1 puts the tail of I at c, so these are the
+        canonical rows read at the members."""
+        zero = self.field.zero
+        rows = [tuple(t.get(e, zero) for e in self.exps) for t in (dict(r.terms) for r in I.rows)]
+        return rows, [self.index[r.valuation] for r in I.rows]
 
-def _gap_window(f, H: NumericalSemigroup) -> _GapWindow:
+    def lift(self, rows) -> FractionalIdeal:
+        """The ideal span(rows) + c, for rows spanning a module by
+        construction (a lattice member): closure is not re-checked."""
+        f, H = self.field, self.semigroup
+        polys = [LaurentPoly.from_dict(f, dict(zip(self.exps, r))) for r in rows]
+        return _canonical(f, H, polys, H.conductor)
+
+
+def _quotient(f, H: NumericalSemigroup) -> _Quotient:
     exps = tuple(H.members(H.conductor))
     gaps = H.gaps()
     index = {e: i for i, e in enumerate(exps)}
     gap_index = {g: n for n, g in enumerate(gaps)}
+    d = len(exps)
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    shifts = tuple(tuple(units[index[e + g]] if e + g in index else (0,) * d for e in exps)
+                   for g in H.minimal_generators if g < H.conductor)
     reach = tuple(tuple((gap_index[e + j], n) for n, j in enumerate(gaps) if e + j in gap_index)
                   for e in exps)
     spread = tuple(tuple((i, index[e + j]) for i, e in enumerate(exps) if e + j in index)
                    for j in gaps)
-    return _GapWindow(f, exps, reach, spread)
+    return _Quotient(f, H, exps, index, shifts, reach, spread)
 
 
-def _gap_fixed_point(w: _GapWindow, rows) -> bool:
+def _gap_fixed_point(q: _Quotient, rows, pivots) -> bool:
     """Whether T = span(rows) + c is a trace ideal, for an R-module T
-    with c inside T inside R and T/c given by RREF ``rows`` over ``w.exps``.
+    with c inside T inside R and T/c given by RREF ``rows`` over
+    ``q.exps`` with the given pivot columns.
 
     R T lies in T, so R lies in R : T, and modulo c, R : T = R/c + G,
     where G holds the elements of R : T supported on the gaps: the null
@@ -128,25 +132,24 @@ def _gap_fixed_point(w: _GapWindow, rows) -> bool:
     exactly when gamma b lies in T for every basis vector gamma of G and
     every row b.  The test stops at the first product outside T.
     """
-    f = w.field
+    f = q.field
     p = f.p if f.finite else 0
     zero = f.zero
-    n = len(w.spread)
+    n = len(q.spread)
     eqs = {}  # one equation per (row, gap g): the coefficient of t^g in gamma * row
     for r, b in enumerate(rows):
         for i, y in enumerate(b):
             if y:
-                for g, j in w.reach[i]:
+                for g, j in q.reach[i]:
                     eqs.setdefault((r, g), [zero] * n)[j] = y
     red, gap_pivots = rref(Matrix(f, tuple(map(tuple, eqs.values()))))
-    d = len(w.exps)
-    pivots = [next(k for k, x in enumerate(r) if x) for r in rows]
+    d = len(q.exps)
     for j in range(n):
         if j in gap_pivots:
             continue
         # the basis vector of G for the free gap j, spread onto R/c
         gamma = [(j, f.one)] + [(g, -r[j]) for g, r in zip(gap_pivots, red.rows) if r[j]]
-        terms = [(i, k, x) for g, x in gamma for i, k in w.spread[g]]
+        terms = [(i, k, x) for g, x in gamma for i, k in q.spread[g]]
         for b in rows:
             v = [zero] * d
             for i, k, x in terms:
@@ -167,17 +170,16 @@ def _gap_fixed_point(w: _GapWindow, rows) -> bool:
 def is_trace_ideal(I: FractionalIdeal) -> bool:
     """Fixed-point test tr(I) = I for a nonzero integral ideal.
 
-    Every nonzero trace ideal contains c.  Otherwise the canonical rows
-    and the tail monomials below c, read on the members of H, are an RREF
-    basis of I/c in R/c, and :func:`_gap_fixed_point` decides.
+    Every nonzero trace ideal contains c.  Otherwise I/c is read into R/c
+    and :func:`_gap_fixed_point` decides.
     """
     f, H = I.field, I.semigroup
     if not contains_ideal(unit_ideal(f, H), I):
         raise ValueError("trace fixed-point test needs an integral ideal")
     if I.tail > H.conductor:
         return False
-    w = _gap_window(f, H)
-    return _gap_fixed_point(w, [tuple(v[e] for e in w.exps) for v in _window_basis(I)])
+    q = _quotient(f, H)
+    return _gap_fixed_point(q, *q.read(I))
 
 
 def has_free_summand(I: FractionalIdeal) -> bool:
@@ -251,45 +253,26 @@ class TraceEnumeration:
         }
 
 
-def _generator_shifts(H: NumericalSemigroup, exps: list[int]) -> list[list]:
-    """Multiplication by t^g on R / conductor, one map per minimal generator g.
-
-    ``exps`` are the members below the conductor, the monomial basis of
-    R / conductor; each map lists the image of every basis monomial.
-    Generators at or past the conductor act as zero and are left out.
-    """
-    d = len(exps)
-    index = {e: i for i, e in enumerate(exps)}
-    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    zero = (0,) * d
-    return [[units[index[e + g]] if e + g in index else zero for e in exps]
-            for g in H.minimal_generators if g < H.conductor]
-
-
 def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     """All nonzero trace ideals of F_p[[H]], in canonical form.
 
     Every nonzero trace ideal contains c, so it is T = span(rows) + c
     for a submodule of R/c, and :func:`_gap_fixed_point` decides from
-    the gap part of R : T whether tr(T) = T; the window tables are built
+    the gap part of R : T whether tr(T) = T; the tables of R/c are built
     once for all candidates.  With d = dim R/c, the conductor, the
     maximal ideal and R are the submodules of dimension 0, d - 1 and d.
     """
     if p not in ENUMERATION_PRIMES:
         raise ValueError(f"enumeration supports primes {ENUMERATION_PRIMES}")
-    c = H.conductor
-    exps = list(H.members(c))
-    d = len(exps)
+    d = H.conductor - H.genus
     _check_quotient_dim(d)
-    f = GF(p)
-    lattice = _ideal_lattice(p, d, _generator_shifts(H, exps))
-    window = _gap_window(f, H)
+    q = _quotient(GF(p), H)
+    lattice = _ideal_lattice(p, d, q.shifts)
     infos = []
-    for rows in lattice:
-        if not _gap_fixed_point(window, rows):
+    for rows, pivots in lattice:
+        if not _gap_fixed_point(q, rows, pivots):
             continue
-        basis = [_window_vector(f, c, dict(zip(exps, r))) for r in rows]
-        ideal = _from_window(f, H, basis)
+        ideal = q.lift(rows)
         infos.append(TraceIdealInfo(
             ideal=ideal,
             is_conductor=not rows,
@@ -297,7 +280,7 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
             is_unit_ideal=len(rows) == d,
             is_monomial=all(r.is_monomial() for r in ideal.rows),
         ))
-    return TraceEnumeration(f, H, tuple(infos), census=len(lattice))
+    return TraceEnumeration(q.field, H, tuple(infos), census=len(lattice))
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,25 @@
 
 Everything here deliberately avoids the library's own algorithms:
 membership comes from worklist closure instead of the sieve, semigroup
-counts from exhaustive gap-set filtering, colons from exhaustive
-coefficient search and from a reduction of every shifted spanning
-element, Arf from the triple rule instead of the Lipman chain,
-submodule lattices from a sweep of every cyclic module closed under
-pairwise sums instead of the cover search, traces from the window
-kernel in K[t]/(t^c) instead of the fractional-ideal colon and product
+counts from exhaustive gap-set filtering, the semigroup generated by H
+and K(H) from every element of K(H) below 2c instead of both sets'
+generators, colons from exhaustive coefficient search and from a
+reduction of every shifted spanning element, Arf from the triple rule
+instead of the Lipman chain, submodule lattices from a sweep of every
+cyclic module closed under pairwise sums instead of the cover search,
+traces from the window kernel on K^c = K[t]/(t^c), one coordinate per
+exponent below c, instead of the fractional-ideal colon and product
 (``trace_by_colon`` takes that definition as ``trace`` does, and stays
-the reference of the window tests), ring adjunctions R[g] from powers
-of R + Rg instead of the closed form, row reduction through the
-field's own operations on every cell instead of native operators on
-the pivot row's support, remainders from whole polynomial subtractions
-instead of the closed-form remainders of the monomials, products of
-ideals from module generation instead of the span of row products,
-Artinian Hom traces from the ideal generated by the images instead
-of their span, and the trace fixed-point test from the rank of the
-whole tr(T)/c instead of the gap part of R : T with an early exit.
+the reference of the window tests; the library itself works only in R/c,
+on the members below c), ring adjunctions R[g] from powers of R + Rg
+instead of the closed form, row reduction through the field's own
+operations on every cell instead of native operators on the pivot row's
+support, remainders from whole polynomial subtractions instead of the
+closed-form remainders of the monomials, products of ideals from module
+generation instead of the span of row products, Artinian Hom traces from
+the ideal generated by the images instead of their span, and the trace
+fixed-point test from the rank of the whole tr(T)/c instead of the gap
+part of R : T with an early exit.
 """
 
 from itertools import combinations, product
@@ -28,8 +31,7 @@ from traceforge.fields import GF, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (LaurentPoly, _canonical, _check_pair, _module_from, colon,
                                contains, equals, from_window_vectors,
                                ideal_from_generators, multiply, shift, unit_ideal)
-from traceforge.semigroups import NumericalSemigroup
-from traceforge.trace import _from_window, _window_basis
+from traceforge.semigroups import NumericalSemigroup, canonical_value_set
 
 
 def closure_members(gens, bound):
@@ -84,6 +86,13 @@ def gap_sets_for_genus(genus):
         if ok:
             out.append(frozenset(s))
     return out
+
+
+def semigroup_with_value_set_by_window(H):
+    """The semigroup generated by H and K(H), for H other than N0, from
+    every nonzero element of K(H) below twice the conductor."""
+    K = canonical_value_set(H)
+    return NumericalSemigroup.from_generators([x for x in K.elements(2 * H.conductor) if x > 0])
 
 
 def is_arf_by_rule(H):
@@ -170,6 +179,25 @@ def colon_by_reduction(I, J):
     sols = [LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
             for vec in solve_homogeneous(mat)]
     return _canonical(f, H, sols, tail)
+
+
+def _window_vector(f, c: int, coeffs: dict) -> tuple:
+    """The vector of K^c with the given {exponent: coefficient} entries."""
+    return tuple(coeffs.get(j, f.zero) for j in range(c))
+
+
+def _window_basis(I) -> list[tuple]:
+    """I/c as vectors of K^c, for an ideal with c inside I inside K[[t]]."""
+    f, c = I.field, I.semigroup.conductor
+    return ([_window_vector(f, c, dict(r.terms)) for r in I.rows]
+            + [_window_vector(f, c, {k: f.one}) for k in range(I.tail, c)])
+
+
+def _from_window(f, H: NumericalSemigroup, vectors):
+    """The ideal span(vectors) + c, for vectors of K^c spanning a module by
+    construction (a lattice member): closure is not re-checked."""
+    polys = [LaurentPoly.from_dict(f, dict(enumerate(v))) for v in vectors]
+    return _canonical(f, H, polys, H.conductor)
 
 
 def _window_product(f, a: tuple, b: tuple) -> tuple:

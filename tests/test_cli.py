@@ -96,6 +96,12 @@ def test_trace_probe_command(capsys):
     assert code == 2
 
 
+def test_trace_probe_rejects_zero_denominator(capsys):
+    code, _, err = run(capsys, "trace", "probe", "4,5,6", "--n", "2",
+                       "--samples", "1/0,2")
+    assert code == 2 and err.startswith("error: ") and "1/0" in err
+
+
 def test_artin_command(capsys):
     code, out, _ = run(capsys, "artin", "sq0", "--p", "2")
     assert code == 0 and "Tr = {0, m, R}" in out
@@ -174,8 +180,8 @@ def test_survey_reports_missing_conductor_as_violation(monkeypatch):
     trace = import_module("traceforge.trace")
     inner = trace._gap_fixed_point
 
-    def reject_empty(window, rows):
-        return inner(window, rows) if rows else False
+    def reject_empty(q, rows, pivots):
+        return inner(q, rows, pivots) if rows else False
 
     monkeypatch.setattr(trace, "_gap_fixed_point", reject_empty)
     record = batch.survey_one((3, 4), 2, 0)

@@ -12,14 +12,13 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import is_trace_by_rank
+from _oracles import _window_basis, _window_vector, is_trace_by_rank
 from traceforge.artin import _ideal_lattice
 from traceforge.errors import NotCofinite
 from traceforge.fields import GF, QQ
 from traceforge.ideals import LaurentPoly, ideal_from_generators, unit_ideal
 from traceforge.semigroups import NumericalSemigroup, enumerate_semigroups, natural_semigroup
-from traceforge.trace import (_gap_fixed_point, _gap_window, _generator_shifts,
-                              _window_basis, _window_vector, enumerate_trace_ideals,
+from traceforge.trace import (_gap_fixed_point, _quotient, enumerate_trace_ideals,
                               is_trace_ideal, trace)
 
 S = NumericalSemigroup.from_generators
@@ -30,14 +29,15 @@ def agree(f, H, rows) -> bool:
     ``rows`` are RREF rows of R/c over the members below c."""
     exps = list(H.members(H.conductor))
     basis = [_window_vector(f, H.conductor, dict(zip(exps, r))) for r in rows]
-    verdict = _gap_fixed_point(_gap_window(f, H), rows)
+    pivots = [next(k for k, x in enumerate(r) if x) for r in rows]
+    verdict = _gap_fixed_point(_quotient(f, H), rows, pivots)
     assert verdict == is_trace_by_rank(f, H, basis), (H, f, rows)
     return verdict
 
 
 def lattice(H, p):
-    exps = list(H.members(H.conductor))
-    return _ideal_lattice(p, len(exps), _generator_shifts(H, exps))
+    q = _quotient(GF(p), H)
+    return [rows for rows, _ in _ideal_lattice(p, len(q.exps), q.shifts)]
 
 
 def test_every_lattice_member_small_genus():
@@ -83,9 +83,9 @@ def test_natural_semigroup_has_no_gaps():
     # c = 0: R/c and the gap part are both zero, and R is the only candidate
     N0 = natural_semigroup()
     for f in (GF(2), GF(5), QQ):
-        w = _gap_window(f, N0)
-        assert w.exps == w.reach == w.spread == ()
-        assert _gap_fixed_point(w, []) and is_trace_by_rank(f, N0, [])
+        q = _quotient(f, N0)
+        assert q.exps == q.shifts == q.reach == q.spread == ()
+        assert _gap_fixed_point(q, [], []) and is_trace_by_rank(f, N0, [])
         assert is_trace_ideal(unit_ideal(f, N0))
     for p in (2, 3):
         assert [i.label() for i in enumerate_trace_ideals(N0, p).ideals] == ["R"]

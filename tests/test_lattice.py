@@ -19,14 +19,14 @@ from traceforge.errors import NotCofinite, WorkloadExceeded
 from traceforge.fields import GF
 from traceforge.semigroups import (NumericalSemigroup, enumerate_semigroups,
                                    natural_semigroup)
-from traceforge.trace import _generator_shifts, enumerate_trace_ideals
+from traceforge.trace import _quotient, enumerate_trace_ideals
 
 S = NumericalSemigroup.from_generators
 
 
 def engine_rows(H, p):
-    exps = list(H.members(H.conductor))
-    return _ideal_lattice(p, len(exps), _generator_shifts(H, exps))
+    q = _quotient(GF(p), H)
+    return [rows for rows, _ in _ideal_lattice(p, len(q.exps), q.shifts)]
 
 
 def oracle_rows(H, p):
@@ -46,6 +46,14 @@ def test_engine_matches_oracle_genus_at_most_5():
     for H in enumerate_semigroups(5):
         for p in (2, 3):
             assert engine_rows(H, p) == oracle_rows(H, p), (H, p)
+
+
+def test_members_carry_their_pivots():
+    for H in enumerate_semigroups(5):
+        for p in (2, 3):
+            q = _quotient(GF(p), H)
+            for rows, pivots in _ideal_lattice(p, len(q.exps), q.shifts):
+                assert pivots == tuple(next(k for k, x in enumerate(r) if x) for r in rows)
 
 
 def test_artin_presets_match_oracle():
@@ -74,7 +82,7 @@ def test_natural_semigroup_has_zero_quotient():
 def test_generator_past_the_conductor():
     H = S([4, 5, 11])
     assert H.conductor <= 11 and 11 in H.minimal_generators
-    assert len(_generator_shifts(H, list(H.members(H.conductor)))) == 2
+    assert len(_quotient(GF(2), H).shifts) == 2
     for p in (2, 3, 5, 7):
         assert engine_rows(H, p) == oracle_rows(H, p)
     assert len(engine_rows(H, 2)) == 6  # 0, three lines, m/c, R/c

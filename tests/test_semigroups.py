@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from _oracles import apery_by_scan, closure_members, gap_sets_for_genus, is_arf_by_rule
+from _oracles import (apery_by_scan, closure_members, gap_sets_for_genus, is_arf_by_rule,
+                      semigroup_with_value_set_by_window)
 from traceforge.errors import BoundTooLarge, EmptyGenerators, NotAMember, NotCofinite
 from traceforge.semigroups import (BOUNDARY, EXTERIOR, INTERIOR, KunzVector,
                                    NumericalSemigroup, SemigroupIdeal, arf_closure,
                                    blowup, canonical_value_set, cm_type_list_check,
                                    enumerate_semigroups, is_arf, kunz_cone_classify,
                                    lipman_sequence, natural_semigroup,
-                                   parse_generators, value_set_condition)
+                                   parse_generators, value_set_condition,
+                                   _semigroup_with_value_set)
 
 S = NumericalSemigroup.from_generators
 N0 = natural_semigroup()
@@ -162,6 +164,13 @@ def test_cm_type_list_examples():
     assert cm_type_list_check(S([3, 5])) == "<3,5>"
     assert cm_type_list_check(S([5, 7, 8, 11])) == "<3,5,7>"
     assert cm_type_list_check(S([4, 5, 6])) is None
+
+
+def test_value_set_semigroup_matches_window_oracle():
+    for H in enumerate_semigroups(8):
+        if H.conductor:
+            expected = semigroup_with_value_set_by_window(H).minimal_generators
+            assert _semigroup_with_value_set(H).minimal_generators == expected, H
 
 
 def test_pseudo_frobenius():

@@ -20,8 +20,7 @@ from traceforge.ideals import (LaurentPoly, adjoin, closed_under, colon, conduct
                                contains_ideal, equals, from_window_vectors,
                                ideal_from_generators, maximal_ideal, shift, unit_ideal)
 from traceforge.semigroups import NumericalSemigroup, enumerate_semigroups
-from traceforge.trace import (_generator_shifts, enumerate_trace_ideals,
-                              is_trace_ideal, trace)
+from traceforge.trace import _quotient, enumerate_trace_ideals, is_trace_ideal, trace
 
 
 @st.composite
@@ -66,8 +65,9 @@ def test_enumeration_matches_oracle_fixed_points(p):
     # flags read off the dimension must match the named ideals
     f = GF(p)
     for H in enumerate_semigroups(5):
-        exps = list(H.members(H.conductor))
-        lattice = _ideal_lattice(p, len(exps), _generator_shifts(H, exps))
+        q = _quotient(f, H)
+        exps = q.exps
+        lattice = [rows for rows, _ in _ideal_lattice(p, len(exps), q.shifts)]
         lifted = [from_window_vectors(f, H, [LaurentPoly.from_dict(f, dict(zip(exps, r)))
                                              for r in rows], H.conductor)
                   for rows in lattice]
@@ -79,6 +79,19 @@ def test_enumeration_matches_oracle_fixed_points(p):
         for info in enum.ideals:
             flags = (info.is_conductor, info.is_maximal_ideal, info.is_unit_ideal)
             assert flags == tuple(equals(info.ideal, N) for N in named), (H, info)
+
+
+def test_lifted_members_read_back():
+    # R/c -> ideals -> R/c is the identity on lattice members, so
+    # is_trace_ideal and the enumeration see the same rows and pivots
+    for H in enumerate_semigroups(5):
+        for p in (2, 3):
+            q = _quotient(GF(p), H)
+            for rows, pivots in _ideal_lattice(p, len(q.exps), q.shifts):
+                I = q.lift(rows)
+                assert I.tail == H.conductor  # nothing of R/c is left in the tail
+                read = q.read(I)
+                assert (tuple(read[0]), tuple(read[1])) == (rows, pivots), (H, p, rows)
 
 
 GENUS_AT_MOST_7 = list(enumerate_semigroups(7))
