@@ -7,12 +7,17 @@ conductor, multiplicity, embedding dimension, genus, type), Apery sets
 and Kunz coordinates, the canonical value set K(H) = {x : F - x not in
 H}, blowups and the Lipman chain, Arf tests and closure, and an
 exhaustive enumeration of all semigroups up to a given genus.
+
+H is stored as its membership table below the conductor c, filled by
+one sieve in ``from_generators`` (conductors up to ``CONDUCTOR_LIMIT``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import islice
 from math import gcd
 
 from .errors import BoundTooLarge, EmptyGenerators, NotAMember, NotCofinite
@@ -39,57 +44,51 @@ __all__ = [
     "arf_closure",
     "enumerate_semigroups",
     "GENUS_ENUMERATION_LIMIT",
+    "CONDUCTOR_LIMIT",
 ]
 
 GENUS_ENUMERATION_LIMIT = 20
+CONDUCTOR_LIMIT = 10**6  # largest conductor from_generators will sieve to
 
 
 class NumericalSemigroup:
-    """A cofinite submonoid of N0, stored as a bit table plus invariants.
+    """A cofinite submonoid of N0, stored as its membership table below c.
 
-    The table covers [0, 2*conductor + max(minimal_generators)] so that
-    sum-closure and Arf computations never index past it.  Instances are
-    immutable; build them with :meth:`from_generators`.
+    ``_table[n]`` is 1 when n is a member, for n in [0, c); the table ends
+    in the gap c - 1 and is empty for N0.  The constructor takes that
+    table as given and derives every invariant from it; build instances
+    with :meth:`from_generators`.  Instances are immutable.
     """
 
     __slots__ = ("minimal_generators", "frobenius", "conductor", "multiplicity",
                  "genus", "_table")
 
-    def __init__(self, member_fn, conductor: int):
-        # Internal.  member_fn must be a valid membership oracle on all of
-        # N0 with [conductor, oo) contained in H and conductor minimal.
-        c = conductor
-        e = 1
-        while not (e >= c or member_fn(e)):
-            e += 1
+    def __init__(self, table):
+        # Internal.  table must be a semigroup's membership table below its
+        # conductor: closed under addition there, and ending in a gap.
+        table = bytes(table)
+        c = len(table)
+        e = next((n for n in range(1, c) if table[n]), max(c, 1))
         hi = max(e, c + e - 1)  # no minimal generator exceeds F + e
-        bound = 2 * c + hi
-        table = bytearray(bound + 1)
-        for n in range(bound + 1):
-            table[n] = 1 if (n >= c or member_fn(n)) else 0
-        gens = []
-        for m in range(1, hi + 1):
-            if not table[m]:
-                continue
-            if any(table[a] and table[m - a] for a in range(e, m // 2 + 1)):
-                continue
-            gens.append(m)
-        if reduce(gcd, gens) != 1:
-            raise NotCofinite(f"gcd of generators {gens} exceeds 1")
-        self.minimal_generators = tuple(gens)
+        padded = table + b"\x01" * (hi + 1 - c)
+        self.minimal_generators = tuple(
+            m for m in range(e, hi + 1)
+            if padded[m] and not any(padded[a] and padded[m - a]
+                                     for a in range(e, m // 2 + 1)))
         self.frobenius = c - 1
         self.conductor = c
         self.multiplicity = e
-        self.genus = sum(1 for n in range(c) if not table[n])
-        self._table = bytes(table[: 2 * c + gens[-1] + 1])
-        for g in gens:
-            for n in range(len(self._table) - g):
-                if self._table[n] and not self._table[n + g]:
-                    raise AssertionError("membership table not closed under addition")
+        self.genus = table.count(0)
+        self._table = table
 
     @classmethod
     def from_generators(cls, gens) -> "NumericalSemigroup":
-        """The semigroup generated by ``gens``; gcd must be 1."""
+        """The semigroup generated by ``gens``; gcd must be 1.
+
+        The sieve stops at the first run of m = min(gens) members, which
+        starts at c (adding m covers the rest).  A gap at or above
+        ``CONDUCTOR_LIMIT`` raises :class:`BoundTooLarge`.
+        """
         if not gens:
             raise EmptyGenerators("at least one generator is required")
         gens = sorted({int(g) for g in gens})
@@ -98,28 +97,25 @@ class NumericalSemigroup:
         if reduce(gcd, gens) != 1:
             raise NotCofinite(f"gcd({','.join(map(str, gens))}) > 1")
         m = gens[0]
-        bound = 2 * gens[-1] + 2 * m + 2
-        while True:
-            table = bytearray(bound + 1)
-            table[0] = 1
-            for n in range(1, bound + 1):
-                table[n] = 1 if any(g <= n and table[n - g] for g in gens) else 0
-            run = next((r for r in range(bound - m + 2)
-                        if all(table[r + i] for i in range(m))), None)
-            if run is not None:
-                break
-            bound *= 2
-        frob = next((n for n in range(run - 1, -1, -1) if not table[n]), -1)
-        member = lambda n: True if n >= run else bool(table[n])
-        return cls(member, frob + 1)
+        table = bytearray(b"\x01")
+        run = 1
+        while run < m:
+            n = len(table)
+            member = any(table[n - g] for g in gens if g <= n)
+            if not member and n >= CONDUCTOR_LIMIT:
+                raise BoundTooLarge(f"conductor of <{','.join(map(str, gens))}> "
+                                    f"exceeds {CONDUCTOR_LIMIT}")
+            table.append(member)
+            run = run + 1 if member else 0
+        return cls(table[: len(table) - m])
 
     @classmethod
     def _from_member_set(cls, members, bound: int) -> "NumericalSemigroup":
         # members: the member set restricted to [0, bound); [bound, oo) is in H.
-        members = frozenset(members)
-        frob = next((n for n in range(bound - 1, -1, -1) if n not in members), -1)
-        member = lambda n: True if n >= bound else n in members
-        return cls(member, frob + 1)
+        table = bytearray(bound)
+        for n in members:
+            table[n] = 1
+        return cls(table.rstrip(b"\x01"))
 
     # -- membership ----------------------------------------------------
 
@@ -162,27 +158,15 @@ class NumericalSemigroup:
         """The e smallest members, one per residue class mod e."""
         if e <= 0 or e not in self:
             raise NotAMember(f"{e} is not a positive member of {self}")
-        out = []
-        for r in range(e):
-            n = r
-            while n not in self:
-                n += e
-            out.append(n)
-        return tuple(sorted(out))
+        # w is the least member of its class mod e exactly when w - e is not a member
+        return tuple(w for w in self.members(self.conductor + e) if w - e not in self)
 
     def kunz_coordinates(self, e: int) -> "KunzVector":
         """Coordinates mu_i with w_i = i + mu_i * e over the Apery set of e."""
         if e < 2:
             raise NotAMember("Kunz coordinates need e >= 2")
-        if e not in self:
-            raise NotAMember(f"{e} is not a member of {self}")
-        coords = []
-        for i in range(1, e):
-            n = i
-            while n not in self:
-                n += e
-            coords.append((n - i) // e)
-        return KunzVector(e, tuple(coords))
+        w = {n % e: n for n in self.apery_set(e)}
+        return KunzVector(e, tuple((w[i] - i) // e for i in range(1, e)))
 
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Integers x outside H with x + h in H for every nonzero member h."""
@@ -279,10 +263,13 @@ class SemigroupIdeal:
 
     def generators(self) -> tuple[int, ...]:
         """Minimal generators of E as an ideal over the base semigroup."""
-        e = self.base.multiplicity
+        stop = self.stable + self.base.multiplicity
+        nonzero = list(self.base.members(stop - self.start))[1:]
         out = []
-        for x in self.elements(self.stable + e):
-            if not any((x - h) in self for h in self.base.members(x - self.start + 1) if h > 0):
+        for x in self.elements(stop):
+            # x - h lies below start, outside E, once h exceeds x - start
+            below = islice(nonzero, bisect_right(nonzero, x - self.start))
+            if not any((x - h) in self for h in below):
                 out.append(x)
         return tuple(out)
 
@@ -431,14 +418,7 @@ def blowup(H: NumericalSemigroup) -> NumericalSemigroup:
     """The Lipman semigroup: generated by e together with g - e for the other generators."""
     e = H.multiplicity
     gens = {e} | {g - e for g in H.minimal_generators if g != e}
-    L = NumericalSemigroup.from_generators(gens)
-    if H.has_minimal_multiplicity:
-        # in the minimal multiplicity case the blowup is {h - e} itself
-        direct = {0} | {h - e for h in H.members(L.conductor + e + 1) if h >= e}
-        got = set(L.members(L.conductor + 1))
-        if not got <= direct or not all(x in L for x in direct if x <= L.conductor):
-            raise AssertionError(f"blowup of {H} disagrees with the shifted member set")
-    return L
+    return NumericalSemigroup.from_generators(gens)
 
 
 def lipman_sequence(H: NumericalSemigroup) -> list[NumericalSemigroup]:
@@ -478,10 +458,7 @@ def arf_closure(H: NumericalSemigroup) -> NumericalSemigroup:
                     if r < c and r not in members:
                         members.add(r)
                         changed = True
-    closed = NumericalSemigroup._from_member_set(members, c)
-    if not is_arf(closed):
-        raise AssertionError("closure is not Arf")
-    return closed
+    return NumericalSemigroup._from_member_set(members, c)
 
 
 # ---------------------------------------------------------------------------

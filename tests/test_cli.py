@@ -46,6 +46,11 @@ def test_info_bad_input_exit_2(capsys):
     assert code == 2
 
 
+def test_info_conductor_limit_exit_3(capsys):
+    code, _, err = run(capsys, "sgp", "info", "2,2000003")
+    assert code == 3 and "exceeds" in err
+
+
 def test_trace_enum_output_and_json(tmp_path, capsys):
     out_file = tmp_path / "enum.json"
     code, out, _ = run(capsys, "trace", "enum", "4,5,11", "--p", "2",

@@ -4,6 +4,7 @@ import pytest
 
 from _oracles import (apery_by_scan, closure_members, gap_sets_for_genus, is_arf_by_rule,
                       semigroup_with_value_set_by_window)
+from traceforge import semigroups
 from traceforge.errors import BoundTooLarge, EmptyGenerators, NotAMember, NotCofinite
 from traceforge.semigroups import (BOUNDARY, EXTERIOR, INTERIOR, KunzVector,
                                    NumericalSemigroup, SemigroupIdeal, arf_closure,
@@ -11,7 +12,7 @@ from traceforge.semigroups import (BOUNDARY, EXTERIOR, INTERIOR, KunzVector,
                                    enumerate_semigroups, is_arf, kunz_cone_classify,
                                    lipman_sequence, natural_semigroup,
                                    parse_generators, value_set_condition,
-                                   _semigroup_with_value_set)
+                                   _children, _semigroup_with_value_set)
 
 S = NumericalSemigroup.from_generators
 N0 = natural_semigroup()
@@ -46,14 +47,30 @@ def test_from_generators_errors():
         S([0, 3])
 
 
-def test_membership_against_closure_oracle():
+def test_from_generators_conductor_limit(monkeypatch):
+    with pytest.raises(BoundTooLarge):
+        S([2, 2000003])  # conductor 2000002
+    # the sieve stops at the conductor, whatever the largest generator
+    assert S([2, 3, 10**7]) == S([2, 3])
+    # the limit is the largest conductor allowed
+    monkeypatch.setattr(semigroups, "CONDUCTOR_LIMIT", 10)
+    assert S([2, 11]).conductor == 10
+    monkeypatch.setattr(semigroups, "CONDUCTOR_LIMIT", 9)
+    with pytest.raises(BoundTooLarge):
+        S([2, 11])
+
+
+def _random_generator_sets():
     rng = random.Random(7)
+    return [sorted(rng.sample(range(2, 30), rng.randint(2, 4))) for _ in range(25)]
+
+
+def test_membership_against_closure_oracle():
     for H in enumerate_semigroups(6):
         bound = 3 * max(H.conductor, 1)
         oracle = closure_members(H.minimal_generators, bound)
         assert all((n in H) == (n in oracle) for n in range(bound + 1)), H
-    for _ in range(25):
-        gens = sorted(rng.sample(range(2, 30), rng.randint(2, 4)))
+    for gens in _random_generator_sets():
         try:
             H = S(gens)
         except NotCofinite:
@@ -61,6 +78,49 @@ def test_membership_against_closure_oracle():
         bound = 3 * H.conductor
         oracle = closure_members(gens, bound)
         assert all((n in H) == (n in oracle) for n in range(bound + 1)), gens
+
+
+def _assert_table_of(H, gens):
+    """H's table is <gens> below c, and H's invariants are those of <gens>."""
+    c, table = H.conductor, H._table
+    assert len(table) == c and (c == 0 or not table[c - 1]), H
+    bits = sum(1 << n for n in range(c) if table[n])
+    assert all((bits << a) & ~bits & ((1 << c) - 1) == 0
+               for a in range(1, c) if table[a]), f"{H} not closed under addition"
+    m = min(gens)
+    oracle = closure_members(gens, c + m)  # [c, c + m) in <gens> puts [c, oo) there
+    assert all((n in oracle) == bool(table[n]) for n in range(c)), H
+    assert all(n in oracle for n in range(c, c + m)), H
+    members = sorted(oracle)
+    assert H.conductor == 1 + max((n for n in range(c + m) if n not in oracle), default=-1)
+    assert H.genus == sum(1 for n in range(c) if n not in oracle), H
+    assert H.multiplicity == members[1], H
+    # every minimal generator is at most F + m < c + m
+    assert H.minimal_generators == tuple(
+        n for n in members[1:] if not any(n - a in oracle for a in members[1:] if a <= n // 2)), H
+
+
+def test_constructor_tables_are_semigroups():
+    for gens in _random_generator_sets() + [[97, 98], [2, 3, 10**7]]:
+        try:
+            H = S(gens)
+        except NotCofinite:
+            continue
+        _assert_table_of(H, gens)
+    for H in enumerate_semigroups(7):
+        spares = [g for g in H.minimal_generators if g > H.frobenius]
+        for g, child in zip(spares, _children(H), strict=True):
+            _assert_table_of(child, [n for n in H.members(2 * g + 2) if n not in (0, g)])
+    for H in enumerate_semigroups(6):
+        closed = arf_closure(H)
+        _assert_table_of(closed, closed.minimal_generators)
+        if H.conductor:
+            K = canonical_value_set(H)
+            _assert_table_of(_semigroup_with_value_set(H),
+                             [x for x in K.elements(2 * H.conductor) if x > 0])
+    for H in enumerate_semigroups(8):
+        e = H.multiplicity
+        _assert_table_of(blowup(H), [e] + [g - e for g in H.minimal_generators if g != e])
 
 
 def test_apery_examples():
@@ -207,6 +267,16 @@ def test_blowup_matches_stabilized_quotients():
             union |= quot
             ideal = sorted({a + m for a in ideal for m in M if a + m <= bound})
         assert all((x in L) == (x in union) for x in range(2 * c + 1)), H
+
+
+def test_blowup_of_minimal_multiplicity_is_shifted_members():
+    # with minimal multiplicity e, the blowup is {0} and the h - e for h >= e in H
+    for H in enumerate_semigroups(8):
+        if not H.has_minimal_multiplicity:
+            continue
+        e, L = H.multiplicity, blowup(H)
+        shifted = {0} | {h - e for h in H.members(L.conductor + e + 1) if h >= e}
+        assert all((x in L) == (x in shifted) for x in range(L.conductor + 1)), H
 
 
 def test_blowup_genus_decreases():
