@@ -9,15 +9,15 @@ unavailable without non-zerodivisors.
 
 This module also holds the one submodule-lattice engine of the package,
 used by :func:`enumerate_ideals` here and by the trace-ideal enumeration
-of :mod:`traceforge.trace`.  It walks the lattice upward by covers: the
-covers of a module M are M + F_p v for the lines F_p v of the socle of
-the quotient by M, found as one small kernel per module.
+of :mod:`traceforge.trace`.  It is a reverse search: each nonzero module
+has one parent, itself without its first echelon row, and a depth-first
+walk from 0 streams every module once, adding to M each line of the socle
+of the quotient by M that leads before M's first pivot.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import (DependentGenerators, InfiniteField, NotGorenstein,
@@ -306,53 +306,44 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
 # enumeration
 
 
-def _ideal_lattice(p: int, d: int, actions) -> list[tuple]:
-    """Every subspace of F_p^d stable under ``actions``, as pairs of RREF
-    row tuples and their pivot columns.
+def _ideal_lattice(p: int, d: int, actions):
+    """Every subspace of F_p^d stable under ``actions``, yielded once each
+    as its RREF rows and their pivot columns, in the order of the walk.
 
-    ``actions`` are linear maps on F_p^d, each given by its column images
-    (``a[j]`` is the image of the j-th unit vector); they must generate
-    the maximal ideal of a local ring with residue field F_p.  A nonzero
-    submodule S covers a maximal submodule M with S/M simple, hence one
-    dimensional, so S = M + F_p v with v in the socle of the quotient by
-    M.  The search therefore starts at 0 and, layer by layer, adds each
-    socle line to each module.  The result is sorted by dimension, then
-    by rows.
+    ``actions`` are linear maps on F_p^d given by column images (``a[j]``
+    is the image of the j-th unit vector); they generate the maximal ideal
+    of a local ring with residue field F_p and raise the index (``a[j]`` is
+    zero up to j).  So a nonzero submodule without its first row is again
+    a submodule, its one parent, and the children of M are M + F_p v for
+    the socle lines of the quotient by M that lead before M's first pivot;
+    (v, *rows) is already in RREF.  A depth-first walk from 0 makes each
+    submodule once (reverse search), and its stack never holds the lattice.
     """
-    layer = {(): ()}  # RREF rows -> pivot columns
-    lattice = []
-    while layer:
-        lattice += sorted(layer.items())
-        covers = {}
-        for rows, pivots in layer.items():
-            for v in _socle_lines(p, d, actions, rows, pivots):
-                lead = next(i for i, x in enumerate(v) if x)
-                new = [r if not r[lead] else
-                       tuple((a - r[lead] * b) % p for a, b in zip(r, v))
-                       for r in rows]
-                at = bisect(pivots, lead)
-                new.insert(at, v)
-                key = tuple(new)
-                if key not in covers:
-                    covers[key] = pivots[:at] + (lead,) + pivots[at:]
-        layer = covers
-    return lattice
+    stack = [((), ())]
+    while stack:
+        rows, pivots = stack.pop()
+        yield rows, pivots
+        stack += [((v,) + rows, (lead,) + pivots)
+                  for lead, v in _socle_lines(p, d, actions, rows, pivots)]
 
 
 def _socle_lines(p: int, d: int, actions, rows, pivots):
-    """One normalized vector per line of N/M, N = {v : a v in M for all a}.
+    """One vector per line of N/M that leads before M's first pivot, with
+    N = {v : a v in M for all a}, as pairs (lead, v) with v[lead] = 1.
 
     M is the span of the RREF ``rows``.  The unit vectors e_j off the
     pivot columns represent a basis of V/M, so N/M is the kernel of the
     map sending such e_j to the reductions modulo M of every a e_j; it is
-    found by eliminating those images while tracking e_j.  Each returned
-    vector is zero on ``pivots`` and has leading entry 1.
+    found by eliminating those images from the last e_j down while
+    tracking e_j, so each kernel vector is 1 at its own j, zero before it
+    and zero on ``pivots``.
     """
+    first = pivots[0] if pivots else d
     free = [j for j in range(d) if j not in pivots]
     reducers = list(zip(pivots, rows))
     echelon = []  # (pivot, image, tag) with image[pivot] == 1
-    kernel = []
-    for j in free:
+    kernel = []  # (j, tag), j falling
+    for j in reversed(free):
         image = []
         for a in actions:
             w = a[j]
@@ -370,29 +361,35 @@ def _socle_lines(p: int, d: int, actions, rows, pivots):
                 tag = [(s - x * y) % p for s, y in zip(tag, t)]
         lead = next((i for i, x in enumerate(image) if x), None)
         if lead is None:
-            kernel.append(tag)
+            kernel.append((j, tag))
             continue
         inv = pow(image[lead], -1, p)
         echelon.append((lead, [x * inv % p for x in image], [x * inv % p for x in tag]))
-    for i, first in enumerate(kernel):
-        rest = kernel[i + 1:]
+    for i, (j, top) in enumerate(kernel):
+        if j >= first:
+            continue
+        rest = [t for _, t in kernel[:i]]  # the kernel vectors after j
         for coeffs in itertools.product(range(p), repeat=len(rest)):
-            v = first
+            v = top
             for k, r in zip(coeffs, rest):
                 if k:
                     v = [(s + k * t) % p for s, t in zip(v, r)]
-            inv = pow(next(x for x in v if x), -1, p)
-            yield tuple(x * inv % p for x in v)
+            yield j, tuple(v)
 
 
 def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
-    """All ideals of A over a finite field, duplicate-free, sorted by dimension."""
+    """All ideals of A over a finite field, duplicate-free, sorted by dimension.
+
+    The lattice engine needs b_i * b_j (i >= 1) to be zero up to index j."""
     f = A.field
     if not f.finite:
         raise InfiniteField("exhaustive ideal enumeration needs a finite field")
     if f.p ** A.dim > IDEAL_ENUMERATION_GUARD:
         raise WorkloadExceeded(f"{f.p}^{A.dim} vectors exceed the guard")
-    return [SubIdeal(A, rows) for rows, _ in _ideal_lattice(f.p, A.dim, A.table[1:])]
+    if any(any(cell[:j + 1]) for row in A.table[1:] for j, cell in enumerate(row)):
+        raise ValueError("some product b_i * b_j (i >= 1) is nonzero at an index up to j")
+    lattice = [rows for rows, _ in _ideal_lattice(f.p, A.dim, A.table[1:])]
+    return [SubIdeal(A, rows) for rows in sorted(lattice, key=lambda r: (len(r), r))]
 
 
 def enumerate_trace_ideals_artinian(A: ArtinAlgebra) -> list[SubIdeal]:

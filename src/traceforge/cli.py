@@ -63,8 +63,9 @@ def cmd_info(args) -> int:
         kv = H.kunz_coordinates(e)
         print(f"  kunz coords : {list(kv.coords)}  ({kunz_cone_classify(kv)})")
     K = canonical_value_set(H)
+    pf = H.pseudo_frobenius()
     print(f"  K(H) gens   : {list(K.generators())}   pseudo-frobenius: "
-          f"{list(H.pseudo_frobenius())}  (type {H.cm_type})")
+          f"{list(pf)}  (type {len(pf)})")
     print(f"  gorenstein  : {H.is_symmetric}")
     cond = value_set_condition(H)
     verdict = {"I": "condition I (1 in K(H))",

@@ -267,11 +267,12 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     d = H.conductor - H.genus
     _check_quotient_dim(d)
     q = _quotient(GF(p), H)
-    lattice = _ideal_lattice(p, d, q.shifts)
+    fixed = []  # the stream starts at the zero module, so census is always set
+    for census, (rows, pivots) in enumerate(_ideal_lattice(p, d, q.shifts), 1):
+        if _gap_fixed_point(q, rows, pivots):
+            fixed.append(rows)
     infos = []
-    for rows, pivots in lattice:
-        if not _gap_fixed_point(q, rows, pivots):
-            continue
+    for rows in sorted(fixed, key=lambda rows: (len(rows), rows)):
         ideal = q.lift(rows)
         infos.append(TraceIdealInfo(
             ideal=ideal,
@@ -280,7 +281,7 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
             is_unit_ideal=len(rows) == d,
             is_monomial=all(r.is_monomial() for r in ideal.rows),
         ))
-    return TraceEnumeration(q.field, H, tuple(infos), census=len(lattice))
+    return TraceEnumeration(q.field, H, tuple(infos), census=census)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ and K(H) from every element of K(H) below 2c instead of both sets'
 generators, colons from exhaustive coefficient search and from a
 reduction of every shifted spanning element, Arf from the triple rule
 instead of the Lipman chain, submodule lattices from a sweep of every
-cyclic module closed under pairwise sums instead of the cover search,
-traces from the window kernel on K^c = K[t]/(t^c), one coordinate per
+cyclic module closed under pairwise sums and from a layer-by-layer
+cover search with a dict per layer instead of the reverse search, traces from the window kernel on K^c = K[t]/(t^c), one coordinate per
 exponent below c, instead of the fractional-ideal colon and product
 (``trace_by_colon`` takes that definition as ``trace`` does, and stays
 the reference of the window tests; the library itself works only in R/c,
@@ -23,6 +23,7 @@ fixed-point test from the rank of the whole tr(T)/c instead of the gap
 part of R : T with an early exit.
 """
 
+from bisect import bisect
 from itertools import combinations, product
 
 from traceforge.artin import SubIdeal, ideal_generated_by
@@ -304,6 +305,86 @@ def lattice_by_closure(p, d, multipliers):
                 modules.add(s)
                 queue.append(s)
     return sorted(modules, key=lambda m: (len(m), m))
+
+
+def lattice_by_covers(p, d, actions):
+    """Every subspace of F_p^d stable under ``actions``, as pairs of RREF
+    row tuples and their pivot columns.
+
+    ``actions`` are linear maps on F_p^d, each given by its column images
+    (``a[j]`` is the image of the j-th unit vector); they must generate
+    the maximal ideal of a local ring with residue field F_p.  A nonzero
+    submodule S covers a maximal submodule M with S/M simple, hence one
+    dimensional, so S = M + F_p v with v in the socle of the quotient by
+    M.  The search therefore starts at 0 and, layer by layer, adds each
+    socle line to each module, and a dict per layer drops the copies
+    made along every cover edge.  The result is sorted by dimension,
+    then by rows.  The library walks a tree of canonical parents instead.
+    """
+    layer = {(): ()}  # RREF rows -> pivot columns
+    lattice = []
+    while layer:
+        lattice += sorted(layer.items())
+        covers = {}
+        for rows, pivots in layer.items():
+            for v in _socle_lines(p, d, actions, rows, pivots):
+                lead = next(i for i, x in enumerate(v) if x)
+                new = [r if not r[lead] else
+                       tuple((a - r[lead] * b) % p for a, b in zip(r, v))
+                       for r in rows]
+                at = bisect(pivots, lead)
+                new.insert(at, v)
+                key = tuple(new)
+                if key not in covers:
+                    covers[key] = pivots[:at] + (lead,) + pivots[at:]
+        layer = covers
+    return lattice
+
+
+def _socle_lines(p, d, actions, rows, pivots):
+    """One normalized vector per line of N/M, N = {v : a v in M for all a}.
+
+    M is the span of the RREF ``rows``.  The unit vectors e_j off the
+    pivot columns represent a basis of V/M, so N/M is the kernel of the
+    map sending such e_j to the reductions modulo M of every a e_j; it is
+    found by eliminating those images while tracking e_j.  Each returned
+    vector is zero on ``pivots`` and has leading entry 1.
+    """
+    free = [j for j in range(d) if j not in pivots]
+    reducers = list(zip(pivots, rows))
+    echelon = []  # (pivot, image, tag) with image[pivot] == 1
+    kernel = []
+    for j in free:
+        image = []
+        for a in actions:
+            w = a[j]
+            for c, r in reducers:
+                x = w[c]
+                if x:
+                    w = [(s - x * t) % p for s, t in zip(w, r)]
+            image += [w[i] for i in free]
+        tag = [0] * d
+        tag[j] = 1
+        for c, u, t in echelon:
+            x = image[c]
+            if x:
+                image = [(s - x * y) % p for s, y in zip(image, u)]
+                tag = [(s - x * y) % p for s, y in zip(tag, t)]
+        lead = next((i for i, x in enumerate(image) if x), None)
+        if lead is None:
+            kernel.append(tag)
+            continue
+        inv = pow(image[lead], -1, p)
+        echelon.append((lead, [x * inv % p for x in image], [x * inv % p for x in tag]))
+    for i, first in enumerate(kernel):
+        rest = kernel[i + 1:]
+        for coeffs in product(range(p), repeat=len(rest)):
+            v = first
+            for k, r in zip(coeffs, rest):
+                if k:
+                    v = [(s + k * t) % p for s, t in zip(v, r)]
+            inv = pow(next(x for x in v if x), -1, p)
+            yield tuple(x * inv % p for x in v)
 
 
 def rref_by_field_ops(m):

@@ -1,20 +1,23 @@
-"""The cover-based submodule-lattice engine against the brute-force oracle.
+"""The reverse-search submodule-lattice engine against two oracles.
 
 The engine is fed the shifts by the minimal generators below the
 conductor (trace) or the non-unit rows of a multiplication table
-(artin); the oracle gets every monomial shift or every table row, the
-identity included, and sweeps all cyclic modules.  RREF bases are
-unique, so the two must agree row for row.
+(artin), and streams each module once, in the order of its walk.  The
+brute-force oracle gets every monomial shift or every table row, the
+identity included, and sweeps all cyclic modules; the cover oracle is
+the former engine, which climbs by covers and drops copies per layer.
+RREF bases are unique, so the sorted stream must agree with both row
+for row.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import lattice_by_closure
-from traceforge.artin import (_ideal_lattice, enumerate_ideals,
+from _oracles import lattice_by_closure, lattice_by_covers
+from traceforge.artin import (ArtinAlgebra, _ideal_lattice, enumerate_ideals,
                               gorenstein_two_generators, semigroup_quotient,
-                              square_zero_two_vars, truncated_dvr)
+                              socle, square_zero_two_vars, truncated_dvr)
 from traceforge.errors import NotCofinite, WorkloadExceeded
 from traceforge.fields import GF
 from traceforge.semigroups import (NumericalSemigroup, enumerate_semigroups,
@@ -24,9 +27,14 @@ from traceforge.trace import _quotient, enumerate_trace_ideals
 S = NumericalSemigroup.from_generators
 
 
+def by_dimension(rows):
+    return len(rows), rows
+
+
 def engine_rows(H, p):
     q = _quotient(GF(p), H)
-    return [rows for rows, _ in _ideal_lattice(p, len(q.exps), q.shifts)]
+    return sorted((rows for rows, _ in _ideal_lattice(p, len(q.exps), q.shifts)),
+                  key=by_dimension)
 
 
 def oracle_rows(H, p):
@@ -106,6 +114,37 @@ def test_engine_matches_oracle_random_semigroups(gens, p):
     # reaches thousands of modules for d = 5 over F_5 and F_7 (m^2 = 0)
     assume(d <= 5 and p ** d <= 7 ** 4)
     assert engine_rows(H, p) == oracle_rows(H, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_generator_sets, st.sampled_from((2, 3, 5, 7)))
+def test_stream_makes_each_module_once_from_its_parent(gens, p):
+    try:
+        H = S(gens)
+    except NotCofinite:
+        assume(False)
+    q = _quotient(GF(p), H)
+    d = len(q.exps)
+    assume(d <= 5 and p ** d <= 7 ** 4)  # the caps of the oracle test above
+    stream = list(_ideal_lattice(p, d, q.shifts))
+    modules = {rows for rows, _ in stream}
+    assert len(modules) == len(stream)  # nothing yielded twice
+    assert all(rows[1:] in modules for rows in modules if rows)
+    assert sorted(stream, key=lambda m: by_dimension(m[0])) == lattice_by_covers(p, d, q.shifts)
+    assert sorted(modules, key=by_dimension) == oracle_rows(H, p)
+
+
+def test_enumerate_ideals_refuses_a_basis_that_lowers_the_index():
+    # K[x]/(x^3) on the basis (1, x^2, x): x * x = x^2 lands before x
+    zero = [0, 0, 0]
+    table = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             [[0, 1, 0], zero, zero],
+             [[0, 0, 1], zero, [0, 1, 0]]]
+    A = ArtinAlgebra.create(GF(2), ("1", "x^2", "x"), table)
+    assert socle(A).rows == ((0, 1, 0),)
+    with pytest.raises(ValueError, match="b_i \\* b_j"):
+        enumerate_ideals(A)
+    assert len(enumerate_ideals(truncated_dvr(GF(2), 3))) == 4
 
 
 def test_dimension_five_over_larger_fields():

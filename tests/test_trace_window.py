@@ -67,7 +67,8 @@ def test_enumeration_matches_oracle_fixed_points(p):
     for H in enumerate_semigroups(5):
         q = _quotient(f, H)
         exps = q.exps
-        lattice = [rows for rows, _ in _ideal_lattice(p, len(exps), q.shifts)]
+        lattice = sorted((rows for rows, _ in _ideal_lattice(p, len(exps), q.shifts)),
+                         key=lambda rows: (len(rows), rows))
         lifted = [from_window_vectors(f, H, [LaurentPoly.from_dict(f, dict(zip(exps, r)))
                                              for r in rows], H.conductor)
                   for rows in lattice]
