@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (DependentGenerators, InfiniteField, NotGorenstein,
                      WorkloadExceeded, ZeroQuotient)
@@ -94,11 +95,9 @@ class ArtinAlgebra:
         for _ in range(d + 1):
             if not power:
                 break
-            power = _span(field, [A.mult(A.basis_vector(i), v)
-                                  for i in range(1, d) for v in power])
+            power = _span(A, [A.mult(A.basis_vector(i), v)
+                              for i in range(1, d) for v in power])
         else:
-            raise ValueError("the non-unit basis span is not nilpotent")
-        if power:
             raise ValueError("the non-unit basis span is not nilpotent")
         return A
 
@@ -138,17 +137,16 @@ class ArtinAlgebra:
         return f"ArtinAlgebra({', '.join(self.labels)} over {self.field!r})"
 
 
-def _span(field, vectors) -> tuple:
-    vectors = [v for v in vectors if any(not field.is_zero(x) for x in v)]
-    if not vectors:
-        return ()
-    red, piv = rref(Matrix(field, tuple(vectors)))
-    return tuple(red.rows[i] for i in range(len(piv)))
+def _span(A: ArtinAlgebra, vectors) -> tuple:
+    """The RREF basis of the span of ``vectors`` in A."""
+    red, piv = rref(Matrix(A.field, tuple(vectors), A.dim))
+    return red.rows[:len(piv)]
 
 
 @dataclass(frozen=True)
 class SubIdeal:
-    """An ideal of an ArtinAlgebra, stored as an echelon basis."""
+    """An ideal of an ArtinAlgebra, stored as its RREF basis (every
+    instance comes from :func:`_span` or the lattice engine)."""
 
     algebra: ArtinAlgebra
     rows: tuple
@@ -157,18 +155,20 @@ class SubIdeal:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def pivots(self) -> tuple:
+        return tuple(next(i for i, x in enumerate(row) if x) for row in self.rows)
+
     def coordinates(self, v: tuple):
-        """Coordinates of v in the echelon basis, or None when v is outside."""
+        """Coordinates of v in the basis, or None when v is outside: the
+        rows are reduced, so each is v's entry at its row's pivot."""
         f = self.algebra.field
-        w = list(v)
-        out = []
-        for row in self.rows:
-            lead = next(i for i, x in enumerate(row) if not f.is_zero(x))
-            c = w[lead]
-            out.append(c)
-            if not f.is_zero(c):
-                w = [f.sub(a, f.mul(c, b)) for a, b in zip(w, row)]
-        return out if all(f.is_zero(x) for x in w) else None
+        p = f.p if f.finite else 0
+        w = [x % p for x in v] if p else list(v)
+        out = [w[j] for j in self.pivots]
+        for c, row in zip(out, self.rows):
+            w = [a - c * b for a, b in zip(w, row)]
+        return None if any(x % p if p else x for x in w) else out
 
     def contains(self, v: tuple) -> bool:
         return self.coordinates(v) is not None
@@ -181,7 +181,7 @@ def ideal_generated_by(A: ArtinAlgebra, vectors) -> SubIdeal:
     """The ideal generated by ``vectors``: spanned by all basis multiples."""
     prods = [A.mult(A.basis_vector(i), v)
              for v in vectors for i in range(A.dim)]
-    return SubIdeal(A, _span(A.field, prods))
+    return SubIdeal(A, _span(A, prods))
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +250,12 @@ def semigroup_quotient(H, p: int) -> ArtinAlgebra:
 
 def socle(A: ArtinAlgebra) -> SubIdeal:
     """The annihilator of the maximal ideal; the whole ring when dim = 1."""
-    if A.dim == 1:
-        return ideal_generated_by(A, [A.basis_vector(0)])
     rows = []
     for g in range(1, A.dim):
         # rows of the multiplication-by-b_g matrix
         for r in range(A.dim):
             rows.append(tuple(A.table[g][c][r] for c in range(A.dim)))
-    sol = solve_homogeneous(Matrix(A.field, tuple(rows)))
+    sol = solve_homogeneous(Matrix(A.field, tuple(rows), A.dim))
     return ideal_generated_by(A, sol)
 
 
@@ -292,14 +290,10 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
                     if not f.is_zero(lam[j]):
                         row[j * d + r] = f.sub(row[j * d + r], lam[j])
                 eqs.append(tuple(row))
-    if eqs:
-        sols = solve_homogeneous(Matrix(f, tuple(eqs)))
-    else:
-        # no constraints (A is a field or I = 0): every linear map qualifies
-        sols = [tuple(f.one if i == j else f.zero for i in range(k * d))
-                for j in range(k * d)]
+    # with no equations (A is a field or I = 0) every linear map qualifies
+    sols = solve_homogeneous(Matrix(f, tuple(eqs), k * d))
     images = [tuple(sol[i * d:(i + 1) * d]) for sol in sols for i in range(k)]
-    return SubIdeal(A, _span(f, images))
+    return SubIdeal(A, _span(A, images))
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +400,11 @@ def gorenstein_family_separation(A: ArtinAlgebra, u, v, samples) -> int:
 
     Requires a Gorenstein algebra (socle of dimension 1) and u, v part of
     a minimal generating set of the maximal ideal, i.e. independent
-    modulo its square.  Every cyclic ideal here is a trace ideal, and
-    distinct samples are expected to give distinct ideals.
+    modulo its square.  Every cyclic ideal here is a trace ideal, so no
+    sample is re-tested: a one-dimensional socle makes A Gorenstein, hence
+    self-injective, so every phi: I -> A is multiplication by an element
+    of A and tr(I) = I.  Distinct samples are expected to give distinct
+    ideals.
     """
     f = A.field
     if socle(A).dim != 1:
@@ -416,17 +413,14 @@ def gorenstein_family_separation(A: ArtinAlgebra, u, v, samples) -> int:
     v = tuple(f.element(x) for x in v)
     if not f.is_zero(u[0]) or not f.is_zero(v[0]):
         raise DependentGenerators("u and v must lie in the maximal ideal")
-    msq = _span(f, [A.mult(A.basis_vector(i), A.basis_vector(j))
+    msq = _span(A, [A.mult(A.basis_vector(i), A.basis_vector(j))
                     for i in range(1, A.dim) for j in range(1, A.dim)])
     base = len(msq)
-    if len(_span(f, list(msq) + [u, v])) != base + 2:
+    if len(_span(A, list(msq) + [u, v])) != base + 2:
         raise DependentGenerators("u and v are dependent modulo m^2")
     seen = set()
     for a in samples:
         a = f.element(a)
         w = tuple(f.add(x, f.mul(a, y)) for x, y in zip(u, v))
-        ideal = ideal_generated_by(A, [w])
-        if hom_trace(ideal) != ideal:
-            raise AssertionError("cyclic ideal in a Gorenstein algebra is not a trace ideal")
-        seen.add(ideal.rows)
+        seen.add(ideal_generated_by(A, [w]).rows)
     return len(seen)

@@ -22,9 +22,7 @@ import sys
 from fractions import Fraction
 
 from .batch import survey
-from .errors import (BoundTooLarge, EmptyGenerators, IsDVR, NotAMember,
-                     NotCofinite, NotMinimalMultiplicity, PreconditionViolated,
-                     WorkloadExceeded)
+from .errors import BoundTooLarge, WorkloadExceeded
 from .fields import GF, QQ
 from .semigroups import (NumericalSemigroup, canonical_value_set,
                          cm_type_list_check, is_arf, kunz_cone_classify,
@@ -39,8 +37,8 @@ EXIT_INPUT = 2
 EXIT_WORKLOAD = 3
 EXIT_VIOLATION = 4
 
-INPUT_ERRORS = (EmptyGenerators, NotCofinite, NotAMember, IsDVR,
-                NotMinimalMultiplicity, PreconditionViolated, ValueError, OSError)
+# BoundTooLarge is a ValueError too; WORKLOAD_ERRORS is caught first
+INPUT_ERRORS = (ValueError, OSError)
 WORKLOAD_ERRORS = (WorkloadExceeded, BoundTooLarge)
 
 

@@ -5,9 +5,10 @@ and `int` residues in [0, p) over a prime field.  A field object
 interprets the values; matrices and polynomials carry a reference to
 their field.  No floating point is used anywhere.
 
-`rref`, the one elimination kernel, takes canonical field elements (zero
-is a false value) and touches only the pivot row's support, with native
-operators and ``% p`` only over F_p.
+`rref`, the one elimination kernel, takes systems of any shape, no rows
+included, since a ``Matrix`` carries its width.  It takes canonical field
+elements (zero is a false value) and touches only the pivot row's
+support, with native operators and ``% p`` only over F_p.
 """
 
 from __future__ import annotations
@@ -164,27 +165,25 @@ def GF(p: int) -> PrimeField:
 
 @dataclass(frozen=True)
 class Matrix:
-    """A dense rectangular matrix with entries in a single field."""
+    """A dense matrix over one field; with no rows it keeps its ``ncols``."""
 
     field: object
     rows: tuple
-
-    def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix rows")
+    ncols: int
 
     @classmethod
-    def from_rows(cls, field, rows) -> "Matrix":
-        return cls(field, tuple(tuple(field.element(x) for x in row) for row in rows))
+    def from_rows(cls, field, rows, ncols=None) -> "Matrix":
+        """Canonicalize the entries; ``ncols`` defaults to the first row's width."""
+        rows = tuple(tuple(field.element(x) for x in row) for row in rows)
+        if ncols is None:
+            if not rows:
+                raise ValueError("a matrix with no rows needs its width")
+            ncols = len(rows[0])
+        return cls(field, rows, ncols)
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -195,13 +194,17 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     must be canonical field elements, so that zero is false (over F_p
     they are reduced mod p on entry).  Every other row is updated only at
     the columns where the scaled pivot row is nonzero, with native
-    operators and ``% p`` only over F_p.
+    operators and ``% p`` only over F_p.  Rows of any width other than
+    ``m.ncols`` raise ``ValueError``; a matrix with no rows is reduced.
     """
     f = m.field
     p = f.p if f.finite else 0
+    nc = m.ncols
     rows = [[x % p for x in r] for r in m.rows] if p else [list(r) for r in m.rows]
+    for row in rows:
+        if len(row) != nc:
+            raise ValueError(f"ragged matrix rows: a row of width {len(row)}, not {nc}")
     nr = len(rows)
-    nc = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(nc):
@@ -230,7 +233,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
                     row[j] -= k * pivot[j]
         pivots.append(c)
         r += 1
-    return Matrix(f, tuple(tuple(row) for row in rows)), tuple(pivots)
+    return Matrix(f, tuple(tuple(row) for row in rows), nc), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -241,7 +244,8 @@ def solve_homogeneous(m: Matrix) -> list[tuple]:
     """A basis of the null space {v : m v = 0}, one vector per free column.
 
     The basis vector for free column j has entry 1 there and the negated
-    reduced column elsewhere, so dim = ncols - rank.
+    reduced column elsewhere, so dim = ncols - rank; with no rows the
+    basis is the ncols unit vectors.
     """
     f = m.field
     red, pivots = rref(m)

@@ -312,15 +312,13 @@ def _canonical(field, H, polys, tail: int) -> FractionalIdeal:
     """
     polys = [p.truncate(tail) for p in polys]
     polys = [p for p in polys if not p.is_zero()]
-    rows = []
-    if polys:
-        lo0 = min(p.valuation for p in polys)
-        zero = field.zero
-        mat = Matrix(field, tuple(tuple(d.get(e, zero) for e in range(lo0, tail))
-                                  for d in (dict(p.terms) for p in polys)))
-        red, piv = rref(mat)
-        rows = [LaurentPoly(field, tuple((lo0 + i, c) for i, c in enumerate(row) if c))
-                for row in red.rows[:len(piv)]]
+    lo0 = min((p.valuation for p in polys), default=tail)
+    zero = field.zero
+    mat = Matrix(field, tuple(tuple(d.get(e, zero) for e in range(lo0, tail))
+                              for d in (dict(p.terms) for p in polys)), tail - lo0)
+    red, piv = rref(mat)
+    rows = [LaurentPoly(field, tuple((lo0 + i, c) for i, c in enumerate(row) if c))
+            for row in red.rows[:len(piv)]]
     # a trailing row that is exactly t^(tail-1) belongs to the tail; in
     # echelon form the other rows have coefficient 0 at a pivot exponent
     while rows and rows[-1].valuation == tail - 1:
@@ -440,8 +438,6 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     tail = I.tail - m
     lo_min = I.lo - m
     window = range(lo_min, tail)
-    if not window:
-        return _canonical(f, H, [], tail)
     spanning = [g.terms for g in J.rows]
     spanning += [((j, f.one),) for j in range(J.tail, I.tail - lo_min)]
     pivot_rows = _pivot_rows(I)
@@ -454,11 +450,8 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
                 col[(gi, e)] = cf
         columns.append(col)
     keys = sorted({k for col in columns for k in col})
-    if not keys:
-        sols = [LaurentPoly.monomial(f, x) for x in window]
-        return _canonical(f, H, sols, tail)
     mat = Matrix(f, tuple(
-        tuple(col.get(k, f.zero) for col in columns) for k in keys))
+        tuple(col.get(k, f.zero) for col in columns) for k in keys), len(window))
     sols = [LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
             for vec in solve_homogeneous(mat)]
     return _canonical(f, H, sols, tail)

@@ -142,7 +142,7 @@ def _gap_fixed_point(q: _Quotient, rows, pivots) -> bool:
             if y:
                 for g, j in q.reach[i]:
                     eqs.setdefault((r, g), [zero] * n)[j] = y
-    red, gap_pivots = rref(Matrix(f, tuple(map(tuple, eqs.values()))))
+    red, gap_pivots = rref(Matrix(f, tuple(map(tuple, eqs.values())), n))
     d = len(q.exps)
     for j in range(n):
         if j in gap_pivots:

@@ -18,9 +18,11 @@ operations on every cell instead of native operators on the pivot row's
 support, remainders from whole polynomial subtractions instead of the
 closed-form remainders of the monomials, products of ideals from module
 generation instead of the span of row products, Artinian Hom traces from
-the ideal generated by the images instead of their span, and the trace
+the ideal generated by the images instead of their span, the trace
 fixed-point test from the rank of the whole tr(T)/c instead of the gap
-part of R : T with an early exit.
+part of R : T with an early exit, and coordinates in an Artinian ideal
+from row-by-row elimination through the field's operations instead of
+reading them at the pivots.
 """
 
 from bisect import bisect
@@ -176,7 +178,7 @@ def colon_by_reduction(I, J):
         sols = [LaurentPoly.monomial(f, x) for x in window]
         return _canonical(f, H, sols, tail)
     mat = Matrix(f, tuple(
-        tuple(col.get(k, f.zero) for col in columns) for k in keys))
+        tuple(col.get(k, f.zero) for col in columns) for k in keys), len(window))
     sols = [LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
             for vec in solve_homogeneous(mat)]
     return _canonical(f, H, sols, tail)
@@ -228,9 +230,9 @@ def _trace_window(f, H: NumericalSemigroup, basis) -> tuple:
     rows = [tuple(b[g - j] if j <= g else zero for j in range(c))
             for b in basis for g in H.gaps()]
     rows = [r for r in rows if any(r)]
-    colon_basis = solve_homogeneous(Matrix(f, tuple(rows)))
+    colon_basis = solve_homogeneous(Matrix(f, tuple(rows), c))
     products = tuple(_window_product(f, a, b) for a in colon_basis for b in basis)
-    red, pivots = rref(Matrix(f, products))
+    red, pivots = rref(Matrix(f, products, c))
     return red.rows[:len(pivots)]
 
 
@@ -283,7 +285,7 @@ def lattice_by_closure(p, d, multipliers):
     f = GF(p)
 
     def span(vectors):
-        red, piv = rref(Matrix(f, tuple(vectors)))
+        red, piv = rref(Matrix(f, tuple(vectors), d))
         return tuple(red.rows[i] for i in range(len(piv)))
 
     def cyclic(v):
@@ -397,7 +399,7 @@ def rref_by_field_ops(m):
     f = m.field
     rows = [list(r) for r in m.rows]
     nr = len(rows)
-    nc = len(rows[0]) if rows else 0
+    nc = m.ncols
     pivots = []
     r = 0
     for c in range(nc):
@@ -415,7 +417,7 @@ def rref_by_field_ops(m):
                 rows[i] = [f.sub(x, f.mul(k, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return Matrix(f, tuple(tuple(row) for row in rows)), tuple(pivots)
+    return Matrix(f, tuple(tuple(row) for row in rows), nc), tuple(pivots)
 
 
 def reduce_by_poly_ops(I, f):
@@ -472,12 +474,7 @@ def hom_trace_by_generation(I):
                     if not f.is_zero(lam[j]):
                         row[j * d + r] = f.sub(row[j * d + r], lam[j])
                 eqs.append(tuple(row))
-    if eqs:
-        sols = solve_homogeneous(Matrix(f, tuple(eqs)))
-    else:
-        # no constraints (the algebra is a field): every linear map qualifies
-        sols = [tuple(f.one if i == j else f.zero for i in range(k * d))
-                for j in range(k * d)]
+    sols = solve_homogeneous(Matrix(f, tuple(eqs), k * d))
     images = [tuple(sol[i * d:(i + 1) * d]) for sol in sols for i in range(k)]
     return ideal_generated_by(A, images)
 
@@ -490,3 +487,23 @@ def is_trace_by_rank(f, H, basis):
     basis of the whole tr(T)/c is no longer than the basis of T/c.
     """
     return len(_trace_window(f, H, basis)) == len(basis)
+
+
+def coordinates_by_elimination(I, v):
+    """Coordinates of v in the echelon basis of the SubIdeal I, or None
+    when v is outside.
+
+    Eliminates row by row through the field's own operations: each row's
+    leading entry is found by a scan, its coordinate is read off the
+    running remainder, and the whole row is subtracted.
+    """
+    f = I.algebra.field
+    w = list(v)
+    out = []
+    for row in I.rows:
+        lead = next(i for i, x in enumerate(row) if not f.is_zero(x))
+        c = w[lead]
+        out.append(c)
+        if not f.is_zero(c):
+            w = [f.sub(a, f.mul(c, b)) for a, b in zip(w, row)]
+    return out if all(f.is_zero(x) for x in w) else None

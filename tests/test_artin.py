@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import hom_trace_by_generation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import coordinates_by_elimination, hom_trace_by_generation
 from traceforge.artin import (ArtinAlgebra, enumerate_ideals,
                               enumerate_trace_ideals_artinian,
                               gorenstein_family_separation,
@@ -12,7 +15,8 @@ from traceforge.artin import (ArtinAlgebra, enumerate_ideals,
 from traceforge.errors import (DependentGenerators, InfiniteField, NotGorenstein,
                                WorkloadExceeded, ZeroQuotient)
 from traceforge.fields import GF, QQ
-from traceforge.semigroups import NumericalSemigroup, natural_semigroup
+from traceforge.semigroups import (NumericalSemigroup, enumerate_semigroups,
+                                   natural_semigroup)
 from traceforge.trace import enumerate_trace_ideals
 
 S = NumericalSemigroup.from_generators
@@ -156,12 +160,14 @@ def test_gorenstein_all_ideals_are_trace():
 
 
 def test_census_bridge_with_trace_engine():
-    # when all non-unit products in R/c vanish, both enumerations see the
-    # same candidate lattice
-    for gens, p in [((4, 5, 11), 2), ((4, 5, 11), 3), ((4, 6, 9, 11), 2)]:
-        H = S(gens)
-        assert len(enumerate_ideals(semigroup_quotient(H, p))) == \
-            enumerate_trace_ideals(H, p).census
+    # the ideals of R/c are exactly the R-submodules of R/c, for every H,
+    # so both enumerations see the same candidate lattice
+    for H in enumerate_semigroups(5):
+        if H.genus == 0:
+            continue
+        for p in (2, 3):
+            assert len(enumerate_ideals(semigroup_quotient(H, p))) == \
+                enumerate_trace_ideals(H, p).census, (H, p)
 
 
 def test_square_zero_three_vars_trace_set():
@@ -186,6 +192,10 @@ def test_gorenstein_family_separation():
     assert gorenstein_family_separation(A, u, v, [0, 1, 2]) == 3
     assert gorenstein_family_separation(A, u, v, [0]) == 1
     assert gorenstein_family_separation(A, u, v, [0, 1, 2, 3, 4]) == 5
+    # the separation counts these as trace ideals without re-testing them
+    for a in (0, 1, 2, 3, 4, Fraction(-1, 2)):
+        I = ideal_generated_by(A, [tuple(x + a * y for x, y in zip(u, v))])
+        assert hom_trace(I) == I, a
     with pytest.raises(DependentGenerators):
         gorenstein_family_separation(truncated_dvr(QQ, 3), (0, 1, 0), (0, 0, 1), [0, 1])
     with pytest.raises(NotGorenstein):
@@ -205,3 +215,32 @@ def test_algebra_json():
     payload = A.to_json()
     assert payload["dim"] == 3 and payload["labels"] == ["1", "x", "y"]
     assert payload["table"][1][1] == [["0", "0", "0"][i] for i in range(3)]
+
+
+COORDINATE_IDEALS = [
+    I for A in (truncated_dvr(GF(2), 4), truncated_dvr(GF(3), 3),
+                square_zero_two_vars(GF(3)), gorenstein_two_generators(GF(2)),
+                gorenstein_two_generators(GF(3)),
+                semigroup_quotient(S([3, 5, 7]), 2), semigroup_quotient(S([4, 5, 11]), 3),
+                semigroup_quotient(S([4, 6, 9, 11]), 2))
+    for I in enumerate_ideals(A)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_coordinates_read_at_pivots_match_elimination(data):
+    I = data.draw(st.sampled_from(COORDINATE_IDEALS))
+    p, d = I.algebra.field.p, I.algebra.dim
+    vector = st.lists(st.integers(0, p - 1), min_size=d, max_size=d).map(tuple)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=I.dim, max_size=I.dim))
+    inside = tuple(sum(c * r[i] for c, r in zip(coeffs, I.rows)) % p for i in range(d))
+    assert I.coordinates(inside) == coordinates_by_elimination(I, inside) == coeffs
+    # off the pivots a unit vector is outside, and so is any vector plus it
+    free = [j for j in range(d) if j not in I.pivots]
+    if free:
+        j = data.draw(st.sampled_from(free))
+        outside = tuple((x + (i == j)) % p for i, x in enumerate(inside))
+        assert I.coordinates(outside) is None
+        assert coordinates_by_elimination(I, outside) is None
+    v = data.draw(vector)
+    assert I.coordinates(v) == coordinates_by_elimination(I, v)

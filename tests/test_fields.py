@@ -73,6 +73,31 @@ def test_nullspace_examples():
     assert len(solve_homogeneous(zero)) == 3
 
 
+def test_nullspace_without_rows_is_every_unit_vector():
+    # a system with no equations keeps its unknowns
+    for field in (QQ, GF(2), GF(5)):
+        for n in range(5):
+            units = [tuple(field.one if i == j else field.zero for i in range(n))
+                     for j in range(n)]
+            assert solve_homogeneous(Matrix(field, (), n)) == units
+            assert solve_homogeneous(Matrix.from_rows(field, [], n)) == units
+            red, piv = rref(Matrix(field, (), n))
+            assert red == Matrix(field, (), n) and piv == ()
+
+
+def test_ragged_rows_raise():
+    for field in (QQ, GF(3)):
+        for m in (Matrix(field, ((1, 2), (1,)), 2),      # a short row
+                  Matrix(field, ((1, 0, 1),), 2),         # wider than ncols
+                  Matrix.from_rows(field, [[1], [0, 1]])):
+            with pytest.raises(ValueError):
+                rref(m)
+            with pytest.raises(ValueError):
+                solve_homogeneous(m)
+    with pytest.raises(ValueError):
+        Matrix.from_rows(QQ, [])  # no rows and no width
+
+
 small_fraction = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 
 
@@ -156,7 +181,8 @@ def _kernel_values(field):
 
 @st.composite
 def kernel_matrices(draw):
-    """Up to 10 x 12, sparse or dense, with zero rows and zero columns."""
+    """Up to 10 x 12, sparse or dense, with zero rows and zero columns, as
+    (field, rows, ncols); a matrix with no rows keeps its width."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
     nr = draw(st.integers(0, 10))
     nc = draw(st.integers(0, 12))
@@ -175,19 +201,19 @@ def kernel_matrices(draw):
     zero_cols = draw(st.sets(st.integers(0, nc - 1))) if nc else set()
     rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
             for i, row in enumerate(rows)]
-    return field, rows
+    return field, rows, nc
 
 
 @settings(max_examples=400, deadline=None)
 @given(kernel_matrices())
-@example((GF(5), [[5, 1], [1, 1]]))        # a multiple of p is zero
-@example((GF(3), [[-1, 2, 0], [2, 2, 1]]))  # negative residues
-@example((QQ, []))                         # no rows
-@example((GF(7), [[], []]))                # no columns
+@example((GF(5), [[5, 1], [1, 1]], 2))        # a multiple of p is zero
+@example((GF(3), [[-1, 2, 0], [2, 2, 1]], 3))  # negative residues
+@example((QQ, [], 3))                         # no rows
+@example((GF(7), [[], []], 0))                # no columns
 def test_rref_matches_field_op_loop(case):
-    field, entries = case
-    raw = Matrix(field, tuple(tuple(row) for row in entries))
-    canonical = Matrix.from_rows(field, entries)
+    field, entries, nc = case
+    raw = Matrix(field, tuple(tuple(row) for row in entries), nc)
+    canonical = Matrix.from_rows(field, entries, nc)
     red, piv = rref(raw)
     want, want_piv = rref_by_field_ops(canonical)
     assert piv == want_piv
