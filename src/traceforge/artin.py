@@ -79,24 +79,19 @@ class ArtinAlgebra:
             for j in range(i, d):
                 if table[i][j] != table[j][i]:
                     raise ValueError("multiplication table is not commutative")
-        unit = A.basis_vector(0)
         for j in range(d):
             if table[0][j] != A.basis_vector(j):
                 raise ValueError("basis element 0 does not act as the identity")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    left = A.mult(A.table[i][j], A.basis_vector(k))
-                    right = A.mult(A.basis_vector(i), A.table[j][k])
-                    if left != right:
-                        raise ValueError("multiplication table is not associative")
+        # (b_i b_j) b_k = b_i (b_j b_k); the table is already commutative
+        for i, j, k in itertools.product(range(d), repeat=3):
+            if A.act(k, table[i][j]) != A.act(i, table[j][k]):
+                raise ValueError("multiplication table is not associative")
         # locality: the span of the non-unit basis elements must be nilpotent
         power = [A.basis_vector(i) for i in range(1, d)]
         for _ in range(d + 1):
             if not power:
                 break
-            power = _span(A, [A.mult(A.basis_vector(i), v)
-                              for i in range(1, d) for v in power])
+            power = _span(A, [A.act(i, v) for i in range(1, d) for v in power])
         else:
             raise ValueError("the non-unit basis span is not nilpotent")
         return A
@@ -108,20 +103,15 @@ class ArtinAlgebra:
     def zero_vector(self) -> tuple:
         return tuple(self.field.zero for _ in range(self.dim))
 
-    def mult(self, u: tuple, v: tuple) -> tuple:
+    def act(self, i: int, v: tuple) -> tuple:
+        """b_i * v: v's entries combine the column images b_i b_j of the
+        table, with native operators and ``% p`` once over F_p."""
+        out = self.zero_vector()
+        for x, image in zip(v, self.table[i]):
+            if x:
+                out = [a + x * b for a, b in zip(out, image)]
         f = self.field
-        out = [f.zero] * self.dim
-        for i, ui in enumerate(u):
-            if f.is_zero(ui):
-                continue
-            for j, vj in enumerate(v):
-                if f.is_zero(vj):
-                    continue
-                k = f.mul(ui, vj)
-                for r, c in enumerate(self.table[i][j]):
-                    if not f.is_zero(c):
-                        out[r] = f.add(out[r], f.mul(k, c))
-        return tuple(out)
+        return tuple(a % f.p for a in out) if f.finite else tuple(out)
 
     def to_json(self) -> dict:
         f = self.field
@@ -179,8 +169,7 @@ class SubIdeal:
 
 def ideal_generated_by(A: ArtinAlgebra, vectors) -> SubIdeal:
     """The ideal generated by ``vectors``: spanned by all basis multiples."""
-    prods = [A.mult(A.basis_vector(i), v)
-             for v in vectors for i in range(A.dim)]
+    prods = [A.act(i, v) for v in vectors for i in range(A.dim)]
     return SubIdeal(A, _span(A, prods))
 
 
@@ -269,29 +258,23 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
     already an ideal.
     """
     A = I.algebra
-    f = A.field
-    k = I.dim
-    d = A.dim
-    basis = list(I.rows)
-    # unknowns w_{i,c} = image of basis[i], coordinate c
+    k, d = I.dim, A.dim
+    # unknowns w_{i,c} = coordinate c of the image of row i; for each b_g the
+    # equations say b_g * w_i = sum_j lam_j w_j, lam the coordinates of b_g * row i
     eqs = []
     for g in range(1, d):
-        for i in range(k):
-            lam = I.coordinates(A.mult(A.basis_vector(g), basis[i]))
+        for i, b in enumerate(I.rows):
+            lam = I.coordinates(A.act(g, b))
             if lam is None:
                 raise AssertionError("vector not inside the ideal")
             for r in range(d):
-                row = [f.zero] * (k * d)
-                for c in range(d):
-                    coef = A.table[g][c][r]
-                    if not f.is_zero(coef):
-                        row[i * d + c] = f.add(row[i * d + c], coef)
-                for j in range(k):
-                    if not f.is_zero(lam[j]):
-                        row[j * d + r] = f.sub(row[j * d + r], lam[j])
+                row = [A.field.zero] * (k * d)
+                row[i * d:(i + 1) * d] = [cell[r] for cell in A.table[g]]
+                for j, x in enumerate(lam):
+                    row[j * d + r] -= x
                 eqs.append(tuple(row))
     # with no equations (A is a field or I = 0) every linear map qualifies
-    sols = solve_homogeneous(Matrix(f, tuple(eqs), k * d))
+    sols = solve_homogeneous(Matrix(A.field, tuple(eqs), k * d))
     images = [tuple(sol[i * d:(i + 1) * d]) for sol in sols for i in range(k)]
     return SubIdeal(A, _span(A, images))
 
@@ -407,20 +390,20 @@ def gorenstein_family_separation(A: ArtinAlgebra, u, v, samples) -> int:
     ideals.
     """
     f = A.field
-    if socle(A).dim != 1:
-        raise NotGorenstein(f"socle dimension is {socle(A).dim}")
+    soc = socle(A)
+    if soc.dim != 1:
+        raise NotGorenstein(f"socle dimension is {soc.dim}")
     u = tuple(f.element(x) for x in u)
     v = tuple(f.element(x) for x in v)
-    if not f.is_zero(u[0]) or not f.is_zero(v[0]):
+    if u[0] or v[0]:
         raise DependentGenerators("u and v must lie in the maximal ideal")
-    msq = _span(A, [A.mult(A.basis_vector(i), A.basis_vector(j))
-                    for i in range(1, A.dim) for j in range(1, A.dim)])
+    msq = _span(A, [A.table[i][j] for i in range(1, A.dim) for j in range(1, A.dim)])
     base = len(msq)
     if len(_span(A, list(msq) + [u, v])) != base + 2:
         raise DependentGenerators("u and v are dependent modulo m^2")
     seen = set()
     for a in samples:
         a = f.element(a)
-        w = tuple(f.add(x, f.mul(a, y)) for x, y in zip(u, v))
+        w = tuple(f.element(x + a * y) for x, y in zip(u, v))
         seen.add(ideal_generated_by(A, [w]).rows)
     return len(seen)

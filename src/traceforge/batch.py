@@ -30,7 +30,7 @@ from .trace import (ENUMERATION_PRIMES, _bijection_report, enumerate_trace_ideal
                     family_probe)
 
 __all__ = ["JobConfig", "survey", "survey_one", "SCHEMA_VERSION",
-           "SUMMARY_COLUMNS", "read_corpus", "thread_count"]
+           "SUMMARY_COLUMNS", "thread_count"]
 
 SCHEMA_VERSION = 1
 
@@ -60,17 +60,6 @@ def thread_count(explicit: int | None = None) -> int:
         return max(1, explicit)
     env = os.environ.get("TRACE_FORGE_THREADS")
     return max(1, int(env)) if env else 1
-
-
-def read_corpus(path) -> list[tuple[int, ...]]:
-    """One semigroup per line, comma-separated generators, '#' comments."""
-    out = []
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        out.append(tuple(int(p) for p in line.split(",") if p.strip()))
-    return out
 
 
 def _probe_samples(gens: tuple, seed: int) -> list[int]:

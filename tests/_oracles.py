@@ -17,8 +17,10 @@ instead of the closed form, row reduction through the field's own
 operations on every cell instead of native operators on the pivot row's
 support, remainders from whole polynomial subtractions instead of the
 closed-form remainders of the monomials, products of ideals from module
-generation instead of the span of row products, Artinian Hom traces from
-the ideal generated by the images instead of their span, the trace
+generation instead of the span of row products, products in an Artinian
+algebra from every pair of nonzero entries through the field's operations
+instead of native combinations of the table's column images, Artinian Hom
+traces from the ideal generated by the images instead of their span, the trace
 fixed-point test from the rank of the whole tr(T)/c instead of the gap
 part of R : T with an early exit, and coordinates in an Artinian ideal
 from row-by-row elimination through the field's operations instead of
@@ -28,7 +30,7 @@ reading them at the pivots.
 from bisect import bisect
 from itertools import combinations, product
 
-from traceforge.artin import SubIdeal, ideal_generated_by
+from traceforge.artin import SubIdeal
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (LaurentPoly, _canonical, _check_pair, _module_from, colon,
@@ -443,12 +445,31 @@ def multiply_by_module_generation(I, J):
     return _module_from(I.field, I.semigroup, products, tail)
 
 
+def mult_by_field_ops(A, u, v):
+    """The product u * v in the ArtinAlgebra A, through the field's own
+    operations: every pair of nonzero entries scales its table cell."""
+    f = A.field
+    out = [f.zero] * A.dim
+    for i, ui in enumerate(u):
+        if f.is_zero(ui):
+            continue
+        for j, vj in enumerate(v):
+            if f.is_zero(vj):
+                continue
+            k = f.mul(ui, vj)
+            for r, c in enumerate(A.table[i][j]):
+                if not f.is_zero(c):
+                    out[r] = f.add(out[r], f.mul(k, c))
+    return tuple(out)
+
+
 def hom_trace_by_generation(I):
     """Sum of the images of all module homomorphisms from I to the algebra.
 
     Solves for a basis of Hom(I, A) as linear maps commuting with every
     basis element, then takes the ideal generated by the image vectors:
     every image is multiplied by every basis element before the span.
+    Products go through ``mult_by_field_ops``, not the algebra's own.
     """
     A = I.algebra
     f = A.field
@@ -461,7 +482,7 @@ def hom_trace_by_generation(I):
     eqs = []
     for g in range(1, d):
         for i in range(k):
-            lam = I.coordinates(A.mult(A.basis_vector(g), basis[i]))
+            lam = I.coordinates(mult_by_field_ops(A, A.basis_vector(g), basis[i]))
             if lam is None:
                 raise AssertionError("vector not inside the ideal")
             for r in range(d):
@@ -476,7 +497,9 @@ def hom_trace_by_generation(I):
                 eqs.append(tuple(row))
     sols = solve_homogeneous(Matrix(f, tuple(eqs), k * d))
     images = [tuple(sol[i * d:(i + 1) * d]) for sol in sols for i in range(k)]
-    return ideal_generated_by(A, images)
+    prods = [mult_by_field_ops(A, A.basis_vector(i), w) for w in images for i in range(d)]
+    red, piv = rref(Matrix(f, tuple(prods), d))
+    return SubIdeal(A, red.rows[:len(piv)])
 
 
 def is_trace_by_rank(f, H, basis):

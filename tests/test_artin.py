@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import coordinates_by_elimination, hom_trace_by_generation
+from _oracles import (coordinates_by_elimination, hom_trace_by_generation,
+                      mult_by_field_ops)
 from traceforge.artin import (ArtinAlgebra, enumerate_ideals,
                               enumerate_trace_ideals_artinian,
                               gorenstein_family_separation,
@@ -26,12 +27,12 @@ def test_truncated_dvr_shapes():
     A = truncated_dvr(GF(2), 3)
     assert A.dim == 3
     x, x2 = A.basis_vector(1), A.basis_vector(2)
-    assert A.mult(x, x) == x2
-    assert A.mult(x, x2) == A.zero_vector()
+    assert A.act(1, x) == x2
+    assert A.act(1, x2) == A.zero_vector()
     assert truncated_dvr(QQ, 1).dim == 1
     dual = truncated_dvr(QQ, 2)
     eps = dual.basis_vector(1)
-    assert dual.mult(eps, eps) == dual.zero_vector()
+    assert dual.act(1, eps) == dual.zero_vector()
 
 
 def test_square_zero_two_vars():
@@ -39,26 +40,67 @@ def test_square_zero_two_vars():
         A = square_zero_two_vars(field)
         assert A.dim == 3
         x, y = A.basis_vector(1), A.basis_vector(2)
-        assert A.mult(x, x) == A.mult(x, y) == A.mult(y, y) == A.zero_vector()
+        assert A.act(1, x) == A.act(1, y) == A.act(2, y) == A.zero_vector()
 
 
 def test_algebra_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nilpotent"):
         # x*x = 1 is a unit product, so the non-unit span is not nilpotent
         ArtinAlgebra.create(GF(2), ("1", "x"), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
-    with pytest.raises(ValueError):
-        # not commutative
+    with pytest.raises(ValueError, match="commutative"):
         ArtinAlgebra.create(
             GF(2), ("1", "x", "y"),
             [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
              [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
              [[0, 0, 1], [0, 1, 0], [0, 0, 0]]])
+    with pytest.raises(ValueError, match="identity"):
+        # b_0 * b_1 = 0, so b_0 is not the identity
+        ArtinAlgebra.create(GF(2), ("1", "x"), [[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+    # x^2 = y, xy = z, y^2 = z: commutative, but (xx)y = z while x(xy) = xz = 0
+    u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    zero = [0, 0, 0, 0]
+    table = [u, [u[1], u[2], u[3], zero], [u[2], u[3], u[3], zero],
+             [u[3], zero, zero, zero]]
+    for field in (GF(2), QQ):
+        with pytest.raises(ValueError, match="associative"):
+            ArtinAlgebra.create(field, ("1", "x", "y", "z"), table)
+
+
+def diagonal_gorenstein(field):
+    # K[x, y]/(x^2 - y^2, xy) on the basis 1, x + y, x - y, x^2: both squares
+    # are 2x^2, so products combine table entries other than 0 and 1
+    u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    zero, s = [0, 0, 0, 0], [0, 0, 0, 2]
+    table = [u, [u[1], s, zero, zero], [u[2], zero, s, zero], [u[3], zero, zero, zero]]
+    return ArtinAlgebra.create(field, ("1", "x+y", "x-y", "x^2"), table)
+
+
+ACT_ALGEBRAS = [make(field) for field in (GF(2), GF(3), GF(7), QQ)
+                for make in (lambda K: truncated_dvr(K, 4), square_zero_two_vars,
+                             gorenstein_two_generators)]
+ACT_ALGEBRAS += [diagonal_gorenstein(field) for field in (GF(3), GF(7), QQ)]
+ACT_ALGEBRAS += [semigroup_quotient(S(gens), 2) for gens in ([4, 5, 11], [5, 7, 8, 9])]
+ACT_ALGEBRAS += [semigroup_quotient(S([4, 6, 9]), 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_act_matches_field_op_product(data):
+    A = data.draw(st.sampled_from(ACT_ALGEBRAS))
+    f = A.field
+    if f.finite:
+        entry = st.integers(0, f.p - 1)
+    else:
+        entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    v = tuple(data.draw(st.lists(entry, min_size=A.dim, max_size=A.dim)))
+    for i in range(A.dim):
+        assert A.act(i, v) == mult_by_field_ops(A, A.basis_vector(i), v), (A, i, v)
 
 
 def test_semigroup_quotient_examples():
     A = semigroup_quotient(S([4, 5, 11]), 2)
     assert A.dim == 3 and A.labels == ("1", "t^4", "t^5")
-    assert A.mult(A.basis_vector(1), A.basis_vector(1)) == A.zero_vector()
+    assert A.act(1, A.basis_vector(1)) == A.zero_vector()
     assert semigroup_quotient(S([2, 3]), 3).dim == 1
     with pytest.raises(ZeroQuotient):
         semigroup_quotient(natural_semigroup(), 2)

@@ -4,7 +4,7 @@ from importlib import import_module, resources
 import jsonschema
 
 from traceforge import batch, cli
-from traceforge.batch import SUMMARY_COLUMNS, read_corpus, survey, thread_count
+from traceforge.batch import SUMMARY_COLUMNS, survey, thread_count
 from traceforge.cli import main
 
 
@@ -218,12 +218,6 @@ def test_survey_checks_inputs_before_creating_out_dir(tmp_path, capsys):
                            "--out", str(out_dir))
         assert code == 2 and err.startswith("error: ")
         assert not out_dir.exists()
-
-
-def test_read_corpus(tmp_path):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text("# header\n4,5,11\n2,3  # inline\n\n3,7,8\n")
-    assert read_corpus(corpus) == [(4, 5, 11), (2, 3), (3, 7, 8)]
 
 
 def test_thread_count(monkeypatch):
