@@ -12,7 +12,9 @@ used by :func:`enumerate_ideals` here and by the trace-ideal enumeration
 of :mod:`traceforge.trace`.  It is a reverse search: each nonzero module
 has one parent, itself without its first echelon row, and a depth-first
 walk from 0 streams every module once, adding to M each line of the socle
-of the quotient by M that leads before M's first pivot.
+of the quotient by M that leads before M's first pivot.  Each module
+carries its action images reduced modulo M, and a caller's state, down
+to its children, so a tree edge costs one row update.
 """
 
 from __future__ import annotations
@@ -261,17 +263,20 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
     k, d = I.dim, A.dim
     # unknowns w_{i,c} = coordinate c of the image of row i; for each b_g the
     # equations say b_g * w_i = sum_j lam_j w_j, lam the coordinates of b_g * row i
+    zero = A.field.zero
     eqs = []
     for g in range(1, d):
+        block = list(zip(*A.table[g]))  # block[r][c]: coordinate r of b_g b_c
         for i, b in enumerate(I.rows):
             lam = I.coordinates(A.act(g, b))
             if lam is None:
                 raise AssertionError("vector not inside the ideal")
+            neg = [-x for x in lam]
             for r in range(d):
-                row = [A.field.zero] * (k * d)
-                row[i * d:(i + 1) * d] = [cell[r] for cell in A.table[g]]
-                for j, x in enumerate(lam):
-                    row[j * d + r] -= x
+                row = [zero] * (k * d)
+                row[r::d] = neg  # -lam_j at coordinate r of every w_j
+                row[i * d:(i + 1) * d] = block[r]
+                row[i * d + r] -= lam[i]
                 eqs.append(tuple(row))
     # with no equations (A is a field or I = 0) every linear map qualifies
     sols = solve_homogeneous(Matrix(A.field, tuple(eqs), k * d))
@@ -283,9 +288,11 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
 # enumeration
 
 
-def _ideal_lattice(p: int, d: int, actions):
+def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
     """Every subspace of F_p^d stable under ``actions``, yielded once each
-    as its RREF rows and their pivot columns, in the order of the walk.
+    as (rows, pivots, images, state) in the order of the walk: its RREF
+    rows, their pivot columns, the reduced action images and the caller's
+    state.
 
     ``actions`` are linear maps on F_p^d given by column images (``a[j]``
     is the image of the j-th unit vector); they generate the maximal ideal
@@ -295,42 +302,59 @@ def _ideal_lattice(p: int, d: int, actions):
     the socle lines of the quotient by M that lead before M's first pivot;
     (v, *rows) is already in RREF.  A depth-first walk from 0 makes each
     submodule once (reverse search), and its stack never holds the lattice.
+
+    Each module carries down the tree what its children need, so a tree
+    edge costs one row update: ``images[j]`` lists a e_j modulo M over the
+    actions, for every column j off the pivots (None on them), and
+    ``state`` starts as given and becomes ``step(state, v)`` along the
+    edge from M to M + F_p v.  A child's state is made when it leaves the
+    stack, so the stack holds one set of images per module on the path.
     """
-    stack = [((), ())]
+    stack = [((), (), [[a[j] for a in actions] for j in range(d)], state)]
     while stack:
-        rows, pivots = stack.pop()
-        yield rows, pivots
-        stack += [((v,) + rows, (lead,) + pivots)
-                  for lead, v in _socle_lines(p, d, actions, rows, pivots)]
+        rows, pivots, images, state = stack.pop()
+        if rows:
+            images = _reduce_images(p, images, rows[0], pivots[0])
+            if step:
+                state = step(state, rows[0])
+        yield rows, pivots, images, state
+        stack += [((v,) + rows, (lead,) + pivots, images, state)
+                  for lead, v in _socle_lines(p, images, pivots)]
 
 
-def _socle_lines(p: int, d: int, actions, rows, pivots):
+def _reduce_images(p: int, images, v, lead: int) -> list:
+    """The images modulo M + F_p v from those modulo M, for (v, *rows) in
+    RREF: v is zero on M's pivots, so w - w[lead] v is reduced for both.
+    Images that v leaves alone are shared with the parent, never copied."""
+    return [None if ws is None or j == lead else
+            [[(s - w[lead] * t) % p for s, t in zip(w, v)] if w[lead] else w for w in ws]
+            for j, ws in enumerate(images)]
+
+
+def _socle_lines(p: int, images, pivots):
     """One vector per line of N/M that leads before M's first pivot, with
     N = {v : a v in M for all a}, as pairs (lead, v) with v[lead] = 1.
 
-    M is the span of the RREF ``rows``.  The unit vectors e_j off the
-    pivot columns represent a basis of V/M, so N/M is the kernel of the
-    map sending such e_j to the reductions modulo M of every a e_j; it is
-    found by eliminating those images from the last e_j down while
+    M is the span of RREF rows with the given ``pivots``, and ``images[j]``
+    lists every a e_j already reduced modulo M.  The unit vectors e_j off
+    the pivot columns represent a basis of V/M, so N/M is the kernel of
+    the map sending such e_j to those images; it is found by eliminating
+    the images over the free columns from the last e_j down while
     tracking e_j, so each kernel vector is 1 at its own j, zero before it
     and zero on ``pivots``.
     """
+    d = len(images)
     first = pivots[0] if pivots else d
     free = [j for j in range(d) if j not in pivots]
-    reducers = list(zip(pivots, rows))
     echelon = []  # (pivot, image, tag) with image[pivot] == 1
     kernel = []  # (j, tag), j falling
     for j in reversed(free):
-        image = []
-        for a in actions:
-            w = a[j]
-            for c, r in reducers:
-                x = w[c]
-                if x:
-                    w = [(s - x * t) % p for s, t in zip(w, r)]
-            image += [w[i] for i in free]
+        image = [w[i] for w in images[j] for i in free]
         tag = [0] * d
         tag[j] = 1
+        if not any(image):
+            kernel.append((j, tag))
+            continue
         for c, u, t in echelon:
             x = image[c]
             if x:
@@ -365,7 +389,7 @@ def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
         raise WorkloadExceeded(f"{f.p}^{A.dim} vectors exceed the guard")
     if any(any(cell[:j + 1]) for row in A.table[1:] for j, cell in enumerate(row)):
         raise ValueError("some product b_i * b_j (i >= 1) is nonzero at an index up to j")
-    lattice = [rows for rows, _ in _ideal_lattice(f.p, A.dim, A.table[1:])]
+    lattice = [rows for rows, *_ in _ideal_lattice(f.p, A.dim, A.table[1:])]
     return [SubIdeal(A, rows) for rows in sorted(lattice, key=lambda r: (len(r), r))]
 
 

@@ -425,12 +425,12 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     """The colon module I : J = {alpha : alpha * J inside I}.
 
     Unknown coefficients of alpha live on [lo(I) - lo(J), tail(I) - lo(J));
-    everything above is unconstrained because it lands in I's tail.  The
-    membership conditions alpha*g in I, for g running over J's rows and
-    the finitely many tail monomials that can reach below tail(I), give a
-    homogeneous linear system in the unknowns: the coefficients of the
-    remainders of t^x * g, one column per window exponent x, from I's
-    pivot-to-row map built once per call.
+    everything above is unconstrained because it lands in I's tail.  I is
+    an R-module, so alpha*J lies in I once alpha*g does for J's generators
+    g over R (:func:`_generators`) that can reach below tail(I).  That
+    gives a homogeneous linear system in the unknowns: the coefficients
+    of the remainders of t^x * g, one column per window exponent x, from
+    I's pivot-to-row map built once per call.
     """
     _check_pair(I, J)
     f, H = I.field, I.semigroup
@@ -438,8 +438,7 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     tail = I.tail - m
     lo_min = I.lo - m
     window = range(lo_min, tail)
-    spanning = [g.terms for g in J.rows]
-    spanning += [((j, f.one),) for j in range(J.tail, I.tail - lo_min)]
+    spanning = [g.terms for g in _generators(J) if g.valuation < I.tail - lo_min]
     pivot_rows = _pivot_rows(I)
     columns = []
     for x in window:
@@ -455,6 +454,19 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     sols = [LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
             for vec in solve_homogeneous(mat)]
     return _canonical(f, H, sols, tail)
+
+
+def _generators(I: FractionalIdeal) -> list:
+    """Elements generating I over R: its rows at the minimal generators of
+    the value set v(I), and the tail monomials among those generators.
+
+    Any f in I has v(f) = x + h for such a generator x and some h in H,
+    so subtracting a multiple of t^h times the element at x raises the
+    valuation; R is complete, so these elements generate I.
+    """
+    gens = value_set(I).generators()
+    rows = [r for r in I.rows if r.valuation in gens]
+    return rows + [LaurentPoly.monomial(I.field, j) for j in gens if j >= I.tail]
 
 
 def endomorphism_ring(I: FractionalIdeal) -> FractionalIdeal:

@@ -314,7 +314,12 @@ class ValueSetCondition:
 
 
 def value_set_condition(H: NumericalSemigroup) -> ValueSetCondition:
-    K = canonical_value_set(H)
+    return _value_set_verdict(canonical_value_set(H))
+
+
+def _value_set_verdict(K: SemigroupIdeal) -> ValueSetCondition:
+    """:func:`value_set_condition` of H = K.base, given K = K(H)."""
+    H = K.base
     if 1 in K:
         return ValueSetCondition("I")
     for n in range(2, H.frobenius + 2):
@@ -326,13 +331,13 @@ def value_set_condition(H: NumericalSemigroup) -> ValueSetCondition:
 FINITE_TYPE_TAGS = ("<1>", "<2,2s-1>", "<3,4>", "<3,5>", "<3,5,7>", "<3,4,5>")
 
 
-def _semigroup_with_value_set(H: NumericalSemigroup) -> NumericalSemigroup:
-    """The semigroup generated by H and K(H), for H other than N0.
+def _semigroup_with_value_set(K: SemigroupIdeal) -> NumericalSemigroup:
+    """The semigroup generated by H = K.base and K = K(H), for H other than N0.
 
     K(H) is the union of the k + H over its generators k as an H-ideal, so
     H's minimal generators and the nonzero generators of K(H) suffice.
     """
-    K = canonical_value_set(H)
+    H = K.base
     return NumericalSemigroup.from_generators(
         H.minimal_generators + tuple(k for k in K.generators() if k > 0))
 
@@ -343,9 +348,14 @@ def cm_type_list_check(H: NumericalSemigroup) -> str | None:
     Returns the tag of the matching entry, or None.  The entries are <1>,
     the family <2,2s-1>, <3,4>, <3,5>, <3,5,7> and <3,4,5>.
     """
-    if H.conductor == 0:
+    return _finite_type_tag(canonical_value_set(H))
+
+
+def _finite_type_tag(K: SemigroupIdeal) -> str | None:
+    """:func:`cm_type_list_check` of H = K.base, given K = K(H)."""
+    if K.base.conductor == 0:
         return "<1>"
-    gens = _semigroup_with_value_set(H).minimal_generators
+    gens = _semigroup_with_value_set(K).minimal_generators
     if gens == (1,):
         return "<1>"
     if len(gens) == 2 and gens[0] == 2 and gens[1] % 2 == 1:

@@ -8,10 +8,12 @@ trace contains the conductor c, so the fixed-point test works in R/c,
 with one coordinate per member of H below c (:class:`_Quotient`, built
 once per semigroup and field): for an integral T containing c, R : T is
 R plus its part on the gaps of H, so the test solves only for that gap
-part and stops at the first product with T that falls outside T.  A
-finite field also makes Tr(R) finite: the enumeration runs the
+part and stops at the first product with T that falls outside T.  The
+gap part is the null space of T's gap system, grown one row of T at a
+time.  A finite field also makes Tr(R) finite: the enumeration runs the
 fixed-point test on every R-submodule of R/c from the lattice engine of
-:mod:`traceforge.artin` and lifts only the trace ideals.  Whole-theorem
+:mod:`traceforge.artin`, which carries each module's gap system down
+from its parent, and lifts only the trace ideals.  Whole-theorem
 checks sit on top: the blowup bijection for minimal multiplicity, the
 normalization as a union of endomorphism rings, and the colon
 separation probe that certifies infinite families over the rationals;
@@ -21,13 +23,14 @@ colon alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 
 from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
 from .fields import QQ, GF, Matrix, rref
-from .ideals import (FractionalIdeal, LaurentPoly, _canonical, adjoin, colon, contains_ideal,
+from .ideals import (FractionalIdeal, LaurentPoly, adjoin, colon, contains_ideal,
                      endomorphism_ring, equals, add, integral_closure_ideal, multiply, shift,
                      unit_ideal)
 from .semigroups import NumericalSemigroup, blowup, canonical_value_set
@@ -97,11 +100,61 @@ class _Quotient:
         return rows, [self.index[r.valuation] for r in I.rows]
 
     def lift(self, rows) -> FractionalIdeal:
-        """The ideal span(rows) + c, for rows spanning a module by
-        construction (a lattice member): closure is not re-checked."""
+        """The ideal span(rows) + c, for rows of R/c spanning a module by
+        construction (a lattice member): closure is not re-checked.  Their
+        RREF over the members is the canonical form, since every row is
+        zero on the gaps and the gap c - 1 keeps the tail at c."""
         f, H = self.field, self.semigroup
-        polys = [LaurentPoly.from_dict(f, dict(zip(self.exps, r))) for r in rows]
-        return _canonical(f, H, polys, H.conductor)
+        red, piv = rref(Matrix(f, tuple(rows), len(self.exps)))
+        polys = tuple(LaurentPoly(f, tuple((e, x) for e, x in zip(self.exps, r) if x))
+                      for r in red.rows[:len(piv)])
+        return FractionalIdeal(f, H, H.conductor, polys)
+
+    def gap_system(self, gaps, v) -> tuple[tuple, tuple]:
+        """The gap system of T + K v from ``gaps``, that of T.
+
+        The gap system of T is the RREF (rows, pivots) of the equations on
+        gamma, one unknown per gap, saying that gamma b has no gap terms for
+        every b in T; c alone has none.  Adding v adds one equation per gap
+        g, the coefficient of t^g in gamma v, and each is reduced against
+        the rows (which vanish at each other's pivots) and, when it
+        survives, scaled to a pivot 1 and cleared from the other rows.
+        """
+        f = self.field
+        p = f.p if f.finite else 0
+        n = len(self.spread)
+        rows, pivots = gaps
+        if len(pivots) == n:  # gamma = 0 already: R : T = R
+            return gaps
+        eqs = {}
+        for i, y in enumerate(v):
+            if y:
+                for g, j in self.reach[i]:
+                    eqs.setdefault(g, [f.zero] * n)[j] = y
+        rows, pivots = list(rows), list(pivots)
+        for e in eqs.values():
+            for pc, r in zip(pivots, rows):
+                x = e[pc]
+                if x:
+                    e = [(a - x * b) % p for a, b in zip(e, r)] if p else \
+                        [a - x * b for a, b in zip(e, r)]
+            lead = next((j for j, x in enumerate(e) if x), None)
+            if lead is None:
+                continue
+            k = f.inv(e[lead])
+            e = [x * k % p for x in e] if p else [x * k for x in e]
+            for i, r in enumerate(rows):
+                x = r[lead]
+                if x:
+                    rows[i] = [(a - x * b) % p for a, b in zip(r, e)] if p else \
+                        [a - x * b for a, b in zip(r, e)]
+            at = bisect_left(pivots, lead)
+            rows.insert(at, e)
+            pivots.insert(at, lead)
+        return tuple(map(tuple, rows)), tuple(pivots)
+
+
+_NO_GAPS = ((), ())  # the gap system of c: no equations
 
 
 def _quotient(f, H: NumericalSemigroup) -> _Quotient:
@@ -120,35 +173,29 @@ def _quotient(f, H: NumericalSemigroup) -> _Quotient:
     return _Quotient(f, H, exps, index, shifts, reach, spread)
 
 
-def _gap_fixed_point(q: _Quotient, rows, pivots) -> bool:
+def _gap_fixed_point(q: _Quotient, rows, pivots, gaps) -> bool:
     """Whether T = span(rows) + c is a trace ideal, for an R-module T
-    with c inside T inside R and T/c given by RREF ``rows`` over
-    ``q.exps`` with the given pivot columns.
+    with c inside T inside R, T/c given by RREF ``rows`` over ``q.exps``
+    with the given pivot columns, and ``gaps`` its gap system
+    (:meth:`_Quotient.gap_system`).
 
     R T lies in T, so R lies in R : T, and modulo c, R : T = R/c + G,
     where G holds the elements of R : T supported on the gaps: the null
-    space of gamma -> the gap coefficients of gamma b over the rows b,
-    one unknown per gap.  Hence tr(T) = T + G T, and T is a trace ideal
-    exactly when gamma b lies in T for every basis vector gamma of G and
-    every row b.  The test stops at the first product outside T.
+    space of the gap system, one unknown per gap.  Hence tr(T) = T + G T,
+    and T is a trace ideal exactly when gamma b lies in T for every basis
+    vector gamma of G and every row b.  The test stops at the first
+    product outside T.
     """
     f = q.field
     p = f.p if f.finite else 0
     zero = f.zero
-    n = len(q.spread)
-    eqs = {}  # one equation per (row, gap g): the coefficient of t^g in gamma * row
-    for r, b in enumerate(rows):
-        for i, y in enumerate(b):
-            if y:
-                for g, j in q.reach[i]:
-                    eqs.setdefault((r, g), [zero] * n)[j] = y
-    red, gap_pivots = rref(Matrix(f, tuple(map(tuple, eqs.values())), n))
+    red, gap_pivots = gaps
     d = len(q.exps)
-    for j in range(n):
+    for j in range(len(q.spread)):
         if j in gap_pivots:
             continue
         # the basis vector of G for the free gap j, spread onto R/c
-        gamma = [(j, f.one)] + [(g, -r[j]) for g, r in zip(gap_pivots, red.rows) if r[j]]
+        gamma = [(j, f.one)] + [(g, -r[j]) for g, r in zip(gap_pivots, red) if r[j]]
         terms = [(i, k, x) for g, x in gamma for i, k in q.spread[g]]
         for b in rows:
             v = [zero] * d
@@ -170,8 +217,9 @@ def _gap_fixed_point(q: _Quotient, rows, pivots) -> bool:
 def is_trace_ideal(I: FractionalIdeal) -> bool:
     """Fixed-point test tr(I) = I for a nonzero integral ideal.
 
-    Every nonzero trace ideal contains c.  Otherwise I/c is read into R/c
-    and :func:`_gap_fixed_point` decides.
+    Every nonzero trace ideal contains c.  Otherwise I/c is read into R/c,
+    its gap system is built row by row as the enumeration builds it along
+    the lattice, and :func:`_gap_fixed_point` decides.
     """
     f, H = I.field, I.semigroup
     if not contains_ideal(unit_ideal(f, H), I):
@@ -179,7 +227,8 @@ def is_trace_ideal(I: FractionalIdeal) -> bool:
     if I.tail > H.conductor:
         return False
     q = _quotient(f, H)
-    return _gap_fixed_point(q, *q.read(I))
+    rows, pivots = q.read(I)
+    return _gap_fixed_point(q, rows, pivots, reduce(q.gap_system, rows, _NO_GAPS))
 
 
 def has_free_summand(I: FractionalIdeal) -> bool:
@@ -268,8 +317,9 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     _check_quotient_dim(d)
     q = _quotient(GF(p), H)
     fixed = []  # the stream starts at the zero module, so census is always set
-    for census, (rows, pivots) in enumerate(_ideal_lattice(p, d, q.shifts), 1):
-        if _gap_fixed_point(q, rows, pivots):
+    walk = _ideal_lattice(p, d, q.shifts, q.gap_system, _NO_GAPS)
+    for census, (rows, pivots, _, gaps) in enumerate(walk, 1):
+        if _gap_fixed_point(q, rows, pivots, gaps):
             fixed.append(rows)
     infos = []
     for rows in sorted(fixed, key=lambda rows: (len(rows), rows)):

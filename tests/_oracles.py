@@ -22,9 +22,11 @@ algebra from every pair of nonzero entries through the field's operations
 instead of native combinations of the table's column images, Artinian Hom
 traces from the ideal generated by the images instead of their span, the trace
 fixed-point test from the rank of the whole tr(T)/c instead of the gap
-part of R : T with an early exit, and coordinates in an Artinian ideal
+part of R : T with an early exit, coordinates in an Artinian ideal
 from row-by-row elimination through the field's operations instead of
-reading them at the pivots.
+reading them at the pivots, and the state of a lattice module (its
+reduced action images, its socle lines and its gap system) from scratch
+instead of carried down the walk one row at a time.
 """
 
 from bisect import bisect
@@ -389,6 +391,98 @@ def _socle_lines(p, d, actions, rows, pivots):
                     v = [(s + k * t) % p for s, t in zip(v, r)]
             inv = pow(next(x for x in v if x), -1, p)
             yield tuple(x * inv % p for x in v)
+
+
+def images_by_reduction(p, d, actions, rows, pivots):
+    """Every a e_j reduced modulo the span of the RREF ``rows`` from
+    scratch, listed over the actions for each column j off the pivots
+    (None on them), as tuples: the reduction the library carries down
+    its walk one row at a time."""
+    reducers = list(zip(pivots, rows))
+    images = []
+    for j in range(d):
+        if j in pivots:
+            images.append(None)
+            continue
+        ws = []
+        for a in actions:
+            w = a[j]
+            for c, r in reducers:
+                x = w[c]
+                if x:
+                    w = [(s - x * t) % p for s, t in zip(w, r)]
+            ws.append(tuple(w))
+        images.append(ws)
+    return images
+
+
+def socle_lines_by_reduction(p: int, d: int, actions, rows, pivots):
+    """One vector per line of N/M that leads before M's first pivot, with
+    N = {v : a v in M for all a}, as pairs (lead, v) with v[lead] = 1.
+
+    M is the span of the RREF ``rows``.  The unit vectors e_j off the
+    pivot columns represent a basis of V/M, so N/M is the kernel of the
+    map sending such e_j to the reductions modulo M of every a e_j; it is
+    found by eliminating those images from the last e_j down while
+    tracking e_j, so each kernel vector is 1 at its own j, zero before it
+    and zero on ``pivots``.  The library reduces no image here: its walk
+    hands over the images already reduced modulo M.
+    """
+    first = pivots[0] if pivots else d
+    free = [j for j in range(d) if j not in pivots]
+    reducers = list(zip(pivots, rows))
+    echelon = []  # (pivot, image, tag) with image[pivot] == 1
+    kernel = []  # (j, tag), j falling
+    for j in reversed(free):
+        image = []
+        for a in actions:
+            w = a[j]
+            for c, r in reducers:
+                x = w[c]
+                if x:
+                    w = [(s - x * t) % p for s, t in zip(w, r)]
+            image += [w[i] for i in free]
+        tag = [0] * d
+        tag[j] = 1
+        for c, u, t in echelon:
+            x = image[c]
+            if x:
+                image = [(s - x * y) % p for s, y in zip(image, u)]
+                tag = [(s - x * y) % p for s, y in zip(tag, t)]
+        lead = next((i for i, x in enumerate(image) if x), None)
+        if lead is None:
+            kernel.append((j, tag))
+            continue
+        inv = pow(image[lead], -1, p)
+        echelon.append((lead, [x * inv % p for x in image], [x * inv % p for x in tag]))
+    for i, (j, top) in enumerate(kernel):
+        if j >= first:
+            continue
+        rest = [t for _, t in kernel[:i]]  # the kernel vectors after j
+        for coeffs in product(range(p), repeat=len(rest)):
+            v = top
+            for k, r in zip(coeffs, rest):
+                if k:
+                    v = [(s + k * t) % p for s, t in zip(v, r)]
+            yield j, tuple(v)
+
+
+def gap_system_by_rref(q, rows):
+    """The RREF (rows, pivots) of the gap equations of T = span(rows) + c
+    on the quotient tables ``q``, from one ``rref`` of every row's
+    equations: the per-candidate solve the library replaced by one
+    update per added row."""
+    f = q.field
+    zero = f.zero
+    n = len(q.spread)
+    eqs = {}  # one equation per (row, gap g): the coefficient of t^g in gamma * row
+    for r, b in enumerate(rows):
+        for i, y in enumerate(b):
+            if y:
+                for g, j in q.reach[i]:
+                    eqs.setdefault((r, g), [zero] * n)[j] = y
+    red, gap_pivots = rref(Matrix(f, tuple(map(tuple, eqs.values())), n))
+    return red.rows[:len(gap_pivots)], gap_pivots
 
 
 def rref_by_field_ops(m):

@@ -143,6 +143,16 @@ def test_hom_trace_matches_generation_oracle():
     cyclic = [(0, 1, a, b) for a in (0, 1, -2, Fraction(1, 3)) for b in (0, 5)]
     cyclic += [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)]
     ideals += [ideal_generated_by(Q, [tuple(map(QQ.element, v))]) for v in cyclic]
+    # K[x]/(x^3) on the basis (1, x + x^2, x): (x + x^2)^2 = x^2 has a
+    # coordinate on the row x + x^2 of m, so the Hom system of m has terms
+    # on its diagonal blocks, which no index-raising basis gives
+    for f in (GF(3), QQ):
+        C = ArtinAlgebra.create(f, ("1", "x+x^2", "x"),
+                                [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                 [[0, 1, 0], [0, 1, -1], [0, 1, -1]],
+                                 [[0, 0, 1], [0, 1, -1], [0, 1, -1]]])
+        ideals += [ideal_generated_by(C, [tuple(map(f.element, v))])
+                   for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, -1), (0, 0, 0))]
     for I in ideals:
         assert hom_trace(I) == hom_trace_by_generation(I), I
 

@@ -185,8 +185,8 @@ def test_survey_reports_missing_conductor_as_violation(monkeypatch):
     trace = import_module("traceforge.trace")
     inner = trace._gap_fixed_point
 
-    def reject_empty(q, rows, pivots):
-        return inner(q, rows, pivots) if rows else False
+    def reject_empty(q, rows, pivots, gaps):
+        return inner(q, rows, pivots, gaps) if rows else False
 
     monkeypatch.setattr(trace, "_gap_fixed_point", reject_empty)
     record = batch.survey_one((3, 4), 2, 0)

@@ -4,21 +4,28 @@
 gaps of H and stops at the first product outside T;
 ``_oracles.is_trace_by_rank`` computes all of tr(T)/c in the window and
 compares dimensions.  The two must give the same verdict on every
-candidate, over F_p and over QQ.
+candidate, over F_p and over QQ.  The gap system comes from
+``_Quotient.gap_system`` one row at a time, and along the lattice walk
+with the reduced action images; both must equal their from-scratch
+oracles at every module.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import _window_basis, _window_vector, is_trace_by_rank
-from traceforge.artin import _ideal_lattice
+from _oracles import (_window_basis, _window_vector, gap_system_by_rref, images_by_reduction,
+                      is_trace_by_rank, socle_lines_by_reduction)
+from traceforge.artin import (_ideal_lattice, _socle_lines, enumerate_ideals,
+                              gorenstein_two_generators, semigroup_quotient,
+                              square_zero_two_vars, truncated_dvr)
 from traceforge.errors import NotCofinite
 from traceforge.fields import GF, QQ
 from traceforge.ideals import LaurentPoly, ideal_from_generators, unit_ideal
 from traceforge.semigroups import NumericalSemigroup, enumerate_semigroups, natural_semigroup
-from traceforge.trace import (_gap_fixed_point, _quotient, enumerate_trace_ideals,
+from traceforge.trace import (_NO_GAPS, _gap_fixed_point, _quotient, enumerate_trace_ideals,
                               is_trace_ideal, trace)
 
 S = NumericalSemigroup.from_generators
@@ -30,14 +37,17 @@ def agree(f, H, rows) -> bool:
     exps = list(H.members(H.conductor))
     basis = [_window_vector(f, H.conductor, dict(zip(exps, r))) for r in rows]
     pivots = [next(k for k, x in enumerate(r) if x) for r in rows]
-    verdict = _gap_fixed_point(_quotient(f, H), rows, pivots)
+    q = _quotient(f, H)
+    gaps = reduce(q.gap_system, rows, _NO_GAPS)
+    assert gaps == gap_system_by_rref(q, rows), (H, f, rows)
+    verdict = _gap_fixed_point(q, rows, pivots, gaps)
     assert verdict == is_trace_by_rank(f, H, basis), (H, f, rows)
     return verdict
 
 
 def lattice(H, p):
     q = _quotient(GF(p), H)
-    return [rows for rows, _ in _ideal_lattice(p, len(q.exps), q.shifts)]
+    return [rows for rows, *_ in _ideal_lattice(p, len(q.exps), q.shifts)]
 
 
 def test_every_lattice_member_small_genus():
@@ -66,6 +76,48 @@ def test_every_lattice_member_random_semigroups(gens, p):
         agree(GF(p), H, rows)
 
 
+def frozen(images):
+    return [None if ws is None else [tuple(w) for w in ws] for ws in images]
+
+
+def walk_agrees(p, d, actions, step=None, state=None):
+    """Each module's carried images and socle lines, checked against the
+    from-scratch oracles; yields the walk's (rows, pivots, state)."""
+    for rows, pivots, images, carried in _ideal_lattice(p, d, actions, step, state):
+        assert frozen(images) == images_by_reduction(p, d, actions, rows, pivots), rows
+        assert (list(_socle_lines(p, images, pivots))
+                == list(socle_lines_by_reduction(p, d, actions, rows, pivots))), rows
+        yield rows, pivots, carried
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_generator_sets, st.sampled_from((2, 3, 5, 7)))
+def test_walk_carries_images_and_gap_system(gens, p):
+    try:
+        H = S(gens)
+    except NotCofinite:
+        assume(False)
+    f = GF(p)
+    q = _quotient(f, H)
+    d = len(q.exps)
+    assume(d <= 5 and p ** d <= 7 ** 4)  # the cap of the lattice oracle tests
+    exps = q.exps
+    for rows, pivots, gaps in walk_agrees(p, d, q.shifts, q.gap_system, _NO_GAPS):
+        assert gaps == gap_system_by_rref(q, rows), rows
+        basis = [_window_vector(f, H.conductor, dict(zip(exps, r))) for r in rows]
+        assert _gap_fixed_point(q, rows, pivots, gaps) == is_trace_by_rank(f, H, basis), rows
+
+
+def test_walk_carries_images_on_artin_presets():
+    # the table's non-unit rows act, and no step function rides along
+    for p in (2, 3, 5):
+        f = GF(p)
+        for A in (truncated_dvr(f, 4), square_zero_two_vars(f), gorenstein_two_generators(f),
+                  semigroup_quotient(S([4, 6, 9]), p)):
+            states = [state for _, _, state in walk_agrees(p, A.dim, A.table[1:])]
+            assert states == [None] * len(enumerate_ideals(A)), A
+
+
 def test_named_candidates():
     for f in (GF(2), GF(3), GF(7), QQ):
         for H in enumerate_semigroups(5):
@@ -85,7 +137,7 @@ def test_natural_semigroup_has_no_gaps():
     for f in (GF(2), GF(5), QQ):
         q = _quotient(f, N0)
         assert q.exps == q.shifts == q.reach == q.spread == ()
-        assert _gap_fixed_point(q, [], []) and is_trace_by_rank(f, N0, [])
+        assert _gap_fixed_point(q, [], [], _NO_GAPS) and is_trace_by_rank(f, N0, [])
         assert is_trace_ideal(unit_ideal(f, N0))
     for p in (2, 3):
         assert [i.label() for i in enumerate_trace_ideals(N0, p).ideals] == ["R"]

@@ -9,7 +9,8 @@ from _oracles import (adjoin_by_iteration, colon_by_reduction, colon_by_search,
                       multiply_by_module_generation, reduce_by_poly_ops)
 from traceforge.errors import FieldMismatch, NotIntegral, ZeroIdeal
 from traceforge.fields import GF, QQ
-from traceforge.ideals import (LaurentPoly, _pivot_rows, _remainder, add, adjoin,
+from traceforge.ideals import (LaurentPoly, _generators, _module_from, _pivot_rows,
+                               _remainder, add, adjoin,
                                canonical_fractional_ideal, closed_under, colon,
                                conductor_ideal, contains, contains_ideal,
                                endomorphism_ring, equals, from_window_vectors,
@@ -291,6 +292,23 @@ def test_colon_matches_reduction_oracle(case, a, b):
     I, J, _ = case
     I, J = shift(I, a), shift(J, b)
     assert equals(colon(I, J), colon_by_reduction(I, J)), (I, J)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ideal_pairs(fields=(QQ, GF(2), GF(3), GF(5), GF(7))), st.integers(-4, 4))
+def test_colon_by_generators_matches_reduction_oracle(case, b):
+    # colon imposes alpha * g in I only for J's generators over R, the
+    # elements at the minimal generators of v(J); they must generate J,
+    # and the colon must agree with the oracle that reduces every row
+    # and every tail monomial of J
+    I, J, _ = case
+    J = shift(J, b)
+    f, H_ = J.field, J.semigroup
+    gens = _generators(J)
+    assert [g.valuation for g in gens] == list(value_set(J).generators())
+    assert equals(_module_from(f, H_, gens, J.tail + H_.multiplicity), J), J
+    for X in (I, J, shift(I, -b)):
+        assert equals(colon(X, J), colon_by_reduction(X, J)), (X, J)
 
 
 def test_endomorphism_ring():

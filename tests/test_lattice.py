@@ -33,7 +33,7 @@ def by_dimension(rows):
 
 def engine_rows(H, p):
     q = _quotient(GF(p), H)
-    return sorted((rows for rows, _ in _ideal_lattice(p, len(q.exps), q.shifts)),
+    return sorted((rows for rows, *_ in _ideal_lattice(p, len(q.exps), q.shifts)),
                   key=by_dimension)
 
 
@@ -60,7 +60,7 @@ def test_members_carry_their_pivots():
     for H in enumerate_semigroups(5):
         for p in (2, 3):
             q = _quotient(GF(p), H)
-            for rows, pivots in _ideal_lattice(p, len(q.exps), q.shifts):
+            for rows, pivots, *_ in _ideal_lattice(p, len(q.exps), q.shifts):
                 assert pivots == tuple(next(k for k, x in enumerate(r) if x) for r in rows)
 
 
@@ -126,7 +126,7 @@ def test_stream_makes_each_module_once_from_its_parent(gens, p):
     q = _quotient(GF(p), H)
     d = len(q.exps)
     assume(d <= 5 and p ** d <= 7 ** 4)  # the caps of the oracle test above
-    stream = list(_ideal_lattice(p, d, q.shifts))
+    stream = [(rows, pivots) for rows, pivots, *_ in _ideal_lattice(p, d, q.shifts)]
     modules = {rows for rows, _ in stream}
     assert len(modules) == len(stream)  # nothing yielded twice
     assert all(rows[1:] in modules for rows in modules if rows)

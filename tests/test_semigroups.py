@@ -116,7 +116,7 @@ def test_constructor_tables_are_semigroups():
         _assert_table_of(closed, closed.minimal_generators)
         if H.conductor:
             K = canonical_value_set(H)
-            _assert_table_of(_semigroup_with_value_set(H),
+            _assert_table_of(_semigroup_with_value_set(K),
                              [x for x in K.elements(2 * H.conductor) if x > 0])
     for H in enumerate_semigroups(8):
         e = H.multiplicity
@@ -230,7 +230,8 @@ def test_value_set_semigroup_matches_window_oracle():
     for H in enumerate_semigroups(8):
         if H.conductor:
             expected = semigroup_with_value_set_by_window(H).minimal_generators
-            assert _semigroup_with_value_set(H).minimal_generators == expected, H
+            K = canonical_value_set(H)
+            assert _semigroup_with_value_set(K).minimal_generators == expected, H
 
 
 def test_pseudo_frobenius():

@@ -67,7 +67,7 @@ def test_enumeration_matches_oracle_fixed_points(p):
     for H in enumerate_semigroups(5):
         q = _quotient(f, H)
         exps = q.exps
-        lattice = sorted((rows for rows, _ in _ideal_lattice(p, len(exps), q.shifts)),
+        lattice = sorted((rows for rows, *_ in _ideal_lattice(p, len(exps), q.shifts)),
                          key=lambda rows: (len(rows), rows))
         lifted = [from_window_vectors(f, H, [LaurentPoly.from_dict(f, dict(zip(exps, r)))
                                              for r in rows], H.conductor)
@@ -88,7 +88,7 @@ def test_lifted_members_read_back():
     for H in enumerate_semigroups(5):
         for p in (2, 3):
             q = _quotient(GF(p), H)
-            for rows, pivots in _ideal_lattice(p, len(q.exps), q.shifts):
+            for rows, pivots, *_ in _ideal_lattice(p, len(q.exps), q.shifts):
                 I = q.lift(rows)
                 assert I.tail == H.conductor  # nothing of R/c is left in the tail
                 read = q.read(I)
