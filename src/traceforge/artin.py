@@ -290,9 +290,8 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
 
 def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
     """Every subspace of F_p^d stable under ``actions``, yielded once each
-    as (rows, pivots, images, state) in the order of the walk: its RREF
-    rows, their pivot columns, the reduced action images and the caller's
-    state.
+    as (rows, pivots, state) in the order of the walk: its RREF rows,
+    their pivot columns and the caller's state.
 
     ``actions`` are linear maps on F_p^d given by column images (``a[j]``
     is the image of the j-th unit vector); they generate the maximal ideal
@@ -317,7 +316,7 @@ def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
             images = _reduce_images(p, images, rows[0], pivots[0])
             if step:
                 state = step(state, rows[0])
-        yield rows, pivots, images, state
+        yield rows, pivots, state
         stack += [((v,) + rows, (lead,) + pivots, images, state)
                   for lead, v in _socle_lines(p, images, pivots)]
 
@@ -352,9 +351,6 @@ def _socle_lines(p: int, images, pivots):
         image = [w[i] for w in images[j] for i in free]
         tag = [0] * d
         tag[j] = 1
-        if not any(image):
-            kernel.append((j, tag))
-            continue
         for c, u, t in echelon:
             x = image[c]
             if x:
@@ -389,7 +385,7 @@ def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
         raise WorkloadExceeded(f"{f.p}^{A.dim} vectors exceed the guard")
     if any(any(cell[:j + 1]) for row in A.table[1:] for j, cell in enumerate(row)):
         raise ValueError("some product b_i * b_j (i >= 1) is nonzero at an index up to j")
-    lattice = [rows for rows, *_ in _ideal_lattice(f.p, A.dim, A.table[1:])]
+    lattice = [rows for rows, _, _ in _ideal_lattice(f.p, A.dim, A.table[1:])]
     return [SubIdeal(A, rows) for rows in sorted(lattice, key=lambda r: (len(r), r))]
 
 

@@ -23,9 +23,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .semigroups import (NumericalSemigroup, _finite_type_tag, _value_set_verdict,
-                         canonical_value_set, enumerate_semigroups, is_arf,
-                         kunz_cone_classify, INTERIOR)
+from .semigroups import (NumericalSemigroup, canonical_value_set, enumerate_semigroups,
+                         is_arf, kunz_cone_classify, value_set_condition,
+                         cm_type_list_check, INTERIOR)
 from .trace import (ENUMERATION_PRIMES, _bijection_report, enumerate_trace_ideals,
                     family_probe)
 
@@ -71,7 +71,7 @@ def _probe_samples(gens: tuple, seed: int) -> list[int]:
 def survey_one(gens: tuple, prime: int, seed: int) -> dict:
     """The full per-semigroup record; pure given (gens, prime, seed)."""
     H = NumericalSemigroup.from_generators(gens)
-    K = canonical_value_set(H)  # built once for the tag and the condition
+    K = canonical_value_set(H)
     record: dict = {
         "gens": H.text,
         "genus": H.genus,
@@ -84,11 +84,11 @@ def survey_one(gens: tuple, prime: int, seed: int) -> dict:
         "gorenstein": H.is_symmetric,
         "cm_type": H.cm_type,
         "arf": is_arf(H),
-        "finite_type_tag": _finite_type_tag(K),
+        "finite_type_tag": cm_type_list_check(K),
     }
     violations: list[str] = []
 
-    cond = _value_set_verdict(K)
+    cond = value_set_condition(K)
     record["vs_condition"] = {"kind": cond.kind, "witness": cond.witness}
 
     if H.genus == 0:

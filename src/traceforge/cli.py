@@ -24,9 +24,9 @@ from fractions import Fraction
 from .batch import survey
 from .errors import BoundTooLarge, WorkloadExceeded
 from .fields import GF, QQ
-from .semigroups import (NumericalSemigroup, _finite_type_tag, _value_set_verdict,
-                         canonical_value_set, is_arf, kunz_cone_classify,
-                         lipman_sequence, parse_generators)
+from .semigroups import (NumericalSemigroup, canonical_value_set,
+                         cm_type_list_check, is_arf, kunz_cone_classify,
+                         lipman_sequence, parse_generators, value_set_condition)
 from .trace import (enumerate_trace_ideals, family_probe, verify_bijection)
 from .artin import (enumerate_trace_ideals_artinian, gorenstein_family_separation,
                     gorenstein_two_generators, socle, square_zero_two_vars,
@@ -65,12 +65,12 @@ def cmd_info(args) -> int:
     print(f"  K(H) gens   : {list(K.generators())}   pseudo-frobenius: "
           f"{list(pf)}  (type {len(pf)})")
     print(f"  gorenstein  : {H.is_symmetric}")
-    cond = _value_set_verdict(K)  # K(H) is built once per command
+    cond = value_set_condition(K)
     verdict = {"I": "condition I (1 in K(H))",
                "II": "condition II (n or n+1 in K(H) for all n >= 2)"}.get(
                    cond.kind, f"FAILS at n = {cond.witness}")
     print(f"  value set   : {verdict}")
-    tag = _finite_type_tag(K)
+    tag = cm_type_list_check(K)
     note = " (substituted for the duplicated list entry)" if tag == "<3,4,5>" else ""
     print(f"  finite-type list: {tag if tag else 'not listed'}{note}")
     print(f"  arf         : {is_arf(H)}")

@@ -313,12 +313,8 @@ class ValueSetCondition:
         return self.kind != "fails"
 
 
-def value_set_condition(H: NumericalSemigroup) -> ValueSetCondition:
-    return _value_set_verdict(canonical_value_set(H))
-
-
-def _value_set_verdict(K: SemigroupIdeal) -> ValueSetCondition:
-    """:func:`value_set_condition` of H = K.base, given K = K(H)."""
+def value_set_condition(K: SemigroupIdeal) -> ValueSetCondition:
+    """The value-set test of H = K.base, given K = K(H)."""
     H = K.base
     if 1 in K:
         return ValueSetCondition("I")
@@ -342,17 +338,13 @@ def _semigroup_with_value_set(K: SemigroupIdeal) -> NumericalSemigroup:
         H.minimal_generators + tuple(k for k in K.generators() if k > 0))
 
 
-def cm_type_list_check(H: NumericalSemigroup) -> str | None:
-    """Match the semigroup generated by H and K(H) against the finite list.
+def cm_type_list_check(K: SemigroupIdeal) -> str | None:
+    """Match the semigroup generated by H = K.base and K = K(H) against
+    the finite list.
 
     Returns the tag of the matching entry, or None.  The entries are <1>,
     the family <2,2s-1>, <3,4>, <3,5>, <3,5,7> and <3,4,5>.
     """
-    return _finite_type_tag(canonical_value_set(H))
-
-
-def _finite_type_tag(K: SemigroupIdeal) -> str | None:
-    """:func:`cm_type_list_check` of H = K.base, given K = K(H)."""
     if K.base.conductor == 0:
         return "<1>"
     gens = _semigroup_with_value_set(K).minimal_generators

@@ -29,8 +29,8 @@ from functools import reduce
 
 from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
-from .fields import QQ, GF, Matrix, rref
-from .ideals import (FractionalIdeal, LaurentPoly, adjoin, colon, contains_ideal,
+from .fields import QQ, GF
+from .ideals import (FractionalIdeal, LaurentPoly, _canonical, adjoin, colon, contains_ideal,
                      endomorphism_ring, equals, add, integral_closure_ideal, multiply, shift,
                      unit_ideal)
 from .semigroups import NumericalSemigroup, blowup, canonical_value_set
@@ -100,15 +100,11 @@ class _Quotient:
         return rows, [self.index[r.valuation] for r in I.rows]
 
     def lift(self, rows) -> FractionalIdeal:
-        """The ideal span(rows) + c, for rows of R/c spanning a module by
-        construction (a lattice member): closure is not re-checked.  Their
-        RREF over the members is the canonical form, since every row is
-        zero on the gaps and the gap c - 1 keeps the tail at c."""
+        """The ideal span(rows) + c, for rows spanning a module by
+        construction (a lattice member): closure is not re-checked."""
         f, H = self.field, self.semigroup
-        red, piv = rref(Matrix(f, tuple(rows), len(self.exps)))
-        polys = tuple(LaurentPoly(f, tuple((e, x) for e, x in zip(self.exps, r) if x))
-                      for r in red.rows[:len(piv)])
-        return FractionalIdeal(f, H, H.conductor, polys)
+        polys = [LaurentPoly.from_dict(f, dict(zip(self.exps, r))) for r in rows]
+        return _canonical(f, H, polys, H.conductor)
 
     def gap_system(self, gaps, v) -> tuple[tuple, tuple]:
         """The gap system of T + K v from ``gaps``, that of T.
@@ -318,7 +314,7 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     q = _quotient(GF(p), H)
     fixed = []  # the stream starts at the zero module, so census is always set
     walk = _ideal_lattice(p, d, q.shifts, q.gap_system, _NO_GAPS)
-    for census, (rows, pivots, _, gaps) in enumerate(walk, 1):
+    for census, (rows, pivots, gaps) in enumerate(walk, 1):
         if _gap_fixed_point(q, rows, pivots, gaps):
             fixed.append(rows)
     infos = []

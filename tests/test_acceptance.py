@@ -23,7 +23,7 @@ from traceforge.ideals import (LaurentPoly, add, conductor_ideal, contains_ideal
                                endomorphism_ring, equals, ideal_from_generators,
                                integral_closure_ideal, maximal_ideal, unit_ideal,
                                colon)
-from traceforge.semigroups import (INTERIOR, NumericalSemigroup, blowup,
+from traceforge.semigroups import (INTERIOR, NumericalSemigroup, blowup, canonical_value_set,
                                    enumerate_semigroups, is_arf, kunz_cone_classify,
                                    natural_semigroup, value_set_condition)
 from traceforge.trace import (enumerate_trace_ideals, family_probe, is_trace_ideal,
@@ -143,7 +143,7 @@ def test_criterion_07_arf_value_set_condition():
         for H in enumerate_semigroups(8):
             if is_arf(H):
                 arf_count += 1
-                assert value_set_condition(H).holds(), H
+                assert value_set_condition(canonical_value_set(H)).holds(), H
         assert arf_count == 48  # Arf counts by genus: 1,1,2,3,4,6,8,10,13
 
 

@@ -6,8 +6,8 @@ gaps of H and stops at the first product outside T;
 compares dimensions.  The two must give the same verdict on every
 candidate, over F_p and over QQ.  The gap system comes from
 ``_Quotient.gap_system`` one row at a time, and along the lattice walk
-with the reduced action images; both must equal their from-scratch
-oracles at every module.
+with the action images reduced one row at a time; both must equal their
+from-scratch oracles at every module.
 """
 
 from fractions import Fraction
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from _oracles import (_window_basis, _window_vector, gap_system_by_rref, images_by_reduction,
                       is_trace_by_rank, socle_lines_by_reduction)
-from traceforge.artin import (_ideal_lattice, _socle_lines, enumerate_ideals,
+from traceforge.artin import (_ideal_lattice, _reduce_images, _socle_lines, enumerate_ideals,
                               gorenstein_two_generators, semigroup_quotient,
                               square_zero_two_vars, truncated_dvr)
 from traceforge.errors import NotCofinite
@@ -81,9 +81,17 @@ def frozen(images):
 
 
 def walk_agrees(p, d, actions, step=None, state=None):
-    """Each module's carried images and socle lines, checked against the
-    from-scratch oracles; yields the walk's (rows, pivots, state)."""
-    for rows, pivots, images, carried in _ideal_lattice(p, d, actions, step, state):
+    """The walk with the action images carried beside the caller's state,
+    updated along each edge by ``_reduce_images`` as the walk updates its
+    own; at every module they and the socle lines are checked against the
+    from-scratch oracles.  Yields the walk's (rows, pivots, state)."""
+    def both(pair, v):
+        images, inner = pair
+        lead = next(j for j, x in enumerate(v) if x)
+        return _reduce_images(p, images, v, lead), step(inner, v) if step else inner
+
+    start = ([[a[j] for a in actions] for j in range(d)], state)
+    for rows, pivots, (images, carried) in _ideal_lattice(p, d, actions, both, start):
         assert frozen(images) == images_by_reduction(p, d, actions, rows, pivots), rows
         assert (list(_socle_lines(p, images, pivots))
                 == list(socle_lines_by_reduction(p, d, actions, rows, pivots))), rows

@@ -206,24 +206,24 @@ def test_canonical_value_set_properties():
 
 
 def test_value_set_condition_examples():
-    assert value_set_condition(S([4, 5, 11])).kind == "I"
-    assert value_set_condition(S([4, 5, 7])).kind == "II"
-    verdict = value_set_condition(S([4, 5, 6]))
+    assert value_set_condition(canonical_value_set(S([4, 5, 11]))).kind == "I"
+    assert value_set_condition(canonical_value_set(S([4, 5, 7]))).kind == "II"
+    verdict = value_set_condition(canonical_value_set(S([4, 5, 6])))
     assert verdict.kind == "fails" and verdict.witness == 2
-    assert value_set_condition(N0).kind == "I"
+    assert value_set_condition(canonical_value_set(N0)).kind == "I"
 
 
 def test_cm_type_list_examples():
-    assert cm_type_list_check(S([4, 5, 7])) == "<3,4,5>"
-    assert cm_type_list_check(N0) == "<1>"
-    assert cm_type_list_check(S([2, 7])) == "<2,2s-1>"
+    assert cm_type_list_check(canonical_value_set(S([4, 5, 7]))) == "<3,4,5>"
+    assert cm_type_list_check(canonical_value_set(N0)) == "<1>"
+    assert cm_type_list_check(canonical_value_set(S([2, 7]))) == "<2,2s-1>"
     # the tag describes the ring generated by K(H), not H itself:
     # K(<3,5,7>) = {0,2,3,5,...} generates <2,3>
-    assert cm_type_list_check(S([3, 5, 7])) == "<2,2s-1>"
-    assert cm_type_list_check(S([3, 4])) == "<3,4>"
-    assert cm_type_list_check(S([3, 5])) == "<3,5>"
-    assert cm_type_list_check(S([5, 7, 8, 11])) == "<3,5,7>"
-    assert cm_type_list_check(S([4, 5, 6])) is None
+    assert cm_type_list_check(canonical_value_set(S([3, 5, 7]))) == "<2,2s-1>"
+    assert cm_type_list_check(canonical_value_set(S([3, 4]))) == "<3,4>"
+    assert cm_type_list_check(canonical_value_set(S([3, 5]))) == "<3,5>"
+    assert cm_type_list_check(canonical_value_set(S([5, 7, 8, 11]))) == "<3,5,7>"
+    assert cm_type_list_check(canonical_value_set(S([4, 5, 6]))) is None
 
 
 def test_value_set_semigroup_matches_window_oracle():

@@ -8,8 +8,8 @@ from traceforge.fields import GF, QQ
 from traceforge.ideals import (LaurentPoly, conductor_ideal, contains_ideal, equals,
                                ideal_from_generators, maximal_ideal,
                                minimal_generator_count, shift, unit_ideal)
-from traceforge.semigroups import (NumericalSemigroup, enumerate_semigroups, is_arf,
-                                   natural_semigroup, value_set_condition)
+from traceforge.semigroups import (NumericalSemigroup, canonical_value_set, enumerate_semigroups,
+                                   is_arf, natural_semigroup, value_set_condition)
 from traceforge.trace import (LARGER, MINIMAL_TRACE_SET, enumerate_trace_ideals,
                               family_probe, has_free_summand, is_trace_ideal,
                               minimal_trace_classification, trace, verify_bijection,
@@ -230,7 +230,7 @@ def test_minimal_trace_classification():
 def test_arf_semigroups_satisfy_value_set_condition():
     for H_ in enumerate_semigroups(8):
         if is_arf(H_):
-            assert value_set_condition(H_).holds(), H_
+            assert value_set_condition(canonical_value_set(H_)).holds(), H_
 
 
 def test_enumeration_guards():
