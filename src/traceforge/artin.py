@@ -54,6 +54,14 @@ def _check_quotient_dim(d: int) -> None:
             f"dim R/c = {d} exceeds the enumeration limit {ENUMERATION_DIM_LIMIT}")
 
 
+def _check_ideal_sweep(p: int, d: int) -> None:
+    """Refuse an ideal enumeration of a dimension-d algebra over F_p whose
+    p^d vectors exceed the guard.  p >= 2, so from the guard's bit length
+    on p^d exceeds it, and p^d is not computed for a huge d."""
+    if d >= IDEAL_ENUMERATION_GUARD.bit_length() or p ** d > IDEAL_ENUMERATION_GUARD:
+        raise WorkloadExceeded(f"{p}^{d} vectors exceed the guard")
+
+
 @dataclass(frozen=True)
 class ArtinAlgebra:
     """A commutative local K-algebra given by a multiplication table.
@@ -66,7 +74,6 @@ class ArtinAlgebra:
     dim: int
     labels: tuple
     table: tuple
-    unit_index: int = 0
 
     @classmethod
     def create(cls, field, labels, table) -> "ArtinAlgebra":
@@ -381,8 +388,7 @@ def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
     f = A.field
     if not f.finite:
         raise InfiniteField("exhaustive ideal enumeration needs a finite field")
-    if f.p ** A.dim > IDEAL_ENUMERATION_GUARD:
-        raise WorkloadExceeded(f"{f.p}^{A.dim} vectors exceed the guard")
+    _check_ideal_sweep(f.p, A.dim)
     if any(any(cell[:j + 1]) for row in A.table[1:] for j, cell in enumerate(row)):
         raise ValueError("some product b_i * b_j (i >= 1) is nonzero at an index up to j")
     lattice = [rows for rows, _, _ in _ideal_lattice(f.p, A.dim, A.table[1:])]

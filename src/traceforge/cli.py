@@ -28,9 +28,9 @@ from .semigroups import (NumericalSemigroup, canonical_value_set,
                          cm_type_list_check, is_arf, kunz_cone_classify,
                          lipman_sequence, parse_generators, value_set_condition)
 from .trace import (enumerate_trace_ideals, family_probe, verify_bijection)
-from .artin import (enumerate_trace_ideals_artinian, gorenstein_family_separation,
-                    gorenstein_two_generators, socle, square_zero_two_vars,
-                    truncated_dvr)
+from .artin import (_check_ideal_sweep, enumerate_trace_ideals_artinian,
+                    gorenstein_family_separation, gorenstein_two_generators, socle,
+                    square_zero_two_vars, truncated_dvr)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,7 +62,7 @@ def cmd_info(args) -> int:
         print(f"  kunz coords : {list(kv.coords)}  ({kunz_cone_classify(kv)})")
     K = canonical_value_set(H)
     pf = H.pseudo_frobenius()
-    print(f"  K(H) gens   : {list(K.generators())}   pseudo-frobenius: "
+    print(f"  K(H) gens   : {list(K.generators)}   pseudo-frobenius: "
           f"{list(pf)}  (type {len(pf)})")
     print(f"  gorenstein  : {H.is_symmetric}")
     cond = value_set_condition(K)
@@ -141,6 +141,8 @@ def cmd_artin(args) -> int:
     if args.preset == "sq0":
         A = square_zero_two_vars(field)
     elif args.preset == "chain":
+        if field.finite:  # refuse the enumeration before building the L^3 table
+            _check_ideal_sweep(field.p, args.l)
         A = truncated_dvr(field, args.l)
     elif args.preset == "gor4":
         A = gorenstein_two_generators(field)

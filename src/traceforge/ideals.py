@@ -348,28 +348,34 @@ def _module_from(field, H, gens, tail: int) -> FractionalIdeal:
 
 
 # -- named ideals -----------------------------------------------------------
+#
+# Each is spanned by distinct monomials below a minimal tail, so it is
+# built in canonical form: c - 1 is a gap, and K.stable is minimal.
 
 
 def unit_ideal(field, H) -> FractionalIdeal:
     """R itself: monomials t^h for the members below the conductor."""
     c = H.conductor
-    rows = [LaurentPoly.monomial(field, h) for h in H.members(c)]
-    return _canonical(field, H, rows, c)
+    return FractionalIdeal(field, H, c, tuple(LaurentPoly.monomial(field, h)
+                                              for h in H.members(c)))
 
 
 def conductor_ideal(field, H) -> FractionalIdeal:
     """The conductor t^c K[[t]], the largest common ideal of R and K[[t]]."""
-    return _canonical(field, H, [], H.conductor)
+    return FractionalIdeal(field, H, H.conductor, ())
 
 
 def integral_closure_ideal(field, H) -> FractionalIdeal:
     """K[[t]] as an R-module: empty basis with tail 0."""
-    return _canonical(field, H, [], 0)
+    return FractionalIdeal(field, H, 0, ())
 
 
 def maximal_ideal(field, H) -> FractionalIdeal:
-    rows = [LaurentPoly.monomial(field, g) for g in H.minimal_generators]
-    return _module_from(field, H, rows, H.conductor + H.multiplicity)
+    """m: monomials t^h for the nonzero members below the conductor (and
+    t K[[t]] for N0)."""
+    tail = max(H.conductor, 1)
+    return FractionalIdeal(field, H, tail, tuple(LaurentPoly.monomial(field, h)
+                                                 for h in H.members(tail) if h))
 
 
 def ideal_from_generators(field, H, gens, with_conductor: bool = False) -> FractionalIdeal:
@@ -464,7 +470,7 @@ def _generators(I: FractionalIdeal) -> list:
     so subtracting a multiple of t^h times the element at x raises the
     valuation; R is complete, so these elements generate I.
     """
-    gens = value_set(I).generators()
+    gens = value_set(I).generators
     rows = [r for r in I.rows if r.valuation in gens]
     return rows + [LaurentPoly.monomial(I.field, j) for j in gens if j >= I.tail]
 
@@ -490,8 +496,8 @@ def canonical_fractional_ideal(field, H) -> tuple[FractionalIdeal, int]:
     from .semigroups import canonical_value_set
 
     K = canonical_value_set(H)
-    rows = [LaurentPoly.monomial(field, x) for x in K.elements(K.stable)]
-    W = _canonical(field, H, rows, K.stable)
+    W = FractionalIdeal(field, H, K.stable, tuple(LaurentPoly.monomial(field, x)
+                                                  for x in K.elements(K.stable)))
     prev = unit_ideal(field, H)
     cur = W
     n = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from math import gcd
 
@@ -261,8 +261,10 @@ class SemigroupIdeal:
         for x in range(self.stable, stop):
             yield x
 
+    @cached_property
     def generators(self) -> tuple[int, ...]:
-        """Minimal generators of E as an ideal over the base semigroup."""
+        """Minimal generators of E as an ideal over the base semigroup,
+        computed once per instance."""
         stop = self.stable + self.base.multiplicity
         nonzero = list(self.base.members(stop - self.start))[1:]
         out = []
@@ -335,7 +337,7 @@ def _semigroup_with_value_set(K: SemigroupIdeal) -> NumericalSemigroup:
     """
     H = K.base
     return NumericalSemigroup.from_generators(
-        H.minimal_generators + tuple(k for k in K.generators() if k > 0))
+        H.minimal_generators + tuple(k for k in K.generators if k > 0))
 
 
 def cm_type_list_check(K: SemigroupIdeal) -> str | None:

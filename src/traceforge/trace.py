@@ -2,23 +2,22 @@
 
 The trace of a fractional ideal I is tr(I) = (R : I) * I, and ``trace``
 takes it from that definition with the colon and the product of
-:mod:`traceforge.ideals`.  An integral ideal is a trace ideal exactly
-when it is a fixed point of that map.  Over any field every nonzero
-trace contains the conductor c, so the fixed-point test works in R/c,
-with one coordinate per member of H below c (:class:`_Quotient`, built
-once per semigroup and field): for an integral T containing c, R : T is
-R plus its part on the gaps of H, so the test solves only for that gap
-part and stops at the first product with T that falls outside T.  The
-gap part is the null space of T's gap system, grown one row of T at a
-time.  A finite field also makes Tr(R) finite: the enumeration runs the
-fixed-point test on every R-submodule of R/c from the lattice engine of
-:mod:`traceforge.artin`, which carries each module's gap system down
-from its parent, and lifts only the trace ideals.  Whole-theorem
-checks sit on top: the blowup bijection for minimal multiplicity, the
-normalization as a union of endomorphism rings, and the colon
-separation probe that certifies infinite families over the rationals;
-for a ring S over R the trace of S is R : S, so the probe takes the
-colon alone.
+:mod:`traceforge.ideals`; ``is_trace_ideal`` compares it with I and
+``has_free_summand`` with R.  Over any field every nonzero trace
+contains the conductor c, and over a finite field Tr(R) is finite: the
+enumeration runs a fixed-point test on every R-submodule T of R/c from
+the lattice engine of :mod:`traceforge.artin`, with one coordinate per
+member of H below c (:class:`_Quotient`, built once per semigroup and
+prime).  R : T is R plus its part on the gaps of H, so the test solves
+only for that gap part and stops at the first product with T that
+falls outside T.  The gap part is the null space of T's gap system,
+which each module carries down from its parent one row at a time, and
+only the trace ideals are lifted back to fractional ideals.
+Whole-theorem checks sit on top: the blowup bijection for minimal
+multiplicity, the normalization as a union of endomorphism rings, and
+the colon separation probe that certifies infinite families over the
+rationals; for a ring S over R the trace of S is R : S, so the probe
+takes the colon alone.
 """
 
 from __future__ import annotations
@@ -72,32 +71,23 @@ def trace(I: FractionalIdeal) -> FractionalIdeal:
 
 @dataclass(frozen=True)
 class _Quotient:
-    """R/c for R = K[[H]], the one coordinate system of the trace kernel.
+    """R/c for R = F_p[[H]], the one coordinate system of the trace kernel.
 
-    ``exps`` are the members below c, the coordinates of R/c, and
-    ``index`` numbers them.  ``shifts`` holds multiplication by t^g on R/c
-    for each minimal generator g below c (those past it act as zero), as
-    integer column images for the lattice engine.  The gaps are numbered
-    in increasing order: ``reach[i]`` lists the pairs (g, j) of gap
-    numbers with exps[i] + gap j = gap g, and ``spread[j]`` the pairs
-    (i, k) with exps[i] + gap j = exps[k].
+    ``exps`` are the members below c, the coordinates of R/c.  ``shifts``
+    holds multiplication by t^g on R/c for each minimal generator g below
+    c (those past it act as zero), as integer column images for the
+    lattice engine.  The gaps are numbered in increasing order:
+    ``reach[i]`` lists the pairs (g, j) of gap numbers with exps[i] + gap
+    j = gap g, and ``spread[j]`` the pairs (i, k) with exps[i] + gap j =
+    exps[k].
     """
 
     field: object
     semigroup: NumericalSemigroup
     exps: tuple
-    index: dict
     shifts: tuple
     reach: tuple
     spread: tuple
-
-    def read(self, I: FractionalIdeal) -> tuple[list, list]:
-        """RREF rows of I/c and their pivots, for an ideal with c inside I
-        inside R.  The gap c - 1 puts the tail of I at c, so these are the
-        canonical rows read at the members."""
-        zero = self.field.zero
-        rows = [tuple(t.get(e, zero) for e in self.exps) for t in (dict(r.terms) for r in I.rows)]
-        return rows, [self.index[r.valuation] for r in I.rows]
 
     def lift(self, rows) -> FractionalIdeal:
         """The ideal span(rows) + c, for rows spanning a module by
@@ -107,7 +97,7 @@ class _Quotient:
         return _canonical(f, H, polys, H.conductor)
 
     def gap_system(self, gaps, v) -> tuple[tuple, tuple]:
-        """The gap system of T + K v from ``gaps``, that of T.
+        """The gap system of T + F_p v from ``gaps``, that of T.
 
         The gap system of T is the RREF (rows, pivots) of the equations on
         gamma, one unknown per gap, saying that gamma b has no gap terms for
@@ -116,8 +106,7 @@ class _Quotient:
         the rows (which vanish at each other's pivots) and, when it
         survives, scaled to a pivot 1 and cleared from the other rows.
         """
-        f = self.field
-        p = f.p if f.finite else 0
+        p = self.field.p
         n = len(self.spread)
         rows, pivots = gaps
         if len(pivots) == n:  # gamma = 0 already: R : T = R
@@ -126,24 +115,22 @@ class _Quotient:
         for i, y in enumerate(v):
             if y:
                 for g, j in self.reach[i]:
-                    eqs.setdefault(g, [f.zero] * n)[j] = y
+                    eqs.setdefault(g, [0] * n)[j] = y
         rows, pivots = list(rows), list(pivots)
         for e in eqs.values():
             for pc, r in zip(pivots, rows):
                 x = e[pc]
                 if x:
-                    e = [(a - x * b) % p for a, b in zip(e, r)] if p else \
-                        [a - x * b for a, b in zip(e, r)]
+                    e = [(a - x * b) % p for a, b in zip(e, r)]
             lead = next((j for j, x in enumerate(e) if x), None)
             if lead is None:
                 continue
-            k = f.inv(e[lead])
-            e = [x * k % p for x in e] if p else [x * k for x in e]
+            k = pow(e[lead], -1, p)
+            e = [x * k % p for x in e]
             for i, r in enumerate(rows):
                 x = r[lead]
                 if x:
-                    rows[i] = [(a - x * b) % p for a, b in zip(r, e)] if p else \
-                        [a - x * b for a, b in zip(r, e)]
+                    rows[i] = [(a - x * b) % p for a, b in zip(r, e)]
             at = bisect_left(pivots, lead)
             rows.insert(at, e)
             pivots.insert(at, lead)
@@ -166,7 +153,7 @@ def _quotient(f, H: NumericalSemigroup) -> _Quotient:
                   for e in exps)
     spread = tuple(tuple((i, index[e + j]) for i, e in enumerate(exps) if e + j in index)
                    for j in gaps)
-    return _Quotient(f, H, exps, index, shifts, reach, spread)
+    return _Quotient(f, H, exps, shifts, reach, spread)
 
 
 def _gap_fixed_point(q: _Quotient, rows, pivots, gaps) -> bool:
@@ -182,19 +169,17 @@ def _gap_fixed_point(q: _Quotient, rows, pivots, gaps) -> bool:
     vector gamma of G and every row b.  The test stops at the first
     product outside T.
     """
-    f = q.field
-    p = f.p if f.finite else 0
-    zero = f.zero
+    p = q.field.p
     red, gap_pivots = gaps
     d = len(q.exps)
     for j in range(len(q.spread)):
         if j in gap_pivots:
             continue
         # the basis vector of G for the free gap j, spread onto R/c
-        gamma = [(j, f.one)] + [(g, -r[j]) for g, r in zip(gap_pivots, red) if r[j]]
+        gamma = [(j, 1)] + [(g, -r[j]) for g, r in zip(gap_pivots, red) if r[j]]
         terms = [(i, k, x) for g, x in gamma for i, k in q.spread[g]]
         for b in rows:
-            v = [zero] * d
+            v = [0] * d
             for i, k, x in terms:
                 y = b[i]
                 if y:
@@ -205,26 +190,17 @@ def _gap_fixed_point(q: _Quotient, rows, pivots, gaps) -> bool:
                 x = v[pc]
                 if x:
                     v = [a - x * y for a, y in zip(v, r)]
-            if any(a % p for a in v) if p else any(v):
+            if any(a % p for a in v):
                 return False
     return True
 
 
 def is_trace_ideal(I: FractionalIdeal) -> bool:
-    """Fixed-point test tr(I) = I for a nonzero integral ideal.
-
-    Every nonzero trace ideal contains c.  Otherwise I/c is read into R/c,
-    its gap system is built row by row as the enumeration builds it along
-    the lattice, and :func:`_gap_fixed_point` decides.
-    """
-    f, H = I.field, I.semigroup
-    if not contains_ideal(unit_ideal(f, H), I):
+    """Fixed-point test tr(I) = I for a nonzero integral ideal, from the
+    definition of the trace."""
+    if not contains_ideal(unit_ideal(I.field, I.semigroup), I):
         raise ValueError("trace fixed-point test needs an integral ideal")
-    if I.tail > H.conductor:
-        return False
-    q = _quotient(f, H)
-    rows, pivots = q.read(I)
-    return _gap_fixed_point(q, rows, pivots, reduce(q.gap_system, rows, _NO_GAPS))
+    return equals(trace(I), I)
 
 
 def has_free_summand(I: FractionalIdeal) -> bool:

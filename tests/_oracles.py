@@ -13,9 +13,10 @@ exponent below c, instead of the fractional-ideal colon and product
 (``trace_by_colon`` takes that definition as ``trace`` does, and stays
 the reference of the window tests; the library itself works only in R/c,
 on the members below c), ring adjunctions R[g] from powers of R + Rg
-instead of the closed form, row reduction through the field's own
-operations on every cell instead of native operators on the pivot row's
-support, remainders from whole polynomial subtractions instead of the
+instead of the closed form, the maximal ideal from the R-module generated
+by H's minimal generators instead of the members below c, row reduction
+through the field's own operations on every cell instead of native
+operators on the pivot row's support, remainders from whole polynomial subtractions instead of the
 closed-form remainders of the monomials, products of ideals from module
 generation instead of the span of row products, products in an Artinian
 algebra from every pair of nonzero entries through the field's operations
@@ -249,6 +250,13 @@ def trace_by_window(I):
     """
     f, H = I.field, I.semigroup
     return _from_window(f, H, _trace_window(f, H, _window_basis(shift(I, -I.lo))))
+
+
+def maximal_ideal_by_generation(field, H):
+    """m as the R-module generated by t^g for the minimal generators g,
+    with tail c + e, canonicalized from every shift of the generators."""
+    rows = [LaurentPoly.monomial(field, g) for g in H.minimal_generators]
+    return _module_from(field, H, rows, H.conductor + H.multiplicity)
 
 
 def adjoin_by_iteration(field, H, g):

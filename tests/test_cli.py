@@ -116,6 +116,20 @@ def test_artin_command(capsys):
     assert code == 0 and "socle dim 1" in out
 
 
+def test_artin_chain_guard_exits_3_before_building_the_ring(capsys, monkeypatch):
+    # 7^9 vectors exceed the enumeration guard: the chain ring, a table of
+    # about L^3/2 entries with an L^3 associativity check, is never built
+    def refuse(field, length):
+        raise AssertionError("the chain ring was built")
+
+    monkeypatch.setattr(cli, "truncated_dvr", refuse)
+    code, _, err = run(capsys, "artin", "chain", "--l", "9", "--p", "7")
+    assert code == 3 and "7^9 vectors exceed the guard" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "artin", "chain", "--l", "8", "--p", "7")  # 7^8 passes
+    assert code == 0 and "(9 trace ideals)" in out
+
+
 def test_survey_genus_counts_and_files(tmp_path, capsys):
     out_dir = tmp_path / "sv"
     code, out, _ = run(capsys, "survey", "--max-genus", "3", "--p", "2",

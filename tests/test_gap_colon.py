@@ -4,7 +4,9 @@
 gaps of H and stops at the first product outside T;
 ``_oracles.is_trace_by_rank`` computes all of tr(T)/c in the window and
 compares dimensions.  The two must give the same verdict on every
-candidate, over F_p and over QQ.  The gap system comes from
+candidate over F_p, the one field the kernel serves; over QQ,
+``is_trace_ideal`` (tr(I) = I from the definition) must agree with the
+rank test.  The gap system comes from
 ``_Quotient.gap_system`` one row at a time, and along the lattice walk
 with the action images reduced one row at a time; both must equal their
 from-scratch oracles at every module.
@@ -23,7 +25,8 @@ from traceforge.artin import (_ideal_lattice, _reduce_images, _socle_lines, enum
                               square_zero_two_vars, truncated_dvr)
 from traceforge.errors import NotCofinite
 from traceforge.fields import GF, QQ
-from traceforge.ideals import LaurentPoly, ideal_from_generators, unit_ideal
+from traceforge.ideals import (LaurentPoly, conductor_ideal, ideal_from_generators,
+                               maximal_ideal, unit_ideal)
 from traceforge.semigroups import NumericalSemigroup, enumerate_semigroups, natural_semigroup
 from traceforge.trace import (_NO_GAPS, _gap_fixed_point, _quotient, enumerate_trace_ideals,
                               is_trace_ideal, trace)
@@ -127,7 +130,7 @@ def test_walk_carries_images_on_artin_presets():
 
 
 def test_named_candidates():
-    for f in (GF(2), GF(3), GF(7), QQ):
+    for f in (GF(2), GF(3), GF(7)):
         for H in enumerate_semigroups(5):
             d = len(list(H.members(H.conductor)))
             units = [tuple(f.one if i == k else f.zero for i in range(d)) for k in range(d)]
@@ -137,15 +140,22 @@ def test_named_candidates():
             assert agree(f, H, units)  # T = R
             if H.genus:
                 assert agree(f, H, units[1:])  # T = m
+    for H in enumerate_semigroups(5):
+        named = [conductor_ideal(QQ, H), unit_ideal(QQ, H)]
+        if H.genus:
+            named.append(maximal_ideal(QQ, H))
+        for T in named:
+            assert is_trace_ideal(T) and rank_verdict(T), (H, T)
 
 
 def test_natural_semigroup_has_no_gaps():
     # c = 0: R/c and the gap part are both zero, and R is the only candidate
     N0 = natural_semigroup()
-    for f in (GF(2), GF(5), QQ):
+    for f in (GF(2), GF(5)):
         q = _quotient(f, N0)
         assert q.exps == q.shifts == q.reach == q.spread == ()
         assert _gap_fixed_point(q, [], [], _NO_GAPS) and is_trace_by_rank(f, N0, [])
+    for f in (GF(2), GF(5), QQ):
         assert is_trace_ideal(unit_ideal(f, N0))
     for p in (2, 3):
         assert [i.label() for i in enumerate_trace_ideals(N0, p).ideals] == ["R"]

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (adjoin_by_iteration, colon_by_reduction, colon_by_search,
-                      multiply_by_module_generation, reduce_by_poly_ops)
+                      maximal_ideal_by_generation, multiply_by_module_generation,
+                      reduce_by_poly_ops)
 from traceforge.errors import FieldMismatch, NotIntegral, ZeroIdeal
 from traceforge.fields import GF, QQ
-from traceforge.ideals import (LaurentPoly, _generators, _module_from, _pivot_rows,
+from traceforge.ideals import (LaurentPoly, _canonical, _generators, _module_from, _pivot_rows,
                                _remainder, add, adjoin,
                                canonical_fractional_ideal, closed_under, colon,
                                conductor_ideal, contains, contains_ideal,
@@ -63,6 +64,26 @@ def test_conductor_ideal_shapes():
     assert conductor_ideal(QQ, S([2, 3])).tail == 2
     R = unit_ideal(QQ, H)
     assert equals(conductor_ideal(QQ, H), colon(R, integral_closure_ideal(QQ, H)))
+
+
+def test_named_ideals_are_built_canonical():
+    # each named ideal is built as distinct monomials below a minimal tail,
+    # with no canonicalization: it must equal the canonical form of that
+    # span, and m must equal the module its minimal generators generate
+    for f in (QQ, GF(2), GF(5)):
+        for H_ in enumerate_semigroups(9):
+            def span(exps, tail):
+                return _canonical(f, H_, [LaurentPoly.monomial(f, e) for e in exps], tail)
+            c = H_.conductor
+            assert unit_ideal(f, H_) == span(H_.members(c), c), (f, H_)
+            assert conductor_ideal(f, H_) == span((), c), (f, H_)
+            assert integral_closure_ideal(f, H_) == span((), 0), (f, H_)
+            m = maximal_ideal(f, H_)
+            assert m == span([h for h in H_.members(c + 1) if h], c + 1), (f, H_)
+            assert m == maximal_ideal_by_generation(f, H_), (f, H_)
+            K = canonical_value_set(H_)
+            W, _ = canonical_fractional_ideal(f, H_)
+            assert W == span(K.elements(K.stable), K.stable), (f, H_)
 
 
 def test_ideal_from_generators_examples():
@@ -132,13 +153,13 @@ def test_value_set():
 def test_canonical_fractional_ideal():
     W, n = canonical_fractional_ideal(QQ, H)
     assert W.pivots == (0, 1, 4, 5, 6) and W.tail == 8
-    assert value_set(W).generators() == (0, 1)
+    assert value_set(W).generators == (0, 1)
     assert n == 3
     # symmetric case: the ideal is R itself and the exponent is 0
     W23, n23 = canonical_fractional_ideal(QQ, S([2, 3]))
     assert equals(W23, unit_ideal(QQ, S([2, 3]))) and n23 == 0
     W457, _ = canonical_fractional_ideal(QQ, S([4, 5, 7]))
-    assert value_set(W457).generators() == (0, 3)
+    assert value_set(W457).generators == (0, 3)
 
 
 def test_canonical_value_set_matches_ideal():
@@ -305,7 +326,7 @@ def test_colon_by_generators_matches_reduction_oracle(case, b):
     J = shift(J, b)
     f, H_ = J.field, J.semigroup
     gens = _generators(J)
-    assert [g.valuation for g in gens] == list(value_set(J).generators())
+    assert [g.valuation for g in gens] == list(value_set(J).generators)
     assert equals(_module_from(f, H_, gens, J.tail + H_.multiplicity), J), J
     for X in (I, J, shift(I, -b)):
         assert equals(colon(X, J), colon_by_reduction(X, J)), (X, J)

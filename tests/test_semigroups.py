@@ -183,9 +183,9 @@ def test_multiplicity_edim_flags():
 
 
 def test_canonical_value_set_golden():
-    assert canonical_value_set(S([4, 5, 11])).generators() == (0, 1)
-    assert canonical_value_set(S([4, 6, 9, 11])).generators() == (0, 2, 5)
-    assert canonical_value_set(S([4, 5, 7])).generators() == (0, 3)
+    assert canonical_value_set(S([4, 5, 11])).generators == (0, 1)
+    assert canonical_value_set(S([4, 6, 9, 11])).generators == (0, 2, 5)
+    assert canonical_value_set(S([4, 5, 7])).generators == (0, 3)
     K = canonical_value_set(S([4, 5, 11]))
     assert sorted(K.elements(9)) == [0, 1, 4, 5, 6, 8]
 

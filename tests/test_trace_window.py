@@ -1,10 +1,11 @@
 """The trace and the window trace test against the oracles.
 
-``is_trace_ideal`` and ``enumerate_trace_ideals`` decide everything in
-K[t]/(t^c), and ``_oracles.trace_by_window`` computes the whole trace
-there; ``trace`` and ``_oracles.trace_by_colon`` compute (R : I) * I on
-fractional ideals and assume nothing about the conductor.  Canonical
-forms are unique, so all of them must agree exactly.
+``enumerate_trace_ideals`` decides everything in R/c, and
+``_oracles.trace_by_window`` computes the whole trace in K[t]/(t^c);
+``trace`` and ``_oracles.trace_by_colon`` compute (R : I) * I on
+fractional ideals and assume nothing about the conductor, and
+``is_trace_ideal`` compares ``trace(I)`` with I.  Canonical forms are
+unique, so all of them must agree exactly.
 """
 
 from fractions import Fraction
@@ -83,16 +84,19 @@ def test_enumeration_matches_oracle_fixed_points(p):
 
 
 def test_lifted_members_read_back():
-    # R/c -> ideals -> R/c is the identity on lattice members, so
-    # is_trace_ideal and the enumeration see the same rows and pivots
+    # R/c -> ideals -> R/c is the identity on lattice members: the lift
+    # keeps each member's RREF rows, read at the members below c, and its
+    # pivots, read at the rows' valuations
     for H in enumerate_semigroups(5):
         for p in (2, 3):
             q = _quotient(GF(p), H)
+            index = {e: i for i, e in enumerate(q.exps)}
             for rows, pivots, *_ in _ideal_lattice(p, len(q.exps), q.shifts):
                 I = q.lift(rows)
                 assert I.tail == H.conductor  # nothing of R/c is left in the tail
-                read = q.read(I)
-                assert (tuple(read[0]), tuple(read[1])) == (rows, pivots), (H, p, rows)
+                read = tuple(tuple(dict(r.terms).get(e, 0) for e in q.exps) for r in I.rows)
+                assert read == rows, (H, p, rows)
+                assert tuple(index[e] for e in I.pivots) == pivots, (H, p, rows)
 
 
 GENUS_AT_MOST_7 = list(enumerate_semigroups(7))
