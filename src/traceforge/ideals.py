@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import FieldMismatch, NotIntegral, ZeroIdeal
 from .fields import Matrix, rref, solve_homogeneous
-from .semigroups import NumericalSemigroup, SemigroupIdeal
+from .semigroups import NumericalSemigroup, SemigroupIdeal, canonical_value_set
 
 __all__ = [
     "LaurentPoly",
@@ -428,23 +428,28 @@ def reinterpret(I: FractionalIdeal, H: NumericalSemigroup) -> FractionalIdeal:
 
 
 def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
-    """The colon module I : J = {alpha : alpha * J inside I}.
-
-    Unknown coefficients of alpha live on [lo(I) - lo(J), tail(I) - lo(J));
-    everything above is unconstrained because it lands in I's tail.  I is
-    an R-module, so alpha*J lies in I once alpha*g does for J's generators
-    g over R (:func:`_generators`) that can reach below tail(I).  That
-    gives a homogeneous linear system in the unknowns: the coefficients
-    of the remainders of t^x * g, one column per window exponent x, from
-    I's pivot-to-row map built once per call.
-    """
+    """The colon module I : J = {alpha : alpha * J inside I}, from J's
+    generators over R (:func:`_generators`), since I is an R-module."""
     _check_pair(I, J)
+    return _colon(I, _generators(J), J.lo)
+
+
+def _colon(I: FractionalIdeal, gens, m: int) -> FractionalIdeal:
+    """I : J from ``gens``, generators of J over R that may leave out
+    those of valuation tail(I) - lo(I) + m or more, where m = lo(J).
+
+    Unknown coefficients of alpha live on [lo(I) - m, tail(I) - m);
+    everything above is unconstrained because it lands in I's tail, as
+    does alpha*g for the generators left out.  The rest give a homogeneous
+    linear system in the unknowns: the coefficients of the remainders of
+    t^x * g, one column per window exponent x, from I's pivot-to-row map
+    built once per call.
+    """
     f, H = I.field, I.semigroup
-    m = J.lo
     tail = I.tail - m
     lo_min = I.lo - m
     window = range(lo_min, tail)
-    spanning = [g.terms for g in _generators(J) if g.valuation < I.tail - lo_min]
+    spanning = [g.terms for g in gens if g.valuation < I.tail - lo_min]
     pivot_rows = _pivot_rows(I)
     columns = []
     for x in window:
@@ -492,30 +497,25 @@ def canonical_fractional_ideal(field, H) -> tuple[FractionalIdeal, int]:
     least exponent with W^(n+1) = W^n (n = 0 exactly in the symmetric
     case, where W = R).  W is a module by construction, because
     ``SemigroupIdeal.create`` has already checked K(H) + H inside K(H).
+    W^j is the monomial ideal on the j-fold sumset jK and W^0 = R, so n
+    is read off the sums H + jK, which grow inside [0, c) and stop
+    within genus(H) steps.
     """
-    from .semigroups import canonical_value_set
-
     K = canonical_value_set(H)
     W = FractionalIdeal(field, H, K.stable, tuple(LaurentPoly.monomial(field, x)
                                                   for x in K.elements(K.stable)))
-    prev = unit_ideal(field, H)
-    cur = W
-    n = 0
-    while not equals(cur, prev):
-        prev = cur
-        cur = multiply(cur, W)
-        n += 1
-        if n > H.conductor + 2:
-            raise AssertionError("powers of the canonical ideal failed to stabilize")
+    power = SemigroupIdeal.create(H, H.members(H.conductor), H.conductor)
+    for n in range(H.genus + 1):
+        power, prev = power + K, power
+        if power == prev:
+            break
     return W, n
 
 
-def adjoin(field, H, g: LaurentPoly) -> FractionalIdeal:
-    """The ring R[g] as an R-module, for g integral over R (val >= 0).
-
-    R[g] = R[x] for x = g - g(0), and a power of x of valuation c or more
-    lies in the conductor, so R[g] is generated by 1, the powers of x cut
-    at t^c (exact modulo c, an ideal of K[[t]]) and c.
+def _powers(field, H, g: LaurentPoly) -> list:
+    """1 and the powers of x = g - g(0) cut at t^c, up to the first that
+    vanishes, for g integral over R (val >= 0): with c they generate
+    R[g] = R[x] over R, since a power of x of valuation c or more lies in c.
     """
     if not g.is_zero() and g.valuation < 0:
         raise NotIntegral(f"{g} has negative valuation")
@@ -523,7 +523,12 @@ def adjoin(field, H, g: LaurentPoly) -> FractionalIdeal:
     x = g.sub(gens[0].scale(g.coeff(0)))
     while not (power := gens[-1].mul(x).truncate(H.conductor)).is_zero():
         gens.append(power)
-    return ideal_from_generators(field, H, gens, with_conductor=True)
+    return gens
+
+
+def adjoin(field, H, g: LaurentPoly) -> FractionalIdeal:
+    """The ring R[g] as an R-module, generated by :func:`_powers` and c."""
+    return ideal_from_generators(field, H, _powers(field, H, g), with_conductor=True)
 
 
 def minimal_generator_count(I: FractionalIdeal) -> int:

@@ -261,6 +261,13 @@ class SemigroupIdeal:
         for x in range(self.stable, stop):
             yield x
 
+    def __add__(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
+        """The sumset E + F over the same base: every integer from
+        min(E.stable + F.start, F.stable + E.start) on is a sum."""
+        stable = min(self.stable + other.start, other.stable + self.start)
+        return SemigroupIdeal.create(self.base, {x + y for x in self.elements(stable)
+                                                 for y in other.elements(stable - x)}, stable)
+
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """Minimal generators of E as an ideal over the base semigroup,

@@ -17,7 +17,8 @@ Whole-theorem checks sit on top: the blowup bijection for minimal
 multiplicity, the normalization as a union of endomorphism rings, and
 the colon separation probe that certifies infinite families over the
 rationals; for a ring S over R the trace of S is R : S, so the probe
-takes the colon alone.
+takes the colon alone, on the generators of S = R[g] over R (1 and the
+powers of g - g(0) below c), without building S.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from functools import reduce
 from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
 from .fields import QQ, GF
-from .ideals import (FractionalIdeal, LaurentPoly, _canonical, adjoin, colon, contains_ideal,
-                     endomorphism_ring, equals, add, integral_closure_ideal, multiply, shift,
-                     unit_ideal)
+from .ideals import (FractionalIdeal, LaurentPoly, _canonical, _colon, _powers, colon,
+                     contains_ideal, endomorphism_ring, equals, add, integral_closure_ideal,
+                     multiply, shift, unit_ideal)
 from .semigroups import NumericalSemigroup, blowup, canonical_value_set
 
 __all__ = [
@@ -371,8 +372,9 @@ def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
 
     Requires 1, n and n+1 all outside K(H).  R : S is an S-module for a ring
     S over R, so tr(S) = (R : S) S = R : S, and the probe takes the colon
-    alone, with no product.  When every pair of samples yields a different
-    ideal, the probe certifies an infinite family over QQ.
+    alone, with no product, from the generators of R[g] over R
+    (:func:`_overring_trace`).  When every pair of samples yields a
+    different ideal, the probe certifies an infinite family over QQ.
     """
     K = canonical_value_set(H)
     bad = [x for x in (1, n, n + 1) if x in K]
@@ -385,7 +387,7 @@ def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
     R = unit_ideal(QQ, H)
     results = []
     for k in samples:
-        T = colon(R, adjoin(QQ, H, LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: k})))
+        T = _overring_trace(R, LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: k}))
         results.append((T.tail, T.rows))
     distinct = len(set(results))
     witness = len(samples) >= 2 and distinct == len(samples)
@@ -397,6 +399,12 @@ def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
         distinct_results=distinct,
         verdict="infinite-family-witness" if witness else "no-separation",
     )
+
+
+def _overring_trace(R: FractionalIdeal, g: LaurentPoly) -> FractionalIdeal:
+    """tr(R[g]) = R : R[g], from 1 and the powers of :func:`ideals._powers`:
+    lo(R[g]) = 0, and R[g]'s other generators lie in c and impose nothing."""
+    return _colon(R, _powers(R.field, R.semigroup, g), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ part of R : T with an early exit, coordinates in an Artinian ideal
 from row-by-row elimination through the field's operations instead of
 reading them at the pivots, and the state of a lattice module (its
 reduced action images, its socle lines and its gap system) from scratch
-instead of carried down the walk one row at a time.
+instead of carried down the walk one row at a time, and the reduction
+exponent of the canonical ideal from the products W^j instead of the
+sumsets of K(H).
 """
 
 from bisect import bisect
@@ -36,7 +38,8 @@ from itertools import combinations, product
 from traceforge.artin import SubIdeal
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, Matrix, rref, solve_homogeneous
-from traceforge.ideals import (LaurentPoly, _canonical, _check_pair, _module_from, colon,
+from traceforge.ideals import (LaurentPoly, _canonical, _check_pair, _module_from,
+                               canonical_fractional_ideal, colon,
                                contains, equals, from_window_vectors,
                                ideal_from_generators, multiply, shift, unit_ideal)
 from traceforge.semigroups import NumericalSemigroup, canonical_value_set
@@ -282,6 +285,22 @@ def adjoin_by_iteration(field, H, g):
         M = nxt
     assert equals(multiply(M, M), M), "adjoined module is not multiplicatively closed"
     return M
+
+
+def reduction_exponent_by_products(field, H):
+    """The least n with W^(n+1) = W^n for the canonical ideal W, from the
+    products of fractional ideals."""
+    W, _ = canonical_fractional_ideal(field, H)
+    prev = unit_ideal(field, H)
+    cur = W
+    n = 0
+    while not equals(cur, prev):
+        prev = cur
+        cur = multiply(cur, W)
+        n += 1
+        if n > H.conductor + 2:
+            raise AssertionError("powers of the canonical ideal failed to stabilize")
+    return n
 
 
 def lattice_by_closure(p, d, multipliers):

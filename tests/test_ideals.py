@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import (adjoin_by_iteration, colon_by_reduction, colon_by_search,
                       maximal_ideal_by_generation, multiply_by_module_generation,
-                      reduce_by_poly_ops)
+                      reduce_by_poly_ops, reduction_exponent_by_products)
 from traceforge.errors import FieldMismatch, NotIntegral, ZeroIdeal
 from traceforge.fields import GF, QQ
 from traceforge.ideals import (LaurentPoly, _canonical, _generators, _module_from, _pivot_rows,
@@ -160,6 +160,16 @@ def test_canonical_fractional_ideal():
     assert equals(W23, unit_ideal(QQ, S([2, 3]))) and n23 == 0
     W457, _ = canonical_fractional_ideal(QQ, S([4, 5, 7]))
     assert value_set(W457).generators == (0, 3)
+
+
+def test_reduction_exponent_matches_products():
+    # the sumsets H, H + K, H + 2K, ... against the powers of W itself
+    semigroups = list(enumerate_semigroups(9))
+    assert len(semigroups) == 274
+    for f in (QQ, GF(2)):
+        exponents = [canonical_fractional_ideal(f, H_)[1] for H_ in semigroups]
+        assert exponents == [reduction_exponent_by_products(f, H_) for H_ in semigroups], f
+        assert max(exponents) == 7
 
 
 def test_canonical_value_set_matches_ideal():

@@ -1,19 +1,24 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traceforge.errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
 from traceforge.fields import GF, QQ
-from traceforge.ideals import (LaurentPoly, conductor_ideal, contains_ideal, equals,
-                               ideal_from_generators, maximal_ideal,
+from traceforge.ideals import (LaurentPoly, adjoin, colon, conductor_ideal, contains_ideal,
+                               equals, ideal_from_generators, maximal_ideal,
                                minimal_generator_count, shift, unit_ideal)
 from traceforge.semigroups import (NumericalSemigroup, canonical_value_set, enumerate_semigroups,
                                    is_arf, natural_semigroup, value_set_condition)
-from traceforge.trace import (LARGER, MINIMAL_TRACE_SET, enumerate_trace_ideals,
-                              family_probe, has_free_summand, is_trace_ideal,
-                              minimal_trace_classification, trace, verify_bijection,
-                              verify_normalization_union)
+from traceforge.trace import (LARGER, MINIMAL_TRACE_SET, _overring_trace,
+                              enumerate_trace_ideals, family_probe, has_free_summand,
+                              is_trace_ideal, minimal_trace_classification, trace,
+                              verify_bijection, verify_normalization_union)
 
 from _oracles import trace_by_colon
 
@@ -208,6 +213,66 @@ def test_family_probe_guards():
     assert family_probe(S([4, 5, 6]), 2, [1]).verdict == "no-separation"
     with pytest.raises(ValueError):
         family_probe(S([4, 5, 6]), 2, [1, 1])
+
+
+GENUS_AT_MOST_7 = list(enumerate_semigroups(7))
+
+
+def _elements(f):
+    """Field elements, zero included."""
+    if f.finite:
+        return st.integers(0, f.p - 1).map(f.element)
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _overring_cases(draw):
+    """g = a + t^n + k t^(n+1) + a few higher terms, with a and k possibly 0."""
+    H_ = draw(st.sampled_from(GENUS_AT_MOST_7))
+    f = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n = draw(st.integers(0, H_.conductor + 1))
+    terms = {0: draw(_elements(f)), n: f.one, n + 1: draw(_elements(f))}
+    for e in draw(st.lists(st.integers(n + 2, n + 5), max_size=2)):
+        terms[e] = draw(_elements(f))
+    return f, H_, LaurentPoly.from_dict(f, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_overring_cases())
+@example((QQ, S([4, 5, 6]), P(QQ, "t^2")))              # the probe template with k = 0
+@example((QQ, S([4, 5, 6]), P(QQ, "t^2 + 1/3*t^3")))
+@example((GF(3), H, P(GF(3), "2 + t^5 + t^6")))         # a constant term
+@example((GF(2), H, P(GF(2), "t^9 + t^10")))            # n = c + 1: R[g] = R
+@example((GF(5), S([3, 7, 8]), P(GF(5), "t")))          # K[[t]]
+@example((QQ, N0, P(QQ, "1 + t")))
+@example((GF(2), S([4, 5, 6]), LaurentPoly.zero(GF(2))))
+def test_overring_trace_is_colon_of_adjoin(case):
+    # the probe's colon on the powers of x against the colon by R[g] itself
+    f, H_, g = case
+    R = unit_ideal(f, H_)
+    assert equals(_overring_trace(R, g), colon(R, adjoin(f, H_, g))), case
+
+
+PROBE_SAMPLES = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(7, 5))
+
+
+def test_probe_colons_match_golden_digest():
+    # R : R[g] for g = t^n + k t^(n+1) on every semigroup of genus <= 8 with a
+    # probe exponent n; the digest was taken from colon(R, adjoin(QQ, H, g))
+    lines = []
+    for H_ in enumerate_semigroups(8):
+        n = value_set_condition(canonical_value_set(H_)).witness
+        if n is None:
+            continue
+        R = unit_ideal(QQ, H_)
+        for k in PROBE_SAMPLES:
+            T = _overring_trace(R, LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: k}))
+            lines.append(json.dumps([H_.text, n, str(k), T.tail,
+                                     [r.to_json() for r in T.rows]]))
+    assert len(lines) == 66 * len(PROBE_SAMPLES)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    golden = Path(__file__).parent / "data" / "probe-colons-g8.sha256"
+    assert digest == golden.read_text().strip()
 
 
 def test_normalization_union():
