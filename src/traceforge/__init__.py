@@ -12,9 +12,8 @@ from .semigroups import (NumericalSemigroup, SemigroupIdeal, KunzVector,
                          EXTERIOR, BOUNDARY, INTERIOR)
 from .ideals import (LaurentPoly, FractionalIdeal, unit_ideal, conductor_ideal,
                      integral_closure_ideal, maximal_ideal, ideal_from_generators,
-                     from_window_vectors, add, multiply, shift, colon, equals,
-                     contains, contains_ideal, closed_under, reinterpret, value_set,
-                     canonical_fractional_ideal, adjoin, endomorphism_ring,
+                     add, multiply, shift, colon, equals, contains, contains_ideal,
+                     value_set, canonical_fractional_ideal, adjoin, endomorphism_ring,
                      minimal_generator_count)
 from .trace import (trace, is_trace_ideal, has_free_summand, TraceEnumeration,
                     TraceIdealInfo, enumerate_trace_ideals, BijectionReport,

@@ -247,14 +247,13 @@ def semigroup_quotient(H, p: int) -> ArtinAlgebra:
 
 
 def socle(A: ArtinAlgebra) -> SubIdeal:
-    """The annihilator of the maximal ideal; the whole ring when dim = 1."""
-    rows = []
-    for g in range(1, A.dim):
-        # rows of the multiplication-by-b_g matrix
-        for r in range(A.dim):
-            rows.append(tuple(A.table[g][c][r] for c in range(A.dim)))
-    sol = solve_homogeneous(Matrix(A.field, tuple(rows), A.dim))
-    return ideal_generated_by(A, sol)
+    """The annihilator of the maximal ideal; the whole ring when dim = 1.
+
+    It is the null space of the multiplication-by-b_g matrices, g >= 1,
+    and an annihilator is already an ideal, so it is that span."""
+    # zip(*A.table[g])[r][c]: coordinate r of b_g b_c
+    rows = tuple(row for g in range(1, A.dim) for row in zip(*A.table[g]))
+    return SubIdeal(A, _span(A, solve_homogeneous(Matrix(A.field, rows, A.dim))))
 
 
 def hom_trace(I: SubIdeal) -> SubIdeal:

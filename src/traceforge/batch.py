@@ -1,4 +1,4 @@
-"""Batch corpus runner: per-semigroup reports, theorem checks, JSON/CSV output.
+"""Batch surveys: per-semigroup reports, theorem checks, JSON/CSV output.
 
 A survey walks every numerical semigroup up to a genus bound and runs
 the whole battery on each: invariants, value-set condition, Kunz
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +29,7 @@ from .trace import (ENUMERATION_PRIMES, _bijection_report, enumerate_trace_ideal
                     family_probe)
 
 __all__ = ["JobConfig", "survey", "survey_one", "SCHEMA_VERSION",
-           "SUMMARY_COLUMNS", "thread_count"]
+           "SUMMARY_COLUMNS"]
 
 SCHEMA_VERSION = 1
 
@@ -53,13 +52,6 @@ class JobConfig:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def thread_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("TRACE_FORGE_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _probe_samples(gens: tuple, seed: int) -> list[int]:
@@ -167,7 +159,8 @@ def survey(max_genus: int, prime: int, out_dir, seed: int = 0,
     """Run the battery over every semigroup of genus <= max_genus.
 
     Writes one JSON per semigroup plus summary.csv and run.json under
-    ``out_dir`` and returns the run record.  max_genus is capped at 10.
+    ``out_dir`` and returns the run record.  max_genus is capped at 10,
+    and ``threads`` worker processes run it (at least one; None means 1).
     The inputs are checked before ``out_dir`` is created.
     """
     if max_genus > 10:
@@ -175,7 +168,7 @@ def survey(max_genus: int, prime: int, out_dir, seed: int = 0,
     if prime not in ENUMERATION_PRIMES:
         raise ValueError(f"survey supports primes {ENUMERATION_PRIMES}")
     semigroups = enumerate_semigroups(max_genus)  # rejects a negative genus
-    threads = thread_count(threads)
+    threads = max(1, threads or 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = JobConfig("survey", max_genus, prime, str(out_dir), seed, threads)

@@ -37,7 +37,6 @@ __all__ = [
     "integral_closure_ideal",
     "maximal_ideal",
     "ideal_from_generators",
-    "from_window_vectors",
     "add",
     "multiply",
     "shift",
@@ -45,8 +44,6 @@ __all__ = [
     "equals",
     "contains",
     "contains_ideal",
-    "closed_under",
-    "reinterpret",
     "value_set",
     "canonical_fractional_ideal",
     "adjoin",
@@ -297,18 +294,11 @@ def equals(I: FractionalIdeal, J: FractionalIdeal) -> bool:
     return I.tail == J.tail and I.rows == J.rows
 
 
-def closed_under(I: FractionalIdeal, H: NumericalSemigroup) -> bool:
-    """Whether the stored set is a module over K[[H]] (t^g * I inside I)."""
-    probe = FractionalIdeal(I.field, H, I.tail, I.rows)
-    return all(contains(probe, r.shift(g))
-               for r in I.rows for g in H.minimal_generators)
-
-
 def _canonical(field, H, polys, tail: int) -> FractionalIdeal:
     """Echelonize span(polys) + t^tail K[[t]] and minimize the tail.
 
     The input span must already be closed under the action of K[[H]]
-    modulo the tail; only :func:`from_window_vectors` checks a caller's span.
+    modulo the tail: every caller builds a module, and none is re-checked.
     """
     polys = [p.truncate(tail) for p in polys]
     polys = [p for p in polys if not p.is_zero()]
@@ -325,14 +315,6 @@ def _canonical(field, H, polys, tail: int) -> FractionalIdeal:
         rows.pop()
         tail -= 1
     return FractionalIdeal(field, H, tail, tuple(rows))
-
-
-def from_window_vectors(field, H, polys, tail: int) -> FractionalIdeal:
-    """Canonicalize a caller's module span(polys) + tail; asserts closure."""
-    ideal = _canonical(field, H, list(polys), tail)
-    if not closed_under(ideal, H):
-        raise AssertionError(f"constructed set is not a module over {H}")
-    return ideal
 
 
 def _module_from(field, H, gens, tail: int) -> FractionalIdeal:
@@ -422,11 +404,6 @@ def shift(I: FractionalIdeal, k: int) -> FractionalIdeal:
                            tuple(r.shift(k) for r in I.rows))
 
 
-def reinterpret(I: FractionalIdeal, H: NumericalSemigroup) -> FractionalIdeal:
-    """View the same set of series as a module over K[[H]]; asserts closure."""
-    return from_window_vectors(I.field, H, I.rows, I.tail)
-
-
 def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     """The colon module I : J = {alpha : alpha * J inside I}, from J's
     generators over R (:func:`_generators`), since I is an R-module."""
@@ -486,8 +463,13 @@ def endomorphism_ring(I: FractionalIdeal) -> FractionalIdeal:
 
 
 def value_set(I: FractionalIdeal) -> SemigroupIdeal:
-    """Valuations of the nonzero elements: the pivots plus [tail, oo)."""
-    return SemigroupIdeal.create(I.semigroup, set(I.pivots), I.tail)
+    """Valuations of the nonzero elements: the pivots plus [tail, oo).
+
+    Already an H-ideal, since I is an R-module, with tail as its stable
+    bound: a row of valuation tail - 1 would be t^(tail-1) itself, and the
+    tail is minimal.
+    """
+    return SemigroupIdeal(I.semigroup, I.lo, I.tail, frozenset(I.pivots))
 
 
 def canonical_fractional_ideal(field, H) -> tuple[FractionalIdeal, int]:

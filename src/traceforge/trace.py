@@ -30,7 +30,7 @@ from functools import reduce
 from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
 from .fields import QQ, GF
-from .ideals import (FractionalIdeal, LaurentPoly, _canonical, _colon, _powers, colon,
+from .ideals import (FractionalIdeal, LaurentPoly, _colon, _powers, colon,
                      contains_ideal, endomorphism_ring, equals, add, integral_closure_ideal,
                      multiply, shift, unit_ideal)
 from .semigroups import NumericalSemigroup, blowup, canonical_value_set
@@ -91,11 +91,12 @@ class _Quotient:
     spread: tuple
 
     def lift(self, rows) -> FractionalIdeal:
-        """The ideal span(rows) + c, for rows spanning a module by
-        construction (a lattice member): closure is not re-checked."""
-        f, H = self.field, self.semigroup
-        polys = [LaurentPoly.from_dict(f, dict(zip(self.exps, r))) for r in rows]
-        return _canonical(f, H, polys, H.conductor)
+        """The ideal span(rows) + c, for a lattice member's RREF rows, built
+        as they are: over the increasing ``exps`` they are already reduced
+        echelon rows, and c is a minimal tail, since c - 1 is a gap."""
+        f = self.field
+        return FractionalIdeal(f, self.semigroup, self.semigroup.conductor, tuple(
+            LaurentPoly(f, tuple((e, x) for e, x in zip(self.exps, r) if x)) for r in rows))
 
     def gap_system(self, gaps, v) -> tuple[tuple, tuple]:
         """The gap system of T + F_p v from ``gaps``, that of T.

@@ -21,7 +21,9 @@ closed-form remainders of the monomials, products of ideals from module
 generation instead of the span of row products, products in an Artinian
 algebra from every pair of nonzero entries through the field's operations
 instead of native combinations of the table's column images, Artinian Hom
-traces from the ideal generated by the images instead of their span, the trace
+traces and socles from the ideal generated by the images or the null space
+instead of their span, module closure of a fractional ideal from every
+generator shift of every row instead of trusting the construction, the trace
 fixed-point test from the rank of the whole tr(T)/c instead of the gap
 part of R : T with an early exit, coordinates in an Artinian ideal
 from row-by-row elimination through the field's operations instead of
@@ -35,12 +37,12 @@ sumsets of K(H).
 from bisect import bisect
 from itertools import combinations, product
 
-from traceforge.artin import SubIdeal
+from traceforge.artin import SubIdeal, ideal_generated_by
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, Matrix, rref, solve_homogeneous
-from traceforge.ideals import (LaurentPoly, _canonical, _check_pair, _module_from,
-                               canonical_fractional_ideal, colon,
-                               contains, equals, from_window_vectors,
+from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _check_pair,
+                               _module_from, canonical_fractional_ideal, colon,
+                               contains, equals,
                                ideal_from_generators, multiply, shift, unit_ideal)
 from traceforge.semigroups import NumericalSemigroup, canonical_value_set
 
@@ -140,7 +142,14 @@ def colon_by_search(I, J):
             f, {lo + i: (bits >> i) & 1 for i in range(width)})
         if all(contains(I, alpha.mul(g)) for g in spanning):
             sols.append(alpha)
-    return from_window_vectors(f, I.semigroup, sols, tail)
+    return _canonical(f, I.semigroup, sols, tail)
+
+
+def closed_under(I: FractionalIdeal, H: NumericalSemigroup) -> bool:
+    """Whether the stored set is a module over K[[H]] (t^g * I inside I)."""
+    probe = FractionalIdeal(I.field, H, I.tail, I.rows)
+    return all(contains(probe, r.shift(g))
+               for r in I.rows for g in H.minimal_generators)
 
 
 def trace_by_colon(I):
@@ -621,6 +630,19 @@ def hom_trace_by_generation(I):
     prods = [mult_by_field_ops(A, A.basis_vector(i), w) for w in images for i in range(d)]
     red, piv = rref(Matrix(f, tuple(prods), d))
     return SubIdeal(A, red.rows[:len(piv)])
+
+
+def socle_by_generation(A):
+    """The annihilator of the maximal ideal as the ideal generated by the
+    null space of the multiplication-by-b_g matrices, g >= 1: every
+    solution is multiplied by every basis element before the span."""
+    rows = []
+    for g in range(1, A.dim):
+        # rows of the multiplication-by-b_g matrix
+        for r in range(A.dim):
+            rows.append(tuple(A.table[g][c][r] for c in range(A.dim)))
+    sol = solve_homogeneous(Matrix(A.field, tuple(rows), A.dim))
+    return ideal_generated_by(A, sol)
 
 
 def is_trace_by_rank(f, H, basis):

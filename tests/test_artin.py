@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (coordinates_by_elimination, hom_trace_by_generation,
-                      mult_by_field_ops)
+                      mult_by_field_ops, socle_by_generation)
 from traceforge.artin import (ArtinAlgebra, enumerate_ideals,
                               enumerate_trace_ideals_artinian,
                               gorenstein_family_separation,
@@ -81,6 +81,18 @@ ACT_ALGEBRAS = [make(field) for field in (GF(2), GF(3), GF(7), QQ)
 ACT_ALGEBRAS += [diagonal_gorenstein(field) for field in (GF(3), GF(7), QQ)]
 ACT_ALGEBRAS += [semigroup_quotient(S(gens), 2) for gens in ([4, 5, 11], [5, 7, 8, 9])]
 ACT_ALGEBRAS += [semigroup_quotient(S([4, 6, 9]), 3)]
+
+
+def test_socle_matches_generation():
+    # the annihilator is already an ideal, so its span needs no products
+    fields = (GF(2), GF(3), GF(7), QQ)
+    algebras = [square_zero_two_vars(f) for f in fields]
+    algebras += [truncated_dvr(f, L) for f in fields for L in range(2, 8)]
+    algebras += [gorenstein_two_generators(f) for f in fields]
+    algebras += [diagonal_gorenstein(f) for f in (GF(3), GF(7), QQ)]
+    algebras += [semigroup_quotient(S([4, 5, 11]), 2), semigroup_quotient(S([5, 7, 8, 9]), 3)]
+    for A in algebras:
+        assert socle(A) == socle_by_generation(A), A
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ from importlib import import_module, resources
 import jsonschema
 
 from traceforge import batch, cli
-from traceforge.batch import SUMMARY_COLUMNS, survey, thread_count
+from traceforge.batch import SUMMARY_COLUMNS, survey
 from traceforge.cli import main
 
 
@@ -234,10 +234,8 @@ def test_survey_checks_inputs_before_creating_out_dir(tmp_path, capsys):
         assert not out_dir.exists()
 
 
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv("TRACE_FORGE_THREADS", raising=False)
-    assert thread_count() == 1
-    assert thread_count(4) == 4
-    monkeypatch.setenv("TRACE_FORGE_THREADS", "3")
-    assert thread_count() == 3
-    assert thread_count(2) == 2
+def test_thread_count(tmp_path):
+    # threads alone sets the worker count: None means 1, and it is at least 1
+    for threads, expected in ((None, 1), (0, 1), (1, 1), (2, 2)):
+        record = survey(1, 2, tmp_path / f"t{threads}", threads=threads)
+        assert record["config"]["threads"] == expected, threads

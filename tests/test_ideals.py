@@ -5,20 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (adjoin_by_iteration, colon_by_reduction, colon_by_search,
+from _oracles import (adjoin_by_iteration, closed_under, colon_by_reduction, colon_by_search,
                       maximal_ideal_by_generation, multiply_by_module_generation,
                       reduce_by_poly_ops, reduction_exponent_by_products)
 from traceforge.errors import FieldMismatch, NotIntegral, ZeroIdeal
 from traceforge.fields import GF, QQ
-from traceforge.ideals import (LaurentPoly, _canonical, _generators, _module_from, _pivot_rows,
-                               _remainder, add, adjoin,
-                               canonical_fractional_ideal, closed_under, colon,
+from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _generators,
+                               _module_from, _pivot_rows, _remainder, add, adjoin,
+                               canonical_fractional_ideal, colon,
                                conductor_ideal, contains, contains_ideal,
-                               endomorphism_ring, equals, from_window_vectors,
+                               endomorphism_ring, equals,
                                ideal_from_generators, integral_closure_ideal,
                                maximal_ideal, minimal_generator_count, multiply,
-                               reinterpret, shift, unit_ideal, value_set)
-from traceforge.semigroups import (NumericalSemigroup, canonical_value_set,
+                               shift, unit_ideal, value_set)
+from traceforge.semigroups import (NumericalSemigroup, SemigroupIdeal, canonical_value_set,
                                    enumerate_semigroups, natural_semigroup)
 
 S = NumericalSemigroup.from_generators
@@ -105,7 +105,7 @@ def test_add_multiply_shift_examples():
     assert equals(multiply(R, I), I)
     H378 = S([3, 7, 8])
     B = shift(maximal_ideal(QQ, H378), -3)
-    assert equals(reinterpret(B, S([3, 4, 5])), unit_ideal(QQ, S([3, 4, 5])))
+    assert equals(FractionalIdeal(QQ, S([3, 4, 5]), B.tail, B.rows), unit_ideal(QQ, S([3, 4, 5])))
     assert equals(add(I, m), add(m, I))
 
 
@@ -189,15 +189,6 @@ def test_adjoin():
     assert equals(adjoin(QQ, H456, g), RRg)  # g^2 already lies in R
     with pytest.raises(NotIntegral):
         adjoin(QQ, H, P(QQ, "t^-1"))
-
-
-def test_module_checks_on_caller_spans():
-    # only the entry points that take a caller's span check closure
-    f = GF(2)
-    with pytest.raises(AssertionError, match="not a module"):
-        from_window_vectors(f, H, [LaurentPoly.monomial(f, 0)], 8)
-    with pytest.raises(AssertionError, match="not a module"):
-        reinterpret(unit_ideal(f, H), S([3, 4, 5]))
 
 
 GENUS_AT_MOST_6 = list(enumerate_semigroups(6))
@@ -340,6 +331,18 @@ def test_colon_by_generators_matches_reduction_oracle(case, b):
     assert equals(_module_from(f, H_, gens, J.tail + H_.multiplicity), J), J
     for X in (I, J, shift(I, -b)):
         assert equals(colon(X, J), colon_by_reduction(X, J)), (X, J)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideal_pairs(), st.integers(-4, 4))
+@example((integral_closure_ideal(QQ, H), conductor_ideal(QQ, H), None), -2)
+@example((unit_ideal(GF(2), N0), maximal_ideal(GF(2), N0), None), 3)
+def test_value_set_matches_create(case, k):
+    # value_set reads the pivots and the tail of a canonical module as they
+    # are: create's stable trimming and closure sweep find nothing to change
+    I, J, _ = case
+    for X in (I, J, shift(I, k), shift(J, k), colon(I, J)):
+        assert value_set(X) == SemigroupIdeal.create(X.semigroup, set(X.pivots), X.tail), X
 
 
 def test_endomorphism_ring():

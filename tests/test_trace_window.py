@@ -14,12 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import trace_by_colon, trace_by_window
+from _oracles import closed_under, trace_by_colon, trace_by_window
 from traceforge.artin import _ideal_lattice
 from traceforge.fields import GF, QQ
-from traceforge.ideals import (LaurentPoly, adjoin, closed_under, colon, conductor_ideal,
-                               contains_ideal, equals, from_window_vectors,
-                               ideal_from_generators, maximal_ideal, shift, unit_ideal)
+from traceforge.ideals import (LaurentPoly, _canonical, adjoin, colon, conductor_ideal,
+                               contains_ideal, equals, ideal_from_generators, maximal_ideal,
+                               shift, unit_ideal)
 from traceforge.semigroups import NumericalSemigroup, enumerate_semigroups
 from traceforge.trace import _quotient, enumerate_trace_ideals, is_trace_ideal, trace
 
@@ -62,17 +62,20 @@ def test_window_trace_matches_colon_oracle(I):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_enumeration_matches_oracle_fixed_points(p):
-    # lift every lattice member and keep the oracle's fixed points; the
-    # flags read off the dimension must match the named ideals
+    # lift every lattice member by elimination, check that it is a module,
+    # and keep the oracle's fixed points; the direct lift of every member
+    # must match, and the flags read off the dimension the named ideals
     f = GF(p)
     for H in enumerate_semigroups(5):
         q = _quotient(f, H)
         exps = q.exps
         lattice = sorted((rows for rows, *_ in _ideal_lattice(p, len(exps), q.shifts)),
                          key=lambda rows: (len(rows), rows))
-        lifted = [from_window_vectors(f, H, [LaurentPoly.from_dict(f, dict(zip(exps, r)))
-                                             for r in rows], H.conductor)
+        lifted = [_canonical(f, H, [LaurentPoly.from_dict(f, dict(zip(exps, r)))
+                                    for r in rows], H.conductor)
                   for rows in lattice]
+        assert all(closed_under(I, H) for I in lifted), H
+        assert [q.lift(rows) for rows in lattice] == lifted, H
         expected = [I for I in lifted if equals(trace_by_colon(I), I)]
         enum = enumerate_trace_ideals(H, p)
         assert enum.census == len(lattice), H
