@@ -105,6 +105,25 @@ class ArtinAlgebra:
             raise ValueError("the non-unit basis span is not nilpotent")
         return A
 
+    @cached_property
+    def square(self) -> tuple:
+        """The RREF basis of m^2, the span of the products b_i b_j, i, j >= 1."""
+        return _span(self, [self.table[i][j] for i in range(1, self.dim)
+                            for j in range(i, self.dim)])
+
+    @cached_property
+    def generators(self) -> tuple:
+        """The indices g >= 1 whose b_g give a basis of m/m^2, taken in
+        index order: b_g is kept when it raises the rank over m^2 and the
+        b_g kept before it."""
+        span, kept = self.square, []
+        for g in range(1, self.dim):
+            grown = _span(self, span + (self.basis_vector(g),))
+            if len(grown) > len(span):
+                span = grown
+                kept.append(g)
+        return tuple(kept)
+
     def basis_vector(self, i: int) -> tuple:
         f = self.field
         return tuple(f.one if j == i else f.zero for j in range(self.dim))
@@ -260,10 +279,16 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
     """Sum of the images of all module homomorphisms from I to the algebra.
 
     A homomorphism is a linear map commuting with multiplication by every
-    basis element; solving that linear system gives a basis of Hom(I, A),
-    and the trace is the span of all the image vectors.  Hom(I, A) is an
-    A-module, since a * phi is again a homomorphism, so that span is
-    already an ideal.
+    element of A.  The b_g of ``A.generators`` span m modulo m^2, so by
+    Nakayama (m is nilpotent) they generate A as a K-algebra with 1, and a
+    linear map that commutes with each b_g commutes with their products,
+    hence with all of A.  So the system is imposed on those b_g only, with
+    its identically zero equations left out; its null space is Hom(I, A),
+    as on every basis element, so its RREF and the solved basis are the
+    same too.  The check that each b_g * row_i lies in I stays complete:
+    an I closed under the generators is closed under A.  The trace is the
+    span of all the image vectors.  Hom(I, A) is an A-module, since
+    a * phi is again a homomorphism, so that span is already an ideal.
     """
     A = I.algebra
     k, d = I.dim, A.dim
@@ -271,7 +296,7 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
     # equations say b_g * w_i = sum_j lam_j w_j, lam the coordinates of b_g * row i
     zero = A.field.zero
     eqs = []
-    for g in range(1, d):
+    for g in A.generators:
         block = list(zip(*A.table[g]))  # block[r][c]: coordinate r of b_g b_c
         for i, b in enumerate(I.rows):
             lam = I.coordinates(A.act(g, b))
@@ -283,7 +308,9 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
                 row[r::d] = neg  # -lam_j at coordinate r of every w_j
                 row[i * d:(i + 1) * d] = block[r]
                 row[i * d + r] -= lam[i]
-                eqs.append(tuple(row))
+                # table entries and lam are canonical, so zero means 0
+                if any(row):
+                    eqs.append(tuple(row))
     # with no equations (A is a field or I = 0) every linear map qualifies
     sols = solve_homogeneous(Matrix(A.field, tuple(eqs), k * d))
     images = [tuple(sol[i * d:(i + 1) * d]) for sol in sols for i in range(k)]
@@ -422,9 +449,7 @@ def gorenstein_family_separation(A: ArtinAlgebra, u, v, samples) -> int:
     v = tuple(f.element(x) for x in v)
     if u[0] or v[0]:
         raise DependentGenerators("u and v must lie in the maximal ideal")
-    msq = _span(A, [A.table[i][j] for i in range(1, A.dim) for j in range(1, A.dim)])
-    base = len(msq)
-    if len(_span(A, list(msq) + [u, v])) != base + 2:
+    if len(_span(A, A.square + (u, v))) != len(A.square) + 2:
         raise DependentGenerators("u and v are dependent modulo m^2")
     seen = set()
     for a in samples:

@@ -169,6 +169,65 @@ def test_hom_trace_matches_generation_oracle():
         assert hom_trace(I) == hom_trace_by_generation(I), I
 
 
+def unadapted_quartic(field):
+    # K[x]/(x^4) on the basis 1, x, x + x^2, x^3: x^2 = b_2 - b_1, so every
+    # b_g of m shows up in some product, yet m/m^2 is spanned by x alone
+    u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    zero = [0, 0, 0, 0]
+    table = [u, [u[1], [0, -1, 1, 0], [0, -1, 1, 1], zero],
+             [u[2], [0, -1, 1, 1], [0, -1, 1, 2], zero], [u[3], zero, zero, zero]]
+    return ArtinAlgebra.create(field, ("1", "x", "x+x^2", "x^3"), table)
+
+
+def test_generators_span_m_modulo_m_squared():
+    def check(A, size):
+        assert len(A.generators) == size, A
+        # Nakayama: the generators alone generate m
+        gens = [A.basis_vector(g) for g in A.generators]
+        assert ideal_generated_by(A, gens).dim == A.dim - 1, A
+
+    for f in (GF(2), GF(3), QQ):
+        Q = unadapted_quartic(f)
+        assert Q.generators == (1,)
+        check(Q, 1)
+        for length in range(2, 8):
+            check(truncated_dvr(f, length), 1)
+        check(square_zero_two_vars(f), 2)
+        check(gorenstein_two_generators(f), 2)
+    assert truncated_dvr(GF(2), 1).generators == ()
+    for H in enumerate_semigroups(6):
+        if H.genus == 0:
+            continue
+        below_c = [g for g in H.minimal_generators if g < H.conductor]
+        for p in (2, 3):
+            check(semigroup_quotient(H, p), len(below_c))
+
+
+HOM_ALGEBRAS = [make(f) for f in (GF(2), GF(3), QQ)
+                for make in (unadapted_quartic, gorenstein_two_generators,
+                             square_zero_two_vars, lambda K: truncated_dvr(K, 4))]
+HOM_ALGEBRAS += [diagonal_gorenstein(f) for f in (GF(3), QQ)]
+HOM_ALGEBRAS += [semigroup_quotient(S(gens), p)
+                 for gens, p in (([5, 7], 2), ([4, 6, 9], 3), ([3, 7], 2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hom_trace_on_generators_matches_oracle(data):
+    # the oracle imposes every basis element of m, hom_trace only the
+    # generators of m/m^2, with its zero equations left out
+    A = data.draw(st.sampled_from(HOM_ALGEBRAS))
+    f = A.field
+    if f.finite:
+        entry = st.integers(0, f.p - 1)
+    else:
+        entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    vector = st.lists(entry, min_size=A.dim, max_size=A.dim).map(
+        lambda v: tuple(map(f.element, v)))
+    I = ideal_generated_by(A, data.draw(st.lists(vector, min_size=1, max_size=2)))
+    assert hom_trace(I) == hom_trace_by_generation(I), (A, I.rows)
+
+
 def test_enumerate_ideals_examples():
     A = truncated_dvr(GF(2), 3)
     assert [I.dim for I in enumerate_ideals(A)] == [0, 1, 2, 3]
