@@ -12,9 +12,9 @@ from .semigroups import (NumericalSemigroup, SemigroupIdeal, KunzVector,
                          EXTERIOR, BOUNDARY, INTERIOR)
 from .ideals import (LaurentPoly, FractionalIdeal, unit_ideal, conductor_ideal,
                      integral_closure_ideal, maximal_ideal, ideal_from_generators,
-                     add, multiply, shift, colon, equals, contains, contains_ideal,
-                     value_set, canonical_fractional_ideal, adjoin, endomorphism_ring,
-                     minimal_generator_count)
+                     add, multiply, shift, dilate, colon, equals, contains,
+                     contains_ideal, value_set, canonical_fractional_ideal, adjoin,
+                     endomorphism_ring, minimal_generator_count)
 from .trace import (trace, is_trace_ideal, has_free_summand, TraceEnumeration,
                     TraceIdealInfo, enumerate_trace_ideals, BijectionReport,
                     verify_bijection, FamilyProbeReport, family_probe,

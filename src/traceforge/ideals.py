@@ -40,6 +40,7 @@ __all__ = [
     "add",
     "multiply",
     "shift",
+    "dilate",
     "colon",
     "equals",
     "contains",
@@ -402,6 +403,26 @@ def shift(I: FractionalIdeal, k: int) -> FractionalIdeal:
     """Multiplication by the monomial t^k; preserves canonical form."""
     return FractionalIdeal(I.field, I.semigroup, I.tail + k,
                            tuple(r.shift(k) for r in I.rows))
+
+
+def dilate(I: FractionalIdeal, lam) -> FractionalIdeal:
+    """The image of I under the automorphism t -> lam t of K((t)), for a
+    nonzero field element lam; preserves canonical form.
+
+    The automorphism maps R = K[[H]] and each t^N K[[t]] onto themselves,
+    so the tail stays.  The row t^p + sum c_e t^e maps to lam^p times
+    t^p + sum c_e lam^(e-p) t^e, which keeps its pivot, and a zero stays
+    zero, so the rows still vanish at each other's pivots.
+    """
+    f = I.field
+    if f.is_zero(lam):
+        raise ValueError("dilation needs a nonzero scalar")
+    powers = [f.one]
+    for _ in range(I.tail - I.lo - 1):
+        powers.append(f.mul(powers[-1], lam))
+    return FractionalIdeal(f, I.semigroup, I.tail, tuple(
+        LaurentPoly(f, tuple((e, f.mul(c, powers[e - r.valuation])) for e, c in r.terms))
+        for r in I.rows))
 
 
 def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:

@@ -18,7 +18,8 @@ multiplicity, the normalization as a union of endomorphism rings, and
 the colon separation probe that certifies infinite families over the
 rationals; for a ring S over R the trace of S is R : S, so the probe
 takes the colon alone, on the generators of S = R[g] over R (1 and the
-powers of g - g(0) below c), without building S.
+powers of g - g(0) below c), without building S, and once for all
+nonzero samples, which t -> kt maps onto each other.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
 from .fields import QQ, GF
 from .ideals import (FractionalIdeal, LaurentPoly, _colon, _powers, colon,
-                     contains_ideal, endomorphism_ring, equals, add, integral_closure_ideal,
-                     multiply, shift, unit_ideal)
+                     contains_ideal, dilate, endomorphism_ring, equals, add,
+                     integral_closure_ideal, multiply, shift, unit_ideal)
 from .semigroups import NumericalSemigroup, blowup, canonical_value_set
 
 __all__ = [
@@ -371,26 +372,30 @@ class FamilyProbeReport:
 def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
     """Separate tr(R[g]) = R : R[g] for g = t^n + k t^(n+1) over the sample values k.
 
-    Requires 1, n and n+1 all outside K(H).  R : S is an S-module for a ring
-    S over R, so tr(S) = (R : S) S = R : S, and the probe takes the colon
-    alone, with no product, from the generators of R[g] over R
-    (:func:`_overring_trace`).  When every pair of samples yields a
+    Requires n >= 0, 1, n and n+1 all outside K(H), and at least one sample,
+    all distinct.  R : S is an S-module for a ring S over R, so
+    tr(S) = (R : S) S = R : S, and the probe takes the colon alone, with
+    no product, from the generators of R[g] over R (:func:`_overring_trace`).
+    One colon serves every nonzero k: the automorphism t -> kt of K((t))
+    maps R onto itself and t^n + t^(n+1) to k^n (t^n + k t^(n+1)), and k^n
+    is a unit, so the colon for k is the image of the colon for k = 1
+    (:func:`_probe_colons`).  When every pair of samples yields a
     different ideal, the probe certifies an infinite family over QQ.
     """
+    if n < 0:
+        raise PreconditionViolated(
+            f"probe exponent {n} is negative: t^n + k*t^(n+1) is not integral over R")
     K = canonical_value_set(H)
     bad = [x for x in (1, n, n + 1) if x in K]
     if bad:
         raise PreconditionViolated(
             f"value set of the canonical ideal of {H} contains {bad}")
     samples = tuple(QQ.element(s) for s in samples)
+    if not samples:
+        raise ValueError("the probe needs at least one sample")
     if len(set(samples)) != len(samples):
         raise ValueError("samples must be pairwise distinct")
-    R = unit_ideal(QQ, H)
-    results = []
-    for k in samples:
-        T = _overring_trace(R, LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: k}))
-        results.append((T.tail, T.rows))
-    distinct = len(set(results))
+    distinct = len({(T.tail, T.rows) for T in _probe_colons(H, n, samples)})
     witness = len(samples) >= 2 and distinct == len(samples)
     return FamilyProbeReport(
         semigroup=H.text,
@@ -400,6 +405,25 @@ def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
         distinct_results=distinct,
         verdict="infinite-family-witness" if witness else "no-separation",
     )
+
+
+def _probe_colons(H: NumericalSemigroup, n: int, samples) -> list:
+    """R : R[t^n + k t^(n+1)] over QQ for each ``Fraction`` sample k, in order.
+
+    k = 0 takes its own colon, R : R[t^n]; every other k dilates the one
+    colon for k = 1, solved at the first nonzero sample, by t -> kt.
+    """
+    R = unit_ideal(QQ, H)
+    base = None
+    colons = []
+    for k in samples:
+        if not k:
+            colons.append(_overring_trace(R, LaurentPoly.monomial(QQ, n)))
+            continue
+        if base is None:
+            base = _overring_trace(R, LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: QQ.one}))
+        colons.append(dilate(base, k))
+    return colons
 
 
 def _overring_trace(R: FractionalIdeal, g: LaurentPoly) -> FractionalIdeal:

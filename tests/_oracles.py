@@ -31,7 +31,8 @@ reading them at the pivots, and the state of a lattice module (its
 reduced action images, its socle lines and its gap system) from scratch
 instead of carried down the walk one row at a time, and the reduction
 exponent of the canonical ideal from the products W^j instead of the
-sumsets of K(H).
+sumsets of K(H), and the probe's colons R : R[t^n + k t^(n+1)] one per
+sample instead of one colon dilated by t -> kt.
 """
 
 from bisect import bisect
@@ -39,12 +40,13 @@ from itertools import combinations, product
 
 from traceforge.artin import SubIdeal, ideal_generated_by
 from traceforge.errors import NotIntegral
-from traceforge.fields import GF, Matrix, rref, solve_homogeneous
+from traceforge.fields import GF, QQ, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _check_pair,
                                _module_from, canonical_fractional_ideal, colon,
                                contains, equals,
                                ideal_from_generators, multiply, shift, unit_ideal)
 from traceforge.semigroups import NumericalSemigroup, canonical_value_set
+from traceforge.trace import FamilyProbeReport, _overring_trace
 
 
 def closure_members(gens, bound):
@@ -294,6 +296,27 @@ def adjoin_by_iteration(field, H, g):
         M = nxt
     assert equals(multiply(M, M), M), "adjoined module is not multiplicatively closed"
     return M
+
+
+def family_probe_by_colons(H, n, samples):
+    """``family_probe``'s report for valid input, and its colons, with one
+    colon R : R[t^n + k t^(n+1)] per sample k."""
+    samples = tuple(QQ.element(s) for s in samples)
+    R = unit_ideal(QQ, H)
+    colons = []
+    for k in samples:
+        colons.append(_overring_trace(R, LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: k})))
+    distinct = len({(T.tail, T.rows) for T in colons})
+    witness = len(samples) >= 2 and distinct == len(samples)
+    report = FamilyProbeReport(
+        semigroup=H.text,
+        exponent=n,
+        template=f"t^{n} + k*t^{n + 1}",
+        samples=samples,
+        distinct_results=distinct,
+        verdict="infinite-family-witness" if witness else "no-separation",
+    )
+    return report, colons
 
 
 def reduction_exponent_by_products(field, H):

@@ -101,6 +101,22 @@ def test_trace_probe_command(capsys):
     assert code == 2
 
 
+def test_trace_probe_rejects_negative_exponent(capsys):
+    # the error names the exponent, not a sample's polynomial
+    errors = []
+    for samples in ("3", "5,7/2"):
+        code, _, err = run(capsys, "trace", "probe", "4,5,6", "--n", "-2",
+                           "--samples", samples)
+        assert code == 2 and err.startswith("error: ") and "negative" in err
+        errors.append(err)
+    assert errors[0] == errors[1]
+
+
+def test_trace_probe_rejects_empty_samples(capsys):
+    code, out, err = run(capsys, "trace", "probe", "4,5,6", "--n", "2", "--samples", ",")
+    assert code == 2 and err.startswith("error: ") and not out
+
+
 def test_trace_probe_rejects_zero_denominator(capsys):
     code, _, err = run(capsys, "trace", "probe", "4,5,6", "--n", "2",
                        "--samples", "1/0,2")

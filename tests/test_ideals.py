@@ -13,7 +13,7 @@ from traceforge.fields import GF, QQ
 from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _generators,
                                _module_from, _pivot_rows, _remainder, add, adjoin,
                                canonical_fractional_ideal, colon,
-                               conductor_ideal, contains, contains_ideal,
+                               conductor_ideal, contains, contains_ideal, dilate,
                                endomorphism_ring, equals,
                                ideal_from_generators, integral_closure_ideal,
                                maximal_ideal, minimal_generator_count, multiply,
@@ -331,6 +331,40 @@ def test_colon_by_generators_matches_reduction_oracle(case, b):
     assert equals(_module_from(f, H_, gens, J.tail + H_.multiplicity), J), J
     for X in (I, J, shift(I, -b)):
         assert equals(colon(X, J), colon_by_reduction(X, J)), (X, J)
+
+
+@st.composite
+def _dilation_cases(draw):
+    """Two ideals as in _ideal_pairs, shifted, and two nonzero scalars."""
+    I, J, _ = draw(_ideal_pairs(fields=(QQ, GF(3), GF(5))))
+    coeff = _coefficients(I.field)
+    return (shift(I, draw(st.integers(-4, 4))), shift(J, draw(st.integers(-4, 4))),
+            draw(coeff), draw(coeff))
+
+
+def _image(f, r, lam):
+    """The series r(lam t), term by term."""
+    return LaurentPoly(f, tuple((e, f.mul(c, pow(lam, e, f.p) if f.finite else lam ** e))
+                                for e, c in r.terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dilation_cases())
+@example((maximal_ideal(QQ, H), unit_ideal(QQ, H), QQ.element(-2), QQ.element(1, 3)))
+@example((shift(integral_closure_ideal(GF(5), H), -3), conductor_ideal(GF(5), H), 2, 4))
+def test_dilate_is_the_automorphism_image(case):
+    # t -> lam t maps R and every t^N K[[t]] onto themselves, so dilate keeps
+    # the tail and rescales each row to pivot coefficient 1 on its own
+    I, J, a, b = case
+    f, H_ = I.field, I.semigroup
+    image = dilate(I, a)
+    assert image == _canonical(f, H_, [_image(f, r, a) for r in I.rows], I.tail)
+    assert dilate(I, f.one) == I
+    assert dilate(image, b) == dilate(I, f.mul(a, b))
+    for op in (colon, multiply, add):
+        assert equals(dilate(op(I, J), a), op(image, dilate(J, a))), (op, I, J, a)
+    with pytest.raises(ValueError):
+        dilate(I, f.zero)
 
 
 @settings(max_examples=150, deadline=None)

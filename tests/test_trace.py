@@ -15,12 +15,12 @@ from traceforge.ideals import (LaurentPoly, adjoin, colon, conductor_ideal, cont
                                minimal_generator_count, shift, unit_ideal)
 from traceforge.semigroups import (NumericalSemigroup, canonical_value_set, enumerate_semigroups,
                                    is_arf, natural_semigroup, value_set_condition)
-from traceforge.trace import (LARGER, MINIMAL_TRACE_SET, _overring_trace,
+from traceforge.trace import (LARGER, MINIMAL_TRACE_SET, _overring_trace, _probe_colons,
                               enumerate_trace_ideals, family_probe, has_free_summand,
                               is_trace_ideal, minimal_trace_classification, trace,
                               verify_bijection, verify_normalization_union)
 
-from _oracles import trace_by_colon
+from _oracles import family_probe_by_colons, trace_by_colon
 
 S = NumericalSemigroup.from_generators
 N0 = natural_semigroup()
@@ -213,6 +213,18 @@ def test_family_probe_guards():
     assert family_probe(S([4, 5, 6]), 2, [1]).verdict == "no-separation"
     with pytest.raises(ValueError):
         family_probe(S([4, 5, 6]), 2, [1, 1])
+    with pytest.raises(ValueError):
+        family_probe(S([4, 5, 6]), 2, [])
+
+
+def test_family_probe_rejects_negative_exponent_before_any_colon():
+    # 1, -2 and -1 all lie outside K(4,5,6), but t^-2 + k t^-1 is not integral
+    errors = []
+    for samples in ([3], [0, 1, 5], []):
+        with pytest.raises(PreconditionViolated) as exc:
+            family_probe(S([4, 5, 6]), -2, samples)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == errors[2] and "negative" in errors[0]
 
 
 GENUS_AT_MOST_7 = list(enumerate_semigroups(7))
@@ -264,15 +276,33 @@ def test_probe_colons_match_golden_digest():
         n = value_set_condition(canonical_value_set(H_)).witness
         if n is None:
             continue
-        R = unit_ideal(QQ, H_)
-        for k in PROBE_SAMPLES:
-            T = _overring_trace(R, LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: k}))
+        for k, T in zip(PROBE_SAMPLES, _probe_colons(H_, n, PROBE_SAMPLES)):
             lines.append(json.dumps([H_.text, n, str(k), T.tail,
                                      [r.to_json() for r in T.rows]]))
     assert len(lines) == 66 * len(PROBE_SAMPLES)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     golden = Path(__file__).parent / "data" / "probe-colons-g8.sha256"
     assert digest == golden.read_text().strip()
+
+
+def _probe_exponents(H_):
+    """Every n >= 0 with 1, n and n+1 outside K(H)."""
+    K = canonical_value_set(H_)
+    return [n for n in range(H_.conductor + 1) if not any(x in K for x in (1, n, n + 1))]
+
+
+def test_probe_dilation_matches_per_sample_colons():
+    # every admissible exponent, not only the least; samples with 0, negative
+    # and non-integer values, and a list whose first nonzero sample is not 1
+    sample_lists = (PROBE_SAMPLES[:4] + (Fraction(-7, 5),),
+                    (Fraction(5, 2), Fraction(0), Fraction(-1, 3)))
+    pairs = [(H_, n) for H_ in enumerate_semigroups(8) for n in _probe_exponents(H_)]
+    assert len(pairs) == 198  # 122 with n >= 2
+    for H_, n in pairs:
+        for samples in sample_lists:
+            report, colons = family_probe_by_colons(H_, n, samples)
+            assert family_probe(H_, n, samples) == report, (H_, n, samples)
+            assert _probe_colons(H_, n, samples) == colons, (H_, n, samples)
 
 
 def test_normalization_union():
