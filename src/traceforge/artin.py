@@ -88,9 +88,9 @@ class ArtinAlgebra:
             for j in range(i, d):
                 if table[i][j] != table[j][i]:
                     raise ValueError("multiplication table is not commutative")
-        for j in range(d):
-            if table[0][j] != A.basis_vector(j):
-                raise ValueError("basis element 0 does not act as the identity")
+        # an empty basis has no identity either
+        if not d or any(table[0][j] != A.basis_vector(j) for j in range(d)):
+            raise ValueError("basis element 0 is missing or does not act as the identity")
         # (b_i b_j) b_k = b_i (b_j b_k); the table is already commutative
         for i, j, k in itertools.product(range(d), repeat=3):
             if A.act(k, table[i][j]) != A.act(i, table[j][k]):
@@ -164,7 +164,7 @@ def _span(A: ArtinAlgebra, vectors) -> tuple:
 @dataclass(frozen=True)
 class SubIdeal:
     """An ideal of an ArtinAlgebra, stored as its RREF basis (every
-    instance comes from :func:`_span` or the lattice engine)."""
+    instance comes from :func:`_span`, the lattice engine or a null space)."""
 
     algebra: ArtinAlgebra
     rows: tuple
@@ -269,10 +269,11 @@ def socle(A: ArtinAlgebra) -> SubIdeal:
     """The annihilator of the maximal ideal; the whole ring when dim = 1.
 
     It is the null space of the multiplication-by-b_g matrices, g >= 1,
-    and an annihilator is already an ideal, so it is that span."""
+    which ``solve_homogeneous`` returns in RREF, and an annihilator is
+    already an ideal, so that basis is the ideal's."""
     # zip(*A.table[g])[r][c]: coordinate r of b_g b_c
     rows = tuple(row for g in range(1, A.dim) for row in zip(*A.table[g]))
-    return SubIdeal(A, _span(A, solve_homogeneous(Matrix(A.field, rows, A.dim))))
+    return SubIdeal(A, tuple(solve_homogeneous(Matrix(A.field, rows, A.dim))))
 
 
 def hom_trace(I: SubIdeal) -> SubIdeal:

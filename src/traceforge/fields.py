@@ -9,6 +9,7 @@ their field.  No floating point is used anywhere.
 included, since a ``Matrix`` carries its width.  It takes canonical field
 elements (zero is a false value) and touches only the pivot row's
 support, with native operators and ``% p`` only over F_p.
+``solve_homogeneous`` returns the null space in RREF from one ``rref``.
 """
 
 from __future__ import annotations
@@ -241,23 +242,24 @@ def rank(m: Matrix) -> int:
 
 
 def solve_homogeneous(m: Matrix) -> list[tuple]:
-    """A basis of the null space {v : m v = 0}, one vector per free column.
+    """The null space {v : m v = 0} in reduced row echelon form.
 
-    The basis vector for free column j has entry 1 there and the negated
-    reduced column elsewhere, so dim = ncols - rank; with no rows the
-    basis is the ncols unit vectors.
+    One ``rref``, on m with its columns reversed, makes each free column j
+    lead a vector: 1 at j, zero before j and at the other free columns,
+    and the negated reduced column (native negation, ``% p`` over F_p) at
+    the pivots after j.  By increasing lead, these ncols - rank vectors
+    are the unique RREF; with no rows, the ncols unit vectors.
     """
-    f = m.field
-    red, pivots = rref(m)
-    nc = m.ncols
-    pivot_set = set(pivots)
+    f, nc = m.field, m.ncols
+    p = f.p if f.finite else 0
+    red, pivots = rref(Matrix(f, tuple(row[::-1] for row in m.rows), nc))
     basis = []
-    for j in range(nc):
-        if j in pivot_set:
-            continue
+    # column j of the reversed system is column nc - 1 - j of m
+    for j in sorted(set(range(nc)).difference(pivots), reverse=True):
         v = [f.zero] * nc
         v[j] = f.one
-        for r, p in enumerate(pivots):
-            v[p] = f.neg(red.rows[r][j])
-        basis.append(tuple(v))
+        for row, c in zip(red.rows, pivots):
+            if x := row[j]:
+                v[c] = -x % p if p else -x
+        basis.append(tuple(v[::-1]))
     return basis

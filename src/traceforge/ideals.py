@@ -442,27 +442,24 @@ def _colon(I: FractionalIdeal, gens, m: int) -> FractionalIdeal:
     linear system in the unknowns: the coefficients of the remainders of
     t^x * g, one column per window exponent x, from I's pivot-to-row map
     built once per call.
+
+    The null space comes back in RREF, so its vectors are I : J's echelon
+    rows, and tail(I) - m is minimal: J has an element of valuation m and
+    none of I has valuation tail(I) - 1, so t^(tail(I) - m - 1) is outside.
     """
-    f, H = I.field, I.semigroup
-    tail = I.tail - m
-    lo_min = I.lo - m
-    window = range(lo_min, tail)
+    f = I.field
+    tail, lo_min = I.tail - m, I.lo - m
     spanning = [g.terms for g in gens if g.valuation < I.tail - lo_min]
     pivot_rows = _pivot_rows(I)
-    columns = []
-    for x in window:
-        col = {}
-        for gi, g in enumerate(spanning):
-            res = _remainder(f, pivot_rows, I.tail, [(e + x, c) for e, c in g])
-            for e, cf in res.items():
-                col[(gi, e)] = cf
-        columns.append(col)
+    columns = [{(gi, e): c for gi, g in enumerate(spanning) for e, c in
+                _remainder(f, pivot_rows, I.tail, [(k + x, a) for k, a in g]).items()}
+               for x in range(lo_min, tail)]
     keys = sorted({k for col in columns for k in col})
-    mat = Matrix(f, tuple(
-        tuple(col.get(k, f.zero) for col in columns) for k in keys), len(window))
-    sols = [LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
-            for vec in solve_homogeneous(mat)]
-    return _canonical(f, H, sols, tail)
+    mat = Matrix(f, tuple(tuple(col.get(k, f.zero) for col in columns) for k in keys),
+                 tail - lo_min)
+    return FractionalIdeal(f, I.semigroup, tail, tuple(
+        LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
+        for vec in solve_homogeneous(mat)))
 
 
 def _generators(I: FractionalIdeal) -> list:

@@ -16,7 +16,9 @@ on the members below c), ring adjunctions R[g] from powers of R + Rg
 instead of the closed form, the maximal ideal from the R-module generated
 by H's minimal generators instead of the members below c, row reduction
 through the field's own operations on every cell instead of native
-operators on the pivot row's support, remainders from whole polynomial subtractions instead of the
+operators on the pivot row's support, null spaces one vector per free
+column through the field's negation instead of in RREF from the
+column-reversed system, remainders from whole polynomial subtractions instead of the
 closed-form remainders of the monomials, products of ideals from module
 generation instead of the span of row products, products in an Artinian
 algebra from every pair of nonzero entries through the field's operations
@@ -573,6 +575,29 @@ def rref_by_field_ops(m):
         pivots.append(c)
         r += 1
     return Matrix(f, tuple(tuple(row) for row in rows), nc), tuple(pivots)
+
+
+def nullspace_by_free_columns(m):
+    """A basis of the null space {v : m v = 0}, one vector per free column.
+
+    The basis vector for free column j has entry 1 there and the negated
+    reduced column elsewhere, so dim = ncols - rank; with no rows the
+    basis is the ncols unit vectors.
+    """
+    f = m.field
+    red, pivots = rref(m)
+    nc = m.ncols
+    pivot_set = set(pivots)
+    basis = []
+    for j in range(nc):
+        if j in pivot_set:
+            continue
+        v = [f.zero] * nc
+        v[j] = f.one
+        for r, p in enumerate(pivots):
+            v[p] = f.neg(red.rows[r][j])
+        basis.append(tuple(v))
+    return basis
 
 
 def reduce_by_poly_ops(I, f):

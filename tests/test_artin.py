@@ -56,6 +56,9 @@ def test_algebra_validation():
     with pytest.raises(ValueError, match="identity"):
         # b_0 * b_1 = 0, so b_0 is not the identity
         ArtinAlgebra.create(GF(2), ("1", "x"), [[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+    with pytest.raises(ValueError, match="identity"):
+        # an empty basis has no identity, so it is no algebra
+        ArtinAlgebra.create(GF(2), [], [])
     # x^2 = y, xy = z, y^2 = z: commutative, but (xx)y = z while x(xy) = xz = 0
     u = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     zero = [0, 0, 0, 0]

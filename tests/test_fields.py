@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import rref_by_field_ops
+from _oracles import nullspace_by_free_columns, rref_by_field_ops
 from traceforge import fields
 from traceforge.errors import DivisionByZero
 from traceforge.fields import GF, QQ, Matrix, rank, rref, solve_homogeneous
@@ -71,6 +71,10 @@ def test_nullspace_examples():
     assert solve_homogeneous(identity) == []
     zero = Matrix.from_rows(QQ, [[0, 0, 0], [0, 0, 0]])
     assert len(solve_homogeneous(zero)) == 3
+    # the free-column basis (-1, 1, 0), (-1, 0, 1) is not in RREF
+    ones = Matrix.from_rows(QQ, [[1, 1, 1]])
+    assert nullspace_by_free_columns(ones) == [(-1, 1, 0), (-1, 0, 1)]
+    assert solve_homogeneous(ones) == [(1, 0, -1), (0, 1, -1)]
 
 
 def test_nullspace_without_rows_is_every_unit_vector():
@@ -154,8 +158,12 @@ def test_rref_idempotent_and_rank_stable(m):
 @settings(max_examples=120, deadline=None)
 @given(matrices())
 def test_nullspace_vectors_annihilate(m):
+    # the basis is a fixed point of rref, annihilates m, has ncols - rank
+    # vectors and spans what the free-column basis spans
     f = m.field
     basis = solve_homogeneous(m)
+    as_matrix = Matrix(f, tuple(basis), m.ncols)
+    assert rref(as_matrix)[0] == as_matrix
     assert len(basis) == m.ncols - rank(m)
     for v in basis:
         for row in m.rows:
@@ -163,6 +171,7 @@ def test_nullspace_vectors_annihilate(m):
             for x, y in zip(row, v):
                 acc = f.add(acc, f.mul(x, y))
             assert f.is_zero(acc)
+    assert rref(Matrix(f, tuple(nullspace_by_free_columns(m)), m.ncols))[0] == as_matrix
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _genera
                                maximal_ideal, minimal_generator_count, multiply,
                                shift, unit_ideal, value_set)
 from traceforge.semigroups import (NumericalSemigroup, SemigroupIdeal, canonical_value_set,
-                                   enumerate_semigroups, natural_semigroup)
+                                   enumerate_semigroups, natural_semigroup,
+                                   value_set_condition)
+from traceforge.trace import _overring_trace
 
 S = NumericalSemigroup.from_generators
 N0 = natural_semigroup()
@@ -331,6 +333,41 @@ def test_colon_by_generators_matches_reduction_oracle(case, b):
     assert equals(_module_from(f, H_, gens, J.tail + H_.multiplicity), J), J
     for X in (I, J, shift(I, -b)):
         assert equals(colon(X, J), colon_by_reduction(X, J)), (X, J)
+
+
+def _is_canonical(C):
+    return _canonical(C.field, C.semigroup, C.rows, C.tail) == C
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ideal_pairs(), st.integers(-4, 4), st.integers(-4, 4))
+def test_colons_come_out_canonical(case, a, b):
+    # a colon is its null space's RREF below tail(I) - lo(J), with no second
+    # echelonization and no tail trimming: the rows are echelon and the tail
+    # is minimal, as t^(tail - 1) * J is not inside I
+    I, J, _ = case
+    I, J = shift(I, a), shift(J, b)
+    for X, Y in ((I, J), (J, I), (I, I)):
+        C = colon(X, Y)
+        assert _is_canonical(C) and not contains_ideal(X, shift(Y, C.tail - 1)), (X, Y)
+
+
+def test_probe_colons_come_out_canonical():
+    # R : R[t^n + k t^(n+1)] on every genus <= 8 semigroup with a probe exponent;
+    # 1 lies in R[g], and t^(tail - 1) does not lie in R
+    samples = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(7, 5))
+    count = 0
+    for H_ in enumerate_semigroups(8):
+        n = value_set_condition(canonical_value_set(H_)).witness
+        if n is None:
+            continue
+        R = unit_ideal(QQ, H_)
+        for k in samples:
+            g = LaurentPoly.from_dict(QQ, {n: QQ.one, n + 1: k})
+            T = _overring_trace(R, g)
+            assert _is_canonical(T) and not contains(R, LaurentPoly.monomial(QQ, T.tail - 1))
+            count += 1
+    assert count == 66 * len(samples)
 
 
 @st.composite
