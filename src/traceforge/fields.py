@@ -8,7 +8,11 @@ their field.  No floating point is used anywhere.
 `rref`, the one elimination kernel, takes systems of any shape, no rows
 included, since a ``Matrix`` carries its width.  It takes canonical field
 elements (zero is a false value) and touches only the pivot row's
-support, with native operators and ``% p`` only over F_p.
+support, with native operators.  The field selects the loop: over F_p
+it works on residues with ``% p``, over QQ it clears each row's
+denominators and eliminates fraction-free on integers, as Bareiss does
+(Math. Comp. 22, 1968) but dividing rows by their content, and divides
+by the pivots once at the end.
 ``solve_homogeneous`` returns the null space in RREF from one ``rref``.
 """
 
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero
 
@@ -193,18 +197,24 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     The reduced form is unique, which canonical ideal forms rely on; the
     pivot in each column is the first row with a nonzero entry.  Entries
     must be canonical field elements, so that zero is false (over F_p
-    they are reduced mod p on entry).  Every other row is updated only at
-    the columns where the scaled pivot row is nonzero, with native
-    operators and ``% p`` only over F_p.  Rows of any width other than
+    they are reduced mod p on entry).  Rows of any width other than
     ``m.ncols`` raise ``ValueError``; a matrix with no rows is reduced.
+
+    Over F_p every other row is updated only at the columns where the
+    scaled pivot row is nonzero, with native operators and ``% p``.  Over
+    QQ the rows are eliminated fraction-free on integers
+    (:func:`_rref_rational`) and each pivot row is divided by its pivot
+    once at the end, so every output entry is a canonical ``Fraction``.
     """
     f = m.field
-    p = f.p if f.finite else 0
     nc = m.ncols
-    rows = [[x % p for x in r] for r in m.rows] if p else [list(r) for r in m.rows]
-    for row in rows:
+    for row in m.rows:
         if len(row) != nc:
             raise ValueError(f"ragged matrix rows: a row of width {len(row)}, not {nc}")
+    if not f.finite:
+        return _rref_rational(m)
+    p = f.p
+    rows = [[x % p for x in r] for r in m.rows]
     nr = len(rows)
     pivots = []
     r = 0
@@ -220,21 +230,72 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         # entries left of c are zero in every row from r on
         nz = [j for j in range(c, nc) if pivot[j]]
         for j in nz:
-            pivot[j] = pivot[j] * k % p if p else pivot[j] * k
+            pivot[j] = pivot[j] * k % p
         for i in range(nr):
             row = rows[i]
             k = row[c]
             if i == r or not k:
                 continue
-            if p:
-                for j in nz:
-                    row[j] = (row[j] - k * pivot[j]) % p
-            else:
-                for j in nz:
-                    row[j] -= k * pivot[j]
+            for j in nz:
+                row[j] = (row[j] - k * pivot[j]) % p
         pivots.append(c)
         r += 1
     return Matrix(f, tuple(tuple(row) for row in rows), nc), tuple(pivots)
+
+
+def _rref_rational(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """:func:`rref` over QQ, fraction-free on integers.
+
+    Each row is multiplied by the lcm of its denominators.  The pivot rule
+    is that of the F_p loop.  With pivot a, a row with entry b in the
+    pivot column becomes (a/g) row - (b/g) pivot for g = gcd(a, b), and is
+    then divided by its content; it is scaled only when a/g is not 1, and
+    the subtraction touches only the pivot row's support.  Each row stays
+    a nonzero rational multiple of the row that eliminating over QQ would
+    give, so the zero patterns, and with them the pivots, are the same;
+    dividing each pivot row by its pivot once at the end gives the RREF.
+    Rows past the rank are zero.
+    """
+    # most zero entries are the field's zero object, skipped with no call
+    zero = m.field.zero
+    nc = m.ncols
+    rows = []
+    for r in m.rows:
+        scale = lcm(*(x.denominator for x in r if x is not zero))
+        rows.append([0 if x is zero else x.numerator * (scale // x.denominator) for x in r])
+    nr = len(rows)
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r]
+        a = pivot[c]
+        # entries left of c are zero in every row from r on
+        nz = [j for j in range(c, nc) if pivot[j]]
+        for i in range(nr):
+            row = rows[i]
+            b = row[c]
+            if i == r or not b:
+                continue
+            g = gcd(a, b)
+            s, t = a // g, b // g
+            if s != 1:
+                row = [s * x for x in row]
+            for j in nz:
+                row[j] -= t * pivot[j]
+            g = gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    out = [tuple(Fraction(x, row[c]) if x else zero for x in row)
+           for row, c in zip(rows, pivots)]
+    out += [(zero,) * nc] * (nr - r)
+    return Matrix(m.field, tuple(out), nc), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

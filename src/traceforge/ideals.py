@@ -336,11 +336,16 @@ def _module_from(field, H, gens, tail: int) -> FractionalIdeal:
 # built in canonical form: c - 1 is a gap, and K.stable is minimal.
 
 
+def _monomial_ideal(field, H, exps, tail: int) -> FractionalIdeal:
+    """span(t^x : x in exps) + t^tail K[[t]], for increasing exponents below
+    a minimal tail, whose span is a module: canonical as it stands."""
+    one = field.one
+    return FractionalIdeal(field, H, tail, tuple(LaurentPoly(field, ((x, one),)) for x in exps))
+
+
 def unit_ideal(field, H) -> FractionalIdeal:
     """R itself: monomials t^h for the members below the conductor."""
-    c = H.conductor
-    return FractionalIdeal(field, H, c, tuple(LaurentPoly.monomial(field, h)
-                                              for h in H.members(c)))
+    return _monomial_ideal(field, H, H.members(H.conductor), H.conductor)
 
 
 def conductor_ideal(field, H) -> FractionalIdeal:
@@ -357,8 +362,7 @@ def maximal_ideal(field, H) -> FractionalIdeal:
     """m: monomials t^h for the nonzero members below the conductor (and
     t K[[t]] for N0)."""
     tail = max(H.conductor, 1)
-    return FractionalIdeal(field, H, tail, tuple(LaurentPoly.monomial(field, h)
-                                                 for h in H.members(tail) if h))
+    return _monomial_ideal(field, H, (h for h in H.members(tail) if h), tail)
 
 
 def ideal_from_generators(field, H, gens, with_conductor: bool = False) -> FractionalIdeal:
@@ -426,9 +430,19 @@ def dilate(I: FractionalIdeal, lam) -> FractionalIdeal:
 
 
 def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
-    """The colon module I : J = {alpha : alpha * J inside I}, from J's
-    generators over R (:func:`_generators`), since I is an R-module."""
+    """The colon module I : J = {alpha : alpha * J inside I}.
+
+    When every row of I and of J is a monomial, I : J is the monomial
+    ideal on the semigroup-ideal colon v(I) - v(J), over any field: I is
+    spanned by monomials, so alpha t^j lies in I exactly when each term of
+    alpha t^j does, and J is spanned by the t^j, j in v(J).  Otherwise it
+    is solved from J's generators over R (:func:`_generators`), since I
+    is an R-module.
+    """
     _check_pair(I, J)
+    if all(r.is_monomial() for r in I.rows + J.rows):
+        E = value_set(I) - value_set(J)
+        return _monomial_ideal(I.field, I.semigroup, E.elements(E.stable), E.stable)
     return _colon(I, _generators(J), J.lo)
 
 
@@ -502,9 +516,8 @@ def canonical_fractional_ideal(field, H) -> tuple[FractionalIdeal, int]:
     within genus(H) steps.
     """
     K = canonical_value_set(H)
-    W = FractionalIdeal(field, H, K.stable, tuple(LaurentPoly.monomial(field, x)
-                                                  for x in K.elements(K.stable)))
-    power = SemigroupIdeal.create(H, H.members(H.conductor), H.conductor)
+    W = _monomial_ideal(field, H, K.elements(K.stable), K.stable)
+    power = value_set(unit_ideal(field, H))
     for n in range(H.genus + 1):
         power, prev = power + K, power
         if power == prev:

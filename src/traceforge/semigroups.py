@@ -236,17 +236,25 @@ class SemigroupIdeal:
 
     @classmethod
     def create(cls, base, elements, stable: int) -> "SemigroupIdeal":
+        """The set ``elements`` (those below ``stable``) plus [stable, oo),
+        checked to be closed under the base semigroup."""
+        ideal = cls._trimmed(base, elements, stable)
+        for x in sorted(ideal.window):
+            for g in base.minimal_generators:
+                if x + g not in ideal:
+                    raise AssertionError(f"{set(ideal.window)} is not an ideal over {base}")
+        return ideal
+
+    @classmethod
+    def _trimmed(cls, base, elements, stable: int) -> "SemigroupIdeal":
+        """:meth:`create` with no closure check, for a set that is an ideal
+        by construction; ``stable`` is lowered to its minimum."""
         elements = {int(x) for x in elements if x < stable}
         while stable - 1 in elements:
             elements.discard(stable - 1)
             stable -= 1
         start = min(elements) if elements else stable
-        ideal = cls(base, start, stable, frozenset(elements))
-        for x in sorted(elements):
-            for g in base.minimal_generators:
-                if x + g not in ideal:
-                    raise AssertionError(f"{elements} is not an ideal over {base}")
-        return ideal
+        return cls(base, start, stable, frozenset(elements))
 
     def __contains__(self, x) -> bool:
         if x >= self.stable:
@@ -263,10 +271,27 @@ class SemigroupIdeal:
 
     def __add__(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
         """The sumset E + F over the same base: every integer from
-        min(E.stable + F.start, F.stable + E.start) on is a sum."""
+        min(E.stable + F.start, F.stable + E.start) on is a sum, and
+        E + F + H = E + (F + H) lies in E + F, so it is an ideal."""
         stable = min(self.stable + other.start, other.stable + self.start)
-        return SemigroupIdeal.create(self.base, {x + y for x in self.elements(stable)
-                                                 for y in other.elements(stable - x)}, stable)
+        return SemigroupIdeal._trimmed(self.base, {x + y for x in self.elements(stable)
+                                                   for y in other.elements(stable - x)}, stable)
+
+    def __sub__(self, other: "SemigroupIdeal") -> "SemigroupIdeal":
+        """The colon E - F = {x : x + F inside E} over the same base (not
+        the set difference); it is an ideal, since E + H lies in E.
+
+        F is the union of f + H over its generators f and E + H lies in
+        E, so x is in E - F when x + f is in E for each generator f.  Below
+        E.start - F.start, x + F.start lies below E; from
+        s = E.stable - F.start on, x + F lies in [E.stable, oo).  And s is
+        minimal, since s - 1 + F.start = E.stable - 1 is outside E.
+        """
+        gens = other.generators
+        stable = self.stable - other.start
+        window = frozenset(x for x in range(self.start - other.start, stable)
+                           if all(x + f in self for f in gens))
+        return SemigroupIdeal(self.base, min(window, default=stable), stable, window)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:

@@ -185,7 +185,8 @@ def _kernel_values(field):
     """Entries as callers may pass them: over F_p any int, reduced or not."""
     if field.finite:
         return st.integers(-3 * field.p, 3 * field.p)
-    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    return st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                     st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)))
 
 
 @st.composite
@@ -219,6 +220,16 @@ def kernel_matrices(draw):
 @example((GF(3), [[-1, 2, 0], [2, 2, 1]], 3))  # negative residues
 @example((QQ, [], 3))                         # no rows
 @example((GF(7), [[], []], 0))                # no columns
+@example((QQ, [[Fraction(-3), Fraction(1, 2), Fraction(0)],   # negative pivots
+               [Fraction(2), Fraction(0), Fraction(-5, 3)],
+               [Fraction(0), Fraction(-7, 4), Fraction(1)]], 3))
+@example((QQ, [[Fraction(12345678901), Fraction(-98765432109, 7), Fraction(1)],  # 10+ digits
+               [Fraction(-23456789012, 13), Fraction(0), Fraction(31415926535)],
+               [Fraction(27182818284), Fraction(11111111111, 3), Fraction(-1, 99999999977)],
+               [Fraction(1), Fraction(1), Fraction(1)]], 3))
+@example((QQ, [[Fraction(0), Fraction(-4), Fraction(6)],
+               [Fraction(-2), Fraction(3), Fraction(0)],
+               [Fraction(-4), Fraction(-2), Fraction(6)]], 3))  # dependent, negative pivots
 def test_rref_matches_field_op_loop(case):
     field, entries, nc = case
     raw = Matrix(field, tuple(tuple(row) for row in entries), nc)
@@ -229,6 +240,8 @@ def test_rref_matches_field_op_loop(case):
     assert red.rows == want.rows
     if field.finite:
         assert all(0 <= x < field.p for row in red.rows for x in row)
+    else:  # eliminated on integers, and canonical Fractions again on exit
+        assert all(type(x) is Fraction for row in red.rows for x in row)
     with mock.patch.object(fields, "rref", rref_by_field_ops):
         want_basis = solve_homogeneous(canonical)
     assert solve_homogeneous(raw) == want_basis

@@ -15,15 +15,15 @@ from-scratch oracles at every module.
 from fractions import Fraction
 from functools import reduce
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (_window_basis, _window_vector, gap_system_by_rref, images_by_reduction,
                       is_trace_by_rank, socle_lines_by_reduction)
+from _strategies import capped_semigroups
 from traceforge.artin import (_ideal_lattice, _reduce_images, _socle_lines, enumerate_ideals,
                               gorenstein_two_generators, semigroup_quotient,
                               square_zero_two_vars, truncated_dvr)
-from traceforge.errors import NotCofinite
 from traceforge.fields import GF, QQ
 from traceforge.ideals import (LaurentPoly, conductor_ideal, ideal_from_generators,
                                maximal_ideal, unit_ideal)
@@ -60,21 +60,10 @@ def test_every_lattice_member_small_genus():
             assert hits == enumerate_trace_ideals(H, p).count_with_zero - 1, (H, p)
 
 
-# multiplicity m plus up to four generators close above it keeps dim R/c small
-small_generator_sets = st.integers(2, 7).flatmap(
-    lambda m: st.lists(st.integers(m + 1, 2 * m + 3), min_size=1, max_size=4)
-    .map(lambda rest: [m] + rest))
-
-
 @settings(max_examples=60, deadline=None)
-@given(small_generator_sets, st.sampled_from((2, 3, 5, 7)))
-def test_every_lattice_member_random_semigroups(gens, p):
-    try:
-        H = S(gens)
-    except NotCofinite:
-        assume(False)
-    d = len(list(H.members(H.conductor)))
-    assume(d <= 5 and p ** d <= 7 ** 4)  # the cap of the lattice oracle tests
+@given(capped_semigroups)
+def test_every_lattice_member_random_semigroups(case):
+    H, p = case
     for rows in lattice(H, p):
         agree(GF(p), H, rows)
 
@@ -102,16 +91,12 @@ def walk_agrees(p, d, actions, step=None, state=None):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_generator_sets, st.sampled_from((2, 3, 5, 7)))
-def test_walk_carries_images_and_gap_system(gens, p):
-    try:
-        H = S(gens)
-    except NotCofinite:
-        assume(False)
+@given(capped_semigroups)
+def test_walk_carries_images_and_gap_system(case):
+    H, p = case
     f = GF(p)
     q = _quotient(f, H)
     d = len(q.exps)
-    assume(d <= 5 and p ** d <= 7 ** 4)  # the cap of the lattice oracle tests
     exps = q.exps
     for rows, pivots, gaps in walk_agrees(p, d, q.shifts, q.gap_system, _NO_GAPS):
         assert gaps == gap_system_by_rref(q, rows), rows

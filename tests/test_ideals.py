@@ -10,7 +10,7 @@ from _oracles import (adjoin_by_iteration, closed_under, colon_by_reduction, col
                       reduce_by_poly_ops, reduction_exponent_by_products)
 from traceforge.errors import FieldMismatch, NotIntegral, ZeroIdeal
 from traceforge.fields import GF, QQ
-from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _generators,
+from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _colon, _generators,
                                _module_from, _pivot_rows, _remainder, add, adjoin,
                                canonical_fractional_ideal, colon,
                                conductor_ideal, contains, contains_ideal, dilate,
@@ -333,6 +333,60 @@ def test_colon_by_generators_matches_reduction_oracle(case, b):
     assert equals(_module_from(f, H_, gens, J.tail + H_.multiplicity), J), J
     for X in (I, J, shift(I, -b)):
         assert equals(colon(X, J), colon_by_reduction(X, J)), (X, J)
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """Two monomial ideals of one genus <= 6 semigroup ring over QQ, F_2 or
+    F_3, each shifted: generated by monomials of valuation -3 to 6 (so
+    non-integral ones occur), with or without the conductor, or with no
+    rows at all (a tail t^N K[[t]] only)."""
+    H_ = draw(st.sampled_from([X for X in GENUS_AT_MOST_6 if X.conductor <= 9]))
+    f = draw(st.sampled_from((QQ, GF(2), GF(3))))
+
+    def ideal():
+        if draw(st.booleans()) and draw(st.booleans()):
+            I = integral_closure_ideal(f, H_)
+        else:
+            exps = draw(st.lists(st.integers(-3, 6), min_size=1, max_size=3))
+            I = ideal_from_generators(f, H_, [LaurentPoly.monomial(f, e) for e in exps],
+                                      with_conductor=draw(st.booleans()))
+        return shift(I, draw(st.integers(-4, 4)))
+
+    return ideal(), ideal()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_pairs())
+@example((maximal_ideal(QQ, H), maximal_ideal(QQ, H)))              # m : m
+@example((unit_ideal(GF(2), H), shift(integral_closure_ideal(GF(2), H), 2)))  # R : t^2 K[[t]]
+@example((shift(conductor_ideal(GF(3), N0), -1), unit_ideal(GF(3), N0)))      # N0, tails only
+def test_monomial_colon_matches_linear_solve(pair):
+    # the closed form v(I) - v(J) against the linear solve on J's generators
+    # and against the oracle that reduces every spanning element of J
+    I, J = pair
+    assert all(r.is_monomial() for r in I.rows + J.rows)
+    for X, Y in ((I, J), (J, I), (I, I)):
+        got = colon(X, Y)
+        assert got == _colon(X, _generators(Y), Y.lo), (X, Y)
+        assert equals(got, colon_by_reduction(X, Y)), (X, Y)
+
+
+def test_endomorphism_ring_of_m_matches_linear_solve():
+    # m : m in closed form on every semigroup of genus <= 10, against the
+    # linear solve it replaced; it is K[[H u PF(H)]], H with its
+    # pseudo-Frobenius numbers
+    count = 0
+    for H_ in enumerate_semigroups(10):
+        m = maximal_ideal(QQ, H_)
+        E = endomorphism_ring(m)
+        assert E == _colon(m, _generators(m), m.lo), H_
+        c = H_.conductor
+        if c:  # PF(N0) = (-1,) by convention
+            members = set(H_.members(c)) | set(H_.pseudo_frobenius())
+            assert set(E.pivots) | set(range(E.tail, c)) == members, H_
+        count += 1
+    assert count == 478
 
 
 def _is_canonical(C):

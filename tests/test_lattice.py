@@ -11,14 +11,14 @@ for row.
 """
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from _oracles import lattice_by_closure, lattice_by_covers
+from _strategies import capped_semigroups
 from traceforge.artin import (ArtinAlgebra, _ideal_lattice, enumerate_ideals,
                               gorenstein_two_generators, semigroup_quotient,
                               socle, square_zero_two_vars, truncated_dvr)
-from traceforge.errors import NotCofinite, WorkloadExceeded
+from traceforge.errors import WorkloadExceeded
 from traceforge.fields import GF
 from traceforge.semigroups import (NumericalSemigroup, enumerate_semigroups,
                                    natural_semigroup)
@@ -96,36 +96,19 @@ def test_generator_past_the_conductor():
     assert len(engine_rows(H, 2)) == 6  # 0, three lines, m/c, R/c
 
 
-# multiplicity m plus up to four generators close above it keeps dim R/c small
-small_generator_sets = st.integers(2, 7).flatmap(
-    lambda m: st.lists(st.integers(m + 1, 2 * m + 3), min_size=1, max_size=4)
-    .map(lambda rest: [m] + rest))
-
-
 @settings(max_examples=40, deadline=None)
-@given(small_generator_sets, st.sampled_from((2, 3, 5, 7)))
-def test_engine_matches_oracle_random_semigroups(gens, p):
-    try:
-        H = S(gens)
-    except NotCofinite:
-        assume(False)
-    d = len(list(H.members(H.conductor)))
-    # the oracle's pairwise closure is quadratic in the lattice size, which
-    # reaches thousands of modules for d = 5 over F_5 and F_7 (m^2 = 0)
-    assume(d <= 5 and p ** d <= 7 ** 4)
+@given(capped_semigroups)
+def test_engine_matches_oracle_random_semigroups(case):
+    H, p = case
     assert engine_rows(H, p) == oracle_rows(H, p)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_generator_sets, st.sampled_from((2, 3, 5, 7)))
-def test_stream_makes_each_module_once_from_its_parent(gens, p):
-    try:
-        H = S(gens)
-    except NotCofinite:
-        assume(False)
+@given(capped_semigroups)
+def test_stream_makes_each_module_once_from_its_parent(case):
+    H, p = case
     q = _quotient(GF(p), H)
     d = len(q.exps)
-    assume(d <= 5 and p ** d <= 7 ** 4)  # the caps of the oracle test above
     stream = [(rows, pivots) for rows, pivots, *_ in _ideal_lattice(p, d, q.shifts)]
     modules = {rows for rows, _ in stream}
     assert len(modules) == len(stream)  # nothing yielded twice

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import (apery_by_scan, closure_members, gap_sets_for_genus, is_arf_by_rule,
                       semigroup_with_value_set_by_window)
@@ -357,3 +359,52 @@ def test_semigroup_ideal_normalization():
     E = SemigroupIdeal.create(H, {4, 5, 6, 7}, 8)
     assert E.stable == 4 and not E.window  # 4..7 absorbed into the tail
     assert 4 in E and 3 not in E
+
+
+GENUS_AT_MOST_7 = list(enumerate_semigroups(7))
+
+
+@st.composite
+def _semigroup_ideals(draw, H):
+    """The H-ideal generated by one to three integers in [-4, c + 4], each
+    t + H, so shifted, non-integral and tail-only ideals all occur."""
+    c = H.conductor
+    gens = draw(st.lists(st.integers(-4, c + 4), min_size=1, max_size=3))
+    stable = min(gens) + c
+    return SemigroupIdeal.create(H, {g + h for g in gens for h in H.members(stable - g)}, stable)
+
+
+@st.composite
+def _ideal_pairs(draw):
+    H = draw(st.sampled_from(GENUS_AT_MOST_7))
+    return draw(_semigroup_ideals(H)), draw(_semigroup_ideals(H))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ideal_pairs())
+@example((SemigroupIdeal.create(S([4, 5, 11]), {4, 5}, 8),
+          SemigroupIdeal.create(S([4, 5, 11]), {4, 5}, 8)))  # m - m, stable 8 - 4
+@example((SemigroupIdeal.create(N0, (), 3), SemigroupIdeal.create(N0, (), -2)))  # tails only
+def test_semigroup_ideal_colon_matches_set_definition(pair):
+    # E - F against {x : x + f in E for every f in F}, by brute force over
+    # a window wider than the one the colon scans; past E.stable - x every
+    # x + f lies in E's tail, so f needs checking only up to there
+    E, F = pair
+    H = E.base
+    lo, hi = E.start - F.stable - 6, E.stable - F.start + 6
+    members = {x for x in range(lo, hi)
+               if all(x + f in E for f in F.elements(E.stable - x + 1))}
+    assert min(members) > lo  # the window reaches below the colon
+    assert E - F == SemigroupIdeal.create(H, members, hi), (E, F)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ideal_pairs())
+def test_semigroup_ideal_sums_and_colons_are_ideals(pair):
+    # __add__ and __sub__ build their results with no closure sweep; create
+    # re-checks closure under H and the minimal stable bound and start
+    E, F = pair
+    H = E.base
+    for X in (E + F, F + E, E - F, F - E, E - E, (E - F) + F):
+        assert X == SemigroupIdeal.create(H, X.window, X.stable), (E, F, X)
+    assert all(x in E for x in ((E - F) + F).elements(E.stable + 1))  # (E - F) + F inside E
