@@ -141,8 +141,8 @@ def cmd_artin(args) -> int:
     if args.preset == "sq0":
         A = square_zero_two_vars(field)
     elif args.preset == "chain":
-        if field.finite:  # refuse the enumeration before building the L^3 table
-            _check_ideal_sweep(field.p, args.l)
+        # refuse before building the L^3 table; over QQ with F_2's bound, the loosest
+        _check_ideal_sweep(field.p if field.finite else 2, args.l)
         A = truncated_dvr(field, args.l)
     elif args.preset == "gor4":
         A = gorenstein_two_generators(field)

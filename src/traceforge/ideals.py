@@ -419,6 +419,7 @@ def dilate(I: FractionalIdeal, lam) -> FractionalIdeal:
     zero, so the rows still vanish at each other's pivots.
     """
     f = I.field
+    lam = f.element(lam)
     if f.is_zero(lam):
         raise ValueError("dilation needs a nonzero scalar")
     powers = [f.one]

@@ -9,7 +9,8 @@ H}, blowups and the Lipman chain, Arf tests and closure, and an
 exhaustive enumeration of all semigroups up to a given genus.
 
 H is stored as its membership table below the conductor c, filled by
-one sieve in ``from_generators`` (conductors up to ``CONDUCTOR_LIMIT``).
+the sieve in ``from_generators`` (conductors up to ``CONDUCTOR_LIMIT``)
+or written directly by the genus tree and the Arf closure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from math import gcd
 
-from .errors import BoundTooLarge, EmptyGenerators, NotAMember, NotCofinite
+from .errors import BoundTooLarge, EmptyGenerators, FieldMismatch, NotAMember, NotCofinite
 
 __all__ = [
     "NumericalSemigroup",
@@ -108,14 +109,6 @@ class NumericalSemigroup:
             table.append(member)
             run = run + 1 if member else 0
         return cls(table[: len(table) - m])
-
-    @classmethod
-    def _from_member_set(cls, members, bound: int) -> "NumericalSemigroup":
-        # members: the member set restricted to [0, bound); [bound, oo) is in H.
-        table = bytearray(bound)
-        for n in members:
-            table[n] = 1
-        return cls(table.rstrip(b"\x01"))
 
     # -- membership ----------------------------------------------------
 
@@ -273,6 +266,8 @@ class SemigroupIdeal:
         """The sumset E + F over the same base: every integer from
         min(E.stable + F.start, F.stable + E.start) on is a sum, and
         E + F + H = E + (F + H) lies in E + F, so it is an ideal."""
+        if other.base != self.base:
+            raise FieldMismatch(f"ideals over {self.base} vs {other.base}")
         stable = min(self.stable + other.start, other.stable + self.start)
         return SemigroupIdeal._trimmed(self.base, {x + y for x in self.elements(stable)
                                                    for y in other.elements(stable - x)}, stable)
@@ -287,6 +282,8 @@ class SemigroupIdeal:
         s = E.stable - F.start on, x + F lies in [E.stable, oo).  And s is
         minimal, since s - 1 + F.start = E.stable - 1 is outside E.
         """
+        if other.base != self.base:
+            raise FieldMismatch(f"ideals over {self.base} vs {other.base}")
         gens = other.generators
         stable = self.stable - other.start
         window = frozenset(x for x in range(self.start - other.start, stable)
@@ -476,25 +473,15 @@ def is_arf(H: NumericalSemigroup) -> bool:
 def arf_closure(H: NumericalSemigroup) -> NumericalSemigroup:
     """The smallest Arf semigroup containing H.
 
-    Fixed point of the rule x + y - z for members x >= y >= z.  Only
-    triples below the conductor can produce anything new (the result is
-    at least x), so the closure runs on the finite window [0, c).
-    """
-    c = H.conductor
-    members = set(H.members(c))
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(members)
-        for xi, x in enumerate(snapshot):
-            for yi in range(xi + 1):
-                y = snapshot[yi]
-                for zi in range(yi + 1):
-                    r = x + y - snapshot[zi]
-                    if r < c and r not in members:
-                        members.add(r)
-                        changed = True
-    return NumericalSemigroup._from_member_set(members, c)
+    It has the multiplicities e_0, e_1, ... of H's Lipman chain (Lipman,
+    Amer. J. Math. 93, 1971), and an Arf semigroup is the set of partial
+    sums of its multiplicity sequence: members 0, e_0, e_0 + e_1, ..., and
+    every integer from the sum over the chain before N0 on.  The last
+    summand is at least 2, so the table ends in a gap."""
+    table = bytearray()
+    for S in lipman_sequence(H)[:-1]:
+        table += b"\x01" + bytes(S.multiplicity - 1)
+    return NumericalSemigroup(table)
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +489,12 @@ def arf_closure(H: NumericalSemigroup) -> NumericalSemigroup:
 
 
 def _children(H: NumericalSemigroup) -> list[NumericalSemigroup]:
-    # Removing a minimal generator above the Frobenius number gives every
+    # Removing a minimal generator g above the Frobenius number gives every
     # genus+1 semigroup exactly once (its parent is itself plus its Frobenius).
-    out = []
-    for g in H.minimal_generators:
-        if g > H.frobenius:
-            members = {n for n in H.members(g + 1) if n != g}
-            out.append(NumericalSemigroup._from_member_set(members, g + 1))
-    return out
+    # g >= c, so the child's table is H's, then members up to the gap g.
+    c = H.conductor
+    return [NumericalSemigroup(H._table + b"\x01" * (g - c) + b"\x00")
+            for g in H.minimal_generators if g >= c]
 
 
 def enumerate_semigroups(max_genus: int):

@@ -455,8 +455,7 @@ def minimal_trace_classification(H: NumericalSemigroup) -> str:
     """Whether Tr(R) is contained in {0, m, R}.
 
     That happens exactly when the maximal ideal sits inside the
-    conductor, i.e. every nonzero member is at least the conductor
-    (including N0 itself, where Tr = {0, R}).
+    conductor, that is, when no nonzero member lies below c: e >= c (N0
+    too, with e = 1 > c = 0 and Tr = {0, R}).
     """
-    small = all(h >= H.conductor for h in H.members(H.conductor) if h > 0)
-    return MINIMAL_TRACE_SET if small else LARGER
+    return MINIMAL_TRACE_SET if H.multiplicity >= H.conductor else LARGER

@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's own algorithms:
 membership comes from worklist closure instead of the sieve, semigroup
 counts from exhaustive gap-set filtering, the semigroup generated by H
 and K(H) from every element of K(H) below 2c instead of both sets'
-generators, colons from exhaustive coefficient search and from a
+generators, the Arf closure from the triple rule x + y - z repeated to
+a fixed point instead of the Lipman chain's multiplicities, the genus
+tree's children from their member sets instead of the parent's table,
+colons from exhaustive coefficient search and from a
 reduction of every shifted spanning element, Arf from the triple rule
 instead of the Lipman chain, submodule lattices from a sweep of every
 cyclic module closed under pairwise sums and from a layer-by-layer
@@ -123,6 +126,50 @@ def is_arf_by_rule(H):
                 if (x + y - mem[zi]) not in H:
                     return False
     return True
+
+
+def semigroup_from_member_set(members, bound):
+    """The semigroup whose members in [0, bound) are ``members``; [bound, oo)
+    is in it."""
+    table = bytearray(bound)
+    for n in members:
+        table[n] = 1
+    return NumericalSemigroup(table.rstrip(b"\x01"))
+
+
+def arf_closure_by_rule(H):
+    """The smallest Arf semigroup containing H.
+
+    Fixed point of the rule x + y - z for members x >= y >= z.  Only
+    triples below the conductor can produce anything new (the result is
+    at least x), so the closure runs on the finite window [0, c).
+    """
+    c = H.conductor
+    members = set(H.members(c))
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(members)
+        for xi, x in enumerate(snapshot):
+            for yi in range(xi + 1):
+                y = snapshot[yi]
+                for zi in range(yi + 1):
+                    r = x + y - snapshot[zi]
+                    if r < c and r not in members:
+                        members.add(r)
+                        changed = True
+    return semigroup_from_member_set(members, c)
+
+
+def children_by_member_sets(H):
+    """H minus each minimal generator above the Frobenius number, each
+    rebuilt from its member set below g + 1."""
+    out = []
+    for g in H.minimal_generators:
+        if g > H.frobenius:
+            members = {n for n in H.members(g + 1) if n != g}
+            out.append(semigroup_from_member_set(members, g + 1))
+    return out
 
 
 def colon_by_search(I, J):

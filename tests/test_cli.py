@@ -141,6 +141,9 @@ def test_artin_chain_guard_exits_3_before_building_the_ring(capsys, monkeypatch)
     monkeypatch.setattr(cli, "truncated_dvr", refuse)
     code, _, err = run(capsys, "artin", "chain", "--l", "9", "--p", "7")
     assert code == 3 and "7^9 vectors exceed the guard" in err
+    # the table costs the same over QQ, which gets the bound of p = 2
+    code, _, err = run(capsys, "artin", "chain", "--l", "24", "--rationals")
+    assert code == 3 and "2^24 vectors exceed the guard" in err
     monkeypatch.undo()
     code, out, _ = run(capsys, "artin", "chain", "--l", "8", "--p", "7")  # 7^8 passes
     assert code == 0 and "(9 trace ideals)" in out

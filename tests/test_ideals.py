@@ -458,6 +458,19 @@ def test_dilate_is_the_automorphism_image(case):
         dilate(I, f.zero)
 
 
+def test_dilate_takes_the_scalar_into_the_field():
+    # over F_5, 1/2 is 3 and 5/2 is zero; over QQ the scalar 2 is 2/1
+    f, H_ = GF(5), S([6, 7, 8, 9, 10])
+    I = ideal_from_generators(f, H_, [P(f, "t^6 + t^7")], with_conductor=True)
+    assert dilate(I, Fraction(1, 2)) == dilate(I, 3)
+    assert dilate(I, 3).rows[0].terms == ((6, 1), (7, 3))
+    with pytest.raises(ValueError):
+        dilate(I, Fraction(5, 2))
+    J = ideal_from_generators(QQ, H_, [P(QQ, "t^6 + t^7")], with_conductor=True)
+    assert dilate(J, 2) == dilate(J, Fraction(2)) != J
+    assert dilate(J, 2).rows[0].terms == ((6, 1), (7, 2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_ideal_pairs(), st.integers(-4, 4))
 @example((integral_closure_ideal(QQ, H), conductor_ideal(QQ, H), None), -2)

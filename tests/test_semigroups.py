@@ -4,10 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (apery_by_scan, closure_members, gap_sets_for_genus, is_arf_by_rule,
+from _oracles import (apery_by_scan, arf_closure_by_rule, children_by_member_sets,
+                      closure_members, gap_sets_for_genus, is_arf_by_rule,
                       semigroup_with_value_set_by_window)
 from traceforge import semigroups
-from traceforge.errors import BoundTooLarge, EmptyGenerators, NotAMember, NotCofinite
+from traceforge.errors import (BoundTooLarge, EmptyGenerators, FieldMismatch, NotAMember,
+                               NotCofinite)
 from traceforge.semigroups import (BOUNDARY, EXTERIOR, INTERIOR, KunzVector,
                                    NumericalSemigroup, SemigroupIdeal, arf_closure,
                                    blowup, canonical_value_set, cm_type_list_check,
@@ -321,6 +323,21 @@ def test_arf_closure_examples():
             assert closed == H
 
 
+def test_arf_closure_matches_triple_rule():
+    # the closure read off the Lipman chain against the triple rule x + y - z
+    # repeated to a fixed point
+    for H in enumerate_semigroups(10):
+        assert arf_closure(H)._table == arf_closure_by_rule(H)._table, H
+
+
+def test_children_match_member_sets():
+    # each child's table written from the parent's against one rebuilt from
+    # the child's member set
+    for H in enumerate_semigroups(12):
+        assert ([child._table for child in _children(H)]
+                == [child._table for child in children_by_member_sets(H)]), H
+
+
 def test_enumeration_counts_and_oracle():
     for g, expect in enumerate(GENUS_COUNTS[:7]):
         level = [H for H in enumerate_semigroups(g) if H.genus == g]
@@ -359,6 +376,13 @@ def test_semigroup_ideal_normalization():
     E = SemigroupIdeal.create(H, {4, 5, 6, 7}, 8)
     assert E.stable == 4 and not E.window  # 4..7 absorbed into the tail
     assert 4 in E and 3 not in E
+
+
+def test_semigroup_ideal_operations_need_the_same_base():
+    K, L = canonical_value_set(S([3, 5])), canonical_value_set(S([4, 5, 6]))
+    for op in (lambda E, F: E + F, lambda E, F: E - F):
+        with pytest.raises(FieldMismatch, match="ideals over <3,5> vs <4,5,6>"):
+            op(K, L)
 
 
 GENUS_AT_MOST_7 = list(enumerate_semigroups(7))
