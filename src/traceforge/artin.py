@@ -3,9 +3,12 @@
 The zero-dimensional brute-forcer: an algebra is a multiplication table
 on a basis whose first element is the identity and whose remaining
 elements span the maximal ideal (which must be nilpotent).  Trace
-ideals are computed straight from the definition, as the span of the
-images of module homomorphisms into the algebra, because (R : I) I is
-unavailable without non-zerodivisors.
+ideals come from the definition, tr(I) = sum of phi(I) over phi in
+Hom(I, A), because (R : I) I is unavailable without non-zerodivisors.
+:func:`hom_trace` solves Hom(I, A) for one ideal; the enumeration of
+trace ideals carries a basis of Hom(I, A) down the lattice walk instead,
+extending it along each edge I -> I + K v by one small solve for the
+image of v.
 
 This module also holds the one submodule-lattice engine of the package,
 used by :func:`enumerate_ideals` here and by the trace-ideal enumeration
@@ -408,23 +411,126 @@ def _socle_lines(p: int, images, pivots):
             yield j, tuple(v)
 
 
-def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
-    """All ideals of A over a finite field, duplicate-free, sorted by dimension.
-
-    The lattice engine needs b_i * b_j (i >= 1) to be zero up to index j."""
+def _check_walkable(A: ArtinAlgebra) -> None:
+    """Refuse an algebra the lattice engine cannot walk: one over an
+    infinite field, one past the p^d guard, or one whose products
+    b_i * b_j (i >= 1) are not zero up to index j."""
     f = A.field
     if not f.finite:
         raise InfiniteField("exhaustive ideal enumeration needs a finite field")
     _check_ideal_sweep(f.p, A.dim)
     if any(any(cell[:j + 1]) for row in A.table[1:] for j, cell in enumerate(row)):
         raise ValueError("some product b_i * b_j (i >= 1) is nonzero at an index up to j")
-    lattice = [rows for rows, _, _ in _ideal_lattice(f.p, A.dim, A.table[1:])]
+
+
+def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
+    """All ideals of A over a finite field, duplicate-free, sorted by dimension.
+
+    The lattice engine needs b_i * b_j (i >= 1) to be zero up to index j."""
+    _check_walkable(A)
+    lattice = [rows for rows, _, _ in _ideal_lattice(A.field.p, A.dim, A.table[1:])]
     return [SubIdeal(A, rows) for rows in sorted(lattice, key=lambda r: (len(r), r))]
 
 
+def _hom_walk(A: ArtinAlgebra):
+    """The ideals I of A in the order of the lattice walk, each yielded as
+    (rows, pivots, homs) with ``homs`` a basis of Hom(I, A), carried down
+    the walk as :func:`enumerate_trace_ideals_artinian` derives.
+
+    A homomorphism phi is the flat tuple of its images of I's rows, d
+    entries each, in the order of the rows, so a homomorphism on a child
+    is its image w of v followed by its restriction to the parent.  The
+    root carries the empty basis.
+    """
+    f = A.field
+    p, d = f.p, A.dim
+    # block[r][c]: coordinate r of b_g b_c; live: its nonzero rows
+    blocks = []
+    for g in A.generators:
+        block = tuple(zip(*A.table[g]))
+        blocks.append((g, block, [row for row in block if any(row)]))
+
+    def step(state, v):
+        pivots, homs = state
+        pad = (0,) * len(homs)
+        eqs = []
+        for g, block, live in blocks:
+            bv = A.act(g, v)
+            # b_g v lies in I, so its coordinates are its entries at I's pivots
+            lam = [(j * d, x) for j, c in enumerate(pivots) if (x := bv[c])]
+            if not (lam and homs):  # phi(b_g v) = 0 for every phi
+                eqs += [coeffs + pad for coeffs in live]
+                continue
+            targets = []  # -phi_s(b_g v) for each s
+            for phi in homs:
+                u = [0] * d
+                for at, x in lam:
+                    u = [a - x * b for a, b in zip(u, phi[at:at + d])]
+                targets.append(u)
+            # row r: coordinate r of b_g w - sum_s c_s phi_s(b_g v)
+            for coeffs, tail in zip(block, zip(*targets)):
+                row = coeffs + tail
+                if any(row):
+                    eqs.append(row)
+        extended = []
+        for sol in solve_homogeneous(Matrix(f, tuple(eqs), d + len(homs))):
+            phi = [0] * (len(pivots) * d)
+            for c, old in zip(sol[d:], homs):
+                if c:
+                    phi = [a + c * b for a, b in zip(phi, old)]
+            extended.append(sol[:d] + tuple([x % p for x in phi]))
+        lead = next(i for i, x in enumerate(v) if x)
+        return (lead,) + pivots, tuple(extended)
+
+    for rows, pivots, (_, homs) in _ideal_lattice(p, d, A.table[1:], step, ((), ())):
+        yield rows, pivots, homs
+
+
+def _images_inside(p: int, d: int, rows, pivots, homs) -> bool:
+    """Whether every image vector of every phi in ``homs`` lies in the
+    ideal with RREF ``rows`` and their ``pivots``, stopping at the first
+    that does not.  The rows are zero at each other's pivots, so a vector
+    is inside exactly when removing each row times its pivot entry leaves
+    zero."""
+    for phi in homs:
+        for at in range(0, len(phi), d):
+            w = phi[at:at + d]
+            for c, row in zip(pivots, rows):
+                x = w[c]
+                if x:
+                    w = [a - x * b for a, b in zip(w, row)]
+            if any(a % p for a in w):
+                return False
+    return True
+
+
 def enumerate_trace_ideals_artinian(A: ArtinAlgebra) -> list[SubIdeal]:
-    """The trace ideals of A: fixed points of hom_trace (zero included)."""
-    return [I for I in enumerate_ideals(A) if hom_trace(I) == I]
+    """The trace ideals of A: fixed points of hom_trace (zero included),
+    sorted as :func:`enumerate_ideals` sorts all ideals.
+
+    An ideal I lies in tr(I), the span of phi(row) over a basis of
+    Hom(I, A) and the rows of I, so I is a trace ideal exactly when each
+    such image lies in I; the test stops at the first that does not.
+
+    The basis is not solved afresh for each ideal but carried down the
+    lattice walk, starting from Hom(0, A) = 0 with its empty basis.  A
+    child is I' = I + K v, with rows (v, *rows(I)), and v spans a socle
+    line of A/I, so every b_g v lies in I.  A linear map phi' on I' is
+    its restriction phi to I together with w = phi'(v), and by the
+    Nakayama argument of :func:`hom_trace` it is a homomorphism exactly
+    when phi is one and b_g w = phi(b_g v) for each b_g of
+    ``A.generators``.  With phi = sum_s c_s phi_s over the parent's basis
+    and the coordinates of b_g v read at I's pivots, these are |gens| * d
+    linear equations in the d + dim Hom(I, A) unknowns (w, c).  The map
+    from (w, c) to phi' = (w, sum_s c_s phi_s) is linear, injective and
+    onto Hom(I', A) on their null space, so it takes the null space's
+    basis to a basis of Hom(I', A).
+    """
+    _check_walkable(A)
+    p, d = A.field.p, A.dim
+    fixed = [rows for rows, pivots, homs in _hom_walk(A)
+             if _images_inside(p, d, rows, pivots, homs)]
+    return [SubIdeal(A, rows) for rows in sorted(fixed, key=lambda r: (len(r), r))]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ generation instead of the span of row products, products in an Artinian
 algebra from every pair of nonzero entries through the field's operations
 instead of native combinations of the table's column images, Artinian Hom
 traces and socles from the ideal generated by the images or the null space
-instead of their span, module closure of a fractional ideal from every
+instead of their span, Hom(I, A) solved on every basis element instead of
+on the generators of m/m^2, the Artinian trace ideals from hom_trace on
+every ideal instead of Hom(I, A) carried down the lattice walk, module closure of a fractional ideal from every
 generator shift of every row instead of trusting the construction, the trace
 fixed-point test from the rank of the whole tr(T)/c instead of the gap
 part of R : T with an early exit, coordinates in an Artinian ideal
@@ -43,7 +45,7 @@ sample instead of one colon dilated by t -> kt.
 from bisect import bisect
 from itertools import combinations, product
 
-from traceforge.artin import SubIdeal, ideal_generated_by
+from traceforge.artin import SubIdeal, enumerate_ideals, hom_trace, ideal_generated_by
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, QQ, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _check_pair,
@@ -688,19 +690,16 @@ def mult_by_field_ops(A, u, v):
     return tuple(out)
 
 
-def hom_trace_by_generation(I):
-    """Sum of the images of all module homomorphisms from I to the algebra.
-
-    Solves for a basis of Hom(I, A) as linear maps commuting with every
-    basis element, then takes the ideal generated by the image vectors:
-    every image is multiplied by every basis element before the span.
-    Products go through ``mult_by_field_ops``, not the algebra's own.
-    """
+def hom_basis_by_generation(I):
+    """A basis of Hom(I, A), solved as the linear maps commuting with
+    every basis element, each as the flat tuple of its images of I's
+    rows.  Products go through ``mult_by_field_ops``, not the algebra's
+    own."""
     A = I.algebra
     f = A.field
     k = I.dim
     if k == 0:
-        return SubIdeal(A, ())
+        return []
     d = A.dim
     basis = list(I.rows)
     # unknowns w_{i,c} = image of basis[i], coordinate c
@@ -720,11 +719,34 @@ def hom_trace_by_generation(I):
                     if not f.is_zero(lam[j]):
                         row[j * d + r] = f.sub(row[j * d + r], lam[j])
                 eqs.append(tuple(row))
-    sols = solve_homogeneous(Matrix(f, tuple(eqs), k * d))
+    return solve_homogeneous(Matrix(f, tuple(eqs), k * d))
+
+
+def hom_trace_by_generation(I):
+    """Sum of the images of all module homomorphisms from I to the algebra.
+
+    Takes the basis of Hom(I, A) from ``hom_basis_by_generation``, then
+    the ideal generated by the image vectors: every image is multiplied
+    by every basis element before the span.
+    """
+    A = I.algebra
+    f = A.field
+    k = I.dim
+    if k == 0:
+        return SubIdeal(A, ())
+    d = A.dim
+    sols = hom_basis_by_generation(I)
     images = [tuple(sol[i * d:(i + 1) * d]) for sol in sols for i in range(k)]
     prods = [mult_by_field_ops(A, A.basis_vector(i), w) for w in images for i in range(d)]
     red, piv = rref(Matrix(f, tuple(prods), d))
     return SubIdeal(A, red.rows[:len(piv)])
+
+
+def trace_ideals_by_hom_trace(A):
+    """The trace ideals of A, zero included, as the ideals I of
+    ``enumerate_ideals`` with hom_trace(I) == I: each ideal's Hom system
+    is solved afresh instead of carried down the lattice walk."""
+    return [I for I in enumerate_ideals(A) if hom_trace(I) == I]
 
 
 def socle_by_generation(A):

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (coordinates_by_elimination, hom_trace_by_generation,
-                      mult_by_field_ops, socle_by_generation)
-from traceforge.artin import (ArtinAlgebra, enumerate_ideals,
+from _oracles import (coordinates_by_elimination, hom_basis_by_generation,
+                      hom_trace_by_generation, mult_by_field_ops, socle_by_generation,
+                      trace_ideals_by_hom_trace)
+from _strategies import capped_semigroups
+from traceforge.artin import (IDEAL_ENUMERATION_GUARD, ArtinAlgebra, SubIdeal, _hom_walk,
+                              enumerate_ideals,
                               enumerate_trace_ideals_artinian,
                               gorenstein_family_separation,
                               gorenstein_two_generators, hom_trace,
@@ -15,7 +18,7 @@ from traceforge.artin import (ArtinAlgebra, enumerate_ideals,
                               square_zero_two_vars, truncated_dvr)
 from traceforge.errors import (DependentGenerators, InfiniteField, NotGorenstein,
                                WorkloadExceeded, ZeroQuotient)
-from traceforge.fields import GF, QQ
+from traceforge.fields import GF, QQ, Matrix, rank
 from traceforge.semigroups import (NumericalSemigroup, enumerate_semigroups,
                                    natural_semigroup)
 from traceforge.trace import enumerate_trace_ideals
@@ -283,6 +286,95 @@ def test_gorenstein_all_ideals_are_trace():
             continue
         ideals = enumerate_ideals(A)
         assert enumerate_trace_ideals_artinian(A) == ideals, A
+
+
+def preset_algebras():
+    """The named algebras over F_2, F_3, F_5 and F_7, each paired with
+    whether the p^d guard admits its ideal enumeration."""
+    out = []
+    for p in (2, 3, 5, 7):
+        f = GF(p)
+        out += [truncated_dvr(f, length) for length in range(1, 10)]
+        out += [square_zero_two_vars(f), gorenstein_two_generators(f), diagonal_gorenstein(f)]
+    return [(A, A.field.p ** A.dim <= IDEAL_ENUMERATION_GUARD) for A in out]
+
+
+PRESETS = preset_algebras()
+
+
+def semigroup_quotients(max_genus):
+    return [semigroup_quotient(H, p) for H in enumerate_semigroups(max_genus) if H.genus
+            for p in (2, 3)]
+
+
+def test_trace_walk_matches_hom_trace_on_quotients():
+    for A in semigroup_quotients(6):
+        assert enumerate_trace_ideals_artinian(A) == trace_ideals_by_hom_trace(A), A
+
+
+def test_trace_walk_matches_hom_trace_on_presets():
+    for A, admitted in PRESETS:
+        if admitted:
+            assert enumerate_trace_ideals_artinian(A) == trace_ideals_by_hom_trace(A), A
+        else:
+            for walk in (enumerate_trace_ideals_artinian, trace_ideals_by_hom_trace):
+                with pytest.raises(WorkloadExceeded):
+                    walk(A)
+    assert sum(not admitted for _, admitted in PRESETS) == 1  # the chain of length 9 over F_7
+
+
+@settings(max_examples=40, deadline=None)
+@given(capped_semigroups)
+def test_trace_walk_matches_hom_trace_random_semigroups(case):
+    H, p = case
+    A = semigroup_quotient(H, p)
+    assert enumerate_trace_ideals_artinian(A) == trace_ideals_by_hom_trace(A), (H, p)
+
+
+def check_carried_homs(A) -> int:
+    """Check the basis of Hom(I, A) that the walk carries to each ideal I
+    against the per-ideal solve; return the number of ideals walked."""
+    f, d = A.field, A.dim
+    p = f.p
+    walked = 0
+    for rows, pivots, homs in _hom_walk(A):
+        I = SubIdeal(A, rows)
+        assert I.pivots == pivots
+        # independent, and as many as the dimension of Hom(I, A)
+        assert rank(Matrix(f, homs, len(rows) * d)) == len(homs), (A, rows)
+        assert len(homs) == len(hom_basis_by_generation(I)), (A, rows)
+        for phi in homs:
+            images = [phi[i * d:(i + 1) * d] for i in range(len(rows))]
+            for g in range(1, d):
+                for row, image in zip(rows, images):
+                    # phi(b_g row) = b_g phi(row)
+                    lam = coordinates_by_elimination(I, mult_by_field_ops(A, A.basis_vector(g), row))
+                    mapped = tuple(sum(x * w[r] for x, w in zip(lam, images)) % p
+                                   for r in range(d))
+                    assert mapped == mult_by_field_ops(A, A.basis_vector(g), image), (A, rows, g)
+        walked += 1
+    return walked
+
+
+def test_walk_carries_hom_modules():
+    # a one-element zero basis at the root still gives the right verdicts,
+    # but only the dimension check sees the zero homomorphism it carries
+    walked = sum(check_carried_homs(A) for A in semigroup_quotients(5))
+    assert walked == 651
+    for A, admitted in PRESETS:
+        if admitted:
+            check_carried_homs(A)
+
+
+@pytest.mark.parametrize("walk", [enumerate_ideals, enumerate_trace_ideals_artinian])
+def test_walks_share_one_guard(walk):
+    with pytest.raises(InfiniteField):
+        walk(truncated_dvr(QQ, 2))
+    with pytest.raises(WorkloadExceeded):
+        walk(truncated_dvr(GF(7), 9))
+    for f in (GF(2), GF(3)):
+        with pytest.raises(ValueError, match="nonzero at an index up to j"):
+            walk(unadapted_quartic(f))
 
 
 def test_census_bridge_with_trace_engine():
