@@ -10,12 +10,17 @@ trace ideals carries a basis of Hom(I, A) down the lattice walk instead,
 extending it along each edge I -> I + K v by one small solve for the
 image of v.
 
+The only elements of m this layer imposes are the b_g of
+``A.generators``, which span m/m^2 and so, by Nakayama, generate m as an
+algebra: the socle, the Hom systems and the ideal walks use them alone.
+
 This module also holds the one submodule-lattice engine of the package,
 used by :func:`enumerate_ideals` here and by the trace-ideal enumeration
-of :mod:`traceforge.trace`.  It is a reverse search: each nonzero module
-has one parent, itself without its first echelon row, and a depth-first
-walk from 0 streams every module once, adding to M each line of the socle
-of the quotient by M that leads before M's first pivot.  Each module
+of :mod:`traceforge.trace`, which passes the minimal generators below c.
+It is a reverse search: each nonzero module has one parent, itself
+without its first echelon row, and a depth-first walk from 0 streams
+every module once, adding to M each line of the socle of the quotient
+by M that leads before M's first pivot.  Each module
 carries its action images reduced modulo M, and a caller's state, down
 to its children, so a tree edge costs one row update.
 """
@@ -127,6 +132,12 @@ class ArtinAlgebra:
                 kept.append(g)
         return tuple(kept)
 
+    @cached_property
+    def generator_matrices(self) -> tuple:
+        """The pairs (g, M_g) for g in ``generators``, with M_g[r][c] the
+        coordinate r of b_g b_c: the matrix of multiplication by b_g."""
+        return tuple((g, tuple(zip(*self.table[g]))) for g in self.generators)
+
     def basis_vector(self, i: int) -> tuple:
         f = self.field
         return tuple(f.one if j == i else f.zero for j in range(self.dim))
@@ -137,6 +148,8 @@ class ArtinAlgebra:
     def act(self, i: int, v: tuple) -> tuple:
         """b_i * v: v's entries combine the column images b_i b_j of the
         table, with native operators and ``% p`` once over F_p."""
+        if len(v) != self.dim:
+            raise ValueError(f"a vector of A has {self.dim} entries, not {len(v)}")
         out = self.zero_vector()
         for x, image in zip(v, self.table[i]):
             if x:
@@ -164,6 +177,17 @@ def _span(A: ArtinAlgebra, vectors) -> tuple:
     return red.rows[:len(piv)]
 
 
+def _residue(rows, pivots, w) -> list:
+    """w minus each RREF row times w's entry at the row's pivot, with no
+    reduction mod p.  The rows are zero at each other's pivots, so w lies
+    in their span exactly when this residue is zero (mod p over F_p)."""
+    for c, row in zip(pivots, rows):
+        x = w[c]
+        if x:
+            w = [a - x * b for a, b in zip(w, row)]
+    return w
+
+
 @dataclass(frozen=True)
 class SubIdeal:
     """An ideal of an ArtinAlgebra, stored as its RREF basis (every
@@ -183,13 +207,13 @@ class SubIdeal:
     def coordinates(self, v: tuple):
         """Coordinates of v in the basis, or None when v is outside: the
         rows are reduced, so each is v's entry at its row's pivot."""
-        f = self.algebra.field
-        p = f.p if f.finite else 0
-        w = [x % p for x in v] if p else list(v)
-        out = [w[j] for j in self.pivots]
-        for c, row in zip(out, self.rows):
-            w = [a - c * b for a, b in zip(w, row)]
-        return None if any(x % p if p else x for x in w) else out
+        A = self.algebra
+        if len(v) != A.dim:
+            raise ValueError(f"a vector of A has {A.dim} entries, not {len(v)}")
+        p = A.field.p if A.field.finite else 0
+        w = [x % p for x in v] if p else v
+        rest = _residue(self.rows, self.pivots, w)
+        return None if any(x % p if p else x for x in rest) else [w[j] for j in self.pivots]
 
     def contains(self, v: tuple) -> bool:
         return self.coordinates(v) is not None
@@ -259,9 +283,10 @@ def semigroup_quotient(H, p: int) -> ArtinAlgebra:
     _check_quotient_dim(d)
     index = {e: i for i, e in enumerate(exps)}
     labels = tuple("1" if e == 0 else f"t^{e}" for e in exps)
-    table = [[(_unit_row(d, index[a + b]) if a + b < c else [0] * d)
-              for b in exps] for a in exps]
-    return ArtinAlgebra.create(GF(p), labels, table)
+    # commutative, associative, unital and nilpotent as built: no ``create`` checks
+    table = tuple(tuple(tuple(_unit_row(d, index[a + b])) if a + b < c else (0,) * d
+                        for b in exps) for a in exps)
+    return ArtinAlgebra(GF(p), d, labels, table)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +296,12 @@ def semigroup_quotient(H, p: int) -> ArtinAlgebra:
 def socle(A: ArtinAlgebra) -> SubIdeal:
     """The annihilator of the maximal ideal; the whole ring when dim = 1.
 
-    It is the null space of the multiplication-by-b_g matrices, g >= 1,
-    which ``solve_homogeneous`` returns in RREF, and an annihilator is
+    It is the null space of the multiplication-by-b_g matrices of
+    ``A.generators``: a v they annihilate is annihilated by their
+    products, hence by m, which they generate as an algebra (Nakayama).
+    ``solve_homogeneous`` returns its unique RREF, and an annihilator is
     already an ideal, so that basis is the ideal's."""
-    # zip(*A.table[g])[r][c]: coordinate r of b_g b_c
-    rows = tuple(row for g in range(1, A.dim) for row in zip(*A.table[g]))
+    rows = tuple(row for _, M in A.generator_matrices for row in M)
     return SubIdeal(A, tuple(solve_homogeneous(Matrix(A.field, rows, A.dim))))
 
 
@@ -300,8 +326,7 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
     # equations say b_g * w_i = sum_j lam_j w_j, lam the coordinates of b_g * row i
     zero = A.field.zero
     eqs = []
-    for g in A.generators:
-        block = list(zip(*A.table[g]))  # block[r][c]: coordinate r of b_g b_c
+    for g, M in A.generator_matrices:  # M[r][c]: coordinate r of b_g b_c
         for i, b in enumerate(I.rows):
             lam = I.coordinates(A.act(g, b))
             if lam is None:
@@ -310,7 +335,7 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
             for r in range(d):
                 row = [zero] * (k * d)
                 row[r::d] = neg  # -lam_j at coordinate r of every w_j
-                row[i * d:(i + 1) * d] = block[r]
+                row[i * d:(i + 1) * d] = M[r]
                 row[i * d + r] -= lam[i]
                 # table entries and lam are canonical, so zero means 0
                 if any(row):
@@ -331,13 +356,15 @@ def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
     their pivot columns and the caller's state.
 
     ``actions`` are linear maps on F_p^d given by column images (``a[j]``
-    is the image of the j-th unit vector); they generate the maximal ideal
-    of a local ring with residue field F_p and raise the index (``a[j]`` is
-    zero up to j).  So a nonzero submodule without its first row is again
-    a submodule, its one parent, and the children of M are M + F_p v for
-    the socle lines of the quotient by M that lead before M's first pivot;
-    (v, *rows) is already in RREF.  A depth-first walk from 0 makes each
-    submodule once (reverse search), and its stack never holds the lattice.
+    is the image of the j-th unit vector); they need only generate the
+    maximal ideal of a local ring with residue field F_p as an algebra (a
+    subspace stable under them is stable under their products), and they
+    raise the index (``a[j]`` is zero up to j).  So a nonzero submodule
+    without its first row is again a submodule, its one parent, and the
+    children of M are M + F_p v for the socle lines of the quotient by M
+    that lead before M's first pivot; (v, *rows) is already in RREF.  A
+    depth-first walk from 0 makes each submodule once (reverse search),
+    and its stack never holds the lattice.
 
     Each module carries down the tree what its children need, so a tree
     edge costs one row update: ``images[j]`` lists a e_j modulo M over the
@@ -428,7 +455,8 @@ def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
 
     The lattice engine needs b_i * b_j (i >= 1) to be zero up to index j."""
     _check_walkable(A)
-    lattice = [rows for rows, _, _ in _ideal_lattice(A.field.p, A.dim, A.table[1:])]
+    actions = [A.table[g] for g in A.generators]
+    lattice = [rows for rows, _, _ in _ideal_lattice(A.field.p, A.dim, actions)]
     return [SubIdeal(A, rows) for rows in sorted(lattice, key=lambda r: (len(r), r))]
 
 
@@ -444,22 +472,17 @@ def _hom_walk(A: ArtinAlgebra):
     """
     f = A.field
     p, d = f.p, A.dim
-    # block[r][c]: coordinate r of b_g b_c; live: its nonzero rows
-    blocks = []
-    for g in A.generators:
-        block = tuple(zip(*A.table[g]))
-        blocks.append((g, block, [row for row in block if any(row)]))
 
     def step(state, v):
         pivots, homs = state
         pad = (0,) * len(homs)
         eqs = []
-        for g, block, live in blocks:
-            bv = A.act(g, v)
-            # b_g v lies in I, so its coordinates are its entries at I's pivots
-            lam = [(j * d, x) for j, c in enumerate(pivots) if (x := bv[c])]
+        for _, M in A.generator_matrices:
+            # b_g v lies in I, so its coordinates are its entries M[c] . v at I's pivots
+            lam = [(j * d, x) for j, c in enumerate(pivots)
+                   if (x := sum(a * b for a, b in zip(M[c], v)) % p)]
             if not (lam and homs):  # phi(b_g v) = 0 for every phi
-                eqs += [coeffs + pad for coeffs in live]
+                eqs += [coeffs + pad for coeffs in M if any(coeffs)]
                 continue
             targets = []  # -phi_s(b_g v) for each s
             for phi in homs:
@@ -468,7 +491,7 @@ def _hom_walk(A: ArtinAlgebra):
                     u = [a - x * b for a, b in zip(u, phi[at:at + d])]
                 targets.append(u)
             # row r: coordinate r of b_g w - sum_s c_s phi_s(b_g v)
-            for coeffs, tail in zip(block, zip(*targets)):
+            for coeffs, tail in zip(M, zip(*targets)):
                 row = coeffs + tail
                 if any(row):
                     eqs.append(row)
@@ -482,26 +505,9 @@ def _hom_walk(A: ArtinAlgebra):
         lead = next(i for i, x in enumerate(v) if x)
         return (lead,) + pivots, tuple(extended)
 
-    for rows, pivots, (_, homs) in _ideal_lattice(p, d, A.table[1:], step, ((), ())):
+    actions = [A.table[g] for g in A.generators]
+    for rows, pivots, (_, homs) in _ideal_lattice(p, d, actions, step, ((), ())):
         yield rows, pivots, homs
-
-
-def _images_inside(p: int, d: int, rows, pivots, homs) -> bool:
-    """Whether every image vector of every phi in ``homs`` lies in the
-    ideal with RREF ``rows`` and their ``pivots``, stopping at the first
-    that does not.  The rows are zero at each other's pivots, so a vector
-    is inside exactly when removing each row times its pivot entry leaves
-    zero."""
-    for phi in homs:
-        for at in range(0, len(phi), d):
-            w = phi[at:at + d]
-            for c, row in zip(pivots, rows):
-                x = w[c]
-                if x:
-                    w = [a - x * b for a, b in zip(w, row)]
-            if any(a % p for a in w):
-                return False
-    return True
 
 
 def enumerate_trace_ideals_artinian(A: ArtinAlgebra) -> list[SubIdeal]:
@@ -529,7 +535,8 @@ def enumerate_trace_ideals_artinian(A: ArtinAlgebra) -> list[SubIdeal]:
     _check_walkable(A)
     p, d = A.field.p, A.dim
     fixed = [rows for rows, pivots, homs in _hom_walk(A)
-             if _images_inside(p, d, rows, pivots, homs)]
+             if not any(a % p for phi in homs for at in range(0, len(phi), d)
+                        for a in _residue(rows, pivots, phi[at:at + d]))]
     return [SubIdeal(A, rows) for rows in sorted(fixed, key=lambda r: (len(r), r))]
 
 

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 
-from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice
+from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice, _residue
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
 from .fields import QQ, GF
 from .ideals import (FractionalIdeal, LaurentPoly, _colon, _powers, colon,
@@ -121,11 +121,8 @@ class _Quotient:
                     eqs.setdefault(g, [0] * n)[j] = y
         rows, pivots = list(rows), list(pivots)
         for e in eqs.values():
-            for pc, r in zip(pivots, rows):
-                x = e[pc]
-                if x:
-                    e = [(a - x * b) % p for a, b in zip(e, r)]
-            lead = next((j for j, x in enumerate(e) if x), None)
+            e = _residue(rows, pivots, e)
+            lead = next((j for j, x in enumerate(e) if x % p), None)
             if lead is None:
                 continue
             k = pow(e[lead], -1, p)
@@ -187,13 +184,7 @@ def _gap_fixed_point(q: _Quotient, rows, pivots, gaps) -> bool:
                 y = b[i]
                 if y:
                     v[k] += x * y
-            # RREF rows are zero at each other's pivots: v is in T exactly
-            # when removing each row times v's pivot entry leaves zero
-            for pc, r in zip(pivots, rows):
-                x = v[pc]
-                if x:
-                    v = [a - x * y for a, y in zip(v, r)]
-            if any(a % p for a in v):
+            if any(a % p for a in _residue(rows, pivots, v)):
                 return False
     return True
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (coordinates_by_elimination, hom_basis_by_generation,
-                      hom_trace_by_generation, mult_by_field_ops, socle_by_generation,
-                      trace_ideals_by_hom_trace)
+                      hom_trace_by_generation, lattice_by_covers, mult_by_field_ops,
+                      socle_by_generation, trace_ideals_by_hom_trace)
 from _strategies import capped_semigroups
 from traceforge.artin import (IDEAL_ENUMERATION_GUARD, ArtinAlgebra, SubIdeal, _hom_walk,
                               enumerate_ideals,
@@ -243,6 +243,47 @@ def test_enumerate_ideals_examples():
     assert [I.dim for I in enumerate_ideals(F)] == [0, 1]
     with pytest.raises(InfiniteField):
         enumerate_ideals(truncated_dvr(QQ, 2))
+
+
+def test_lattice_on_generators_matches_covers_on_all_of_m():
+    # a subspace stable under the generators of m is stable under all of m,
+    # so the walk on A.generators meets the cover oracle on every b_i, i >= 1
+    algebras = [semigroup_quotient(H, p) for H in enumerate_semigroups(5) if H.genus
+                for p in (2, 3)]
+    algebras += [truncated_dvr(GF(p), length) for p in (2, 3) for length in range(2, 8)]
+    algebras += [make(GF(p)) for p in (3, 7)
+                 for make in (gorenstein_two_generators, diagonal_gorenstein)]
+    algebras += [square_zero_two_vars(GF(2))]
+    fewer = 0
+    for A in algebras:
+        fewer += len(A.generators) < A.dim - 1
+        covers = lattice_by_covers(A.field.p, A.dim, A.table[1:])
+        assert [I.rows for I in enumerate_ideals(A)] == [rows for rows, _ in covers], A
+    assert (fewer, len(algebras)) == (28, 69)  # the rest have m^2 = 0
+
+
+def test_semigroup_quotient_tables_pass_the_checks_of_create():
+    # semigroup_quotient builds its monomial table without re-checking it
+    for H in enumerate_semigroups(7):
+        if H.genus:
+            for p in (2, 3):
+                A = semigroup_quotient(H, p)
+                assert ArtinAlgebra.create(A.field, A.labels, A.table) == A, (H, p)
+
+
+def test_vectors_of_the_wrong_length_are_refused():
+    A = gorenstein_two_generators(GF(3))
+    x = ideal_generated_by(A, [(0, 1, 0, 0)])
+    for v in ((0, 1), (0, 1, 0), (0, 1, 0, 0, 7)):
+        with pytest.raises(ValueError, match="4 entries"):
+            A.act(1, v)
+        with pytest.raises(ValueError, match="4 entries"):
+            x.contains(v)
+        with pytest.raises(ValueError, match="4 entries"):
+            x.coordinates(v)
+        with pytest.raises(ValueError, match="4 entries"):
+            ideal_generated_by(A, [v])
+    assert x.coordinates((0, 2, 0, 1)) == [2, 1]
 
 
 def test_trace_ideals_square_zero():

@@ -1,8 +1,8 @@
 """The reverse-search submodule-lattice engine against two oracles.
 
 The engine is fed the shifts by the minimal generators below the
-conductor (trace) or the non-unit rows of a multiplication table
-(artin), and streams each module once, in the order of its walk.  The
+conductor (trace) or the table rows of the generators of m (artin),
+and streams each module once, in the order of its walk.  The
 brute-force oracle gets every monomial shift or every table row, the
 identity included, and sweeps all cyclic modules; the cover oracle is
 the former engine, which climbs by covers and drops copies per layer.
