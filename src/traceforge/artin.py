@@ -145,11 +145,14 @@ class ArtinAlgebra:
     def zero_vector(self) -> tuple:
         return tuple(self.field.zero for _ in range(self.dim))
 
+    def _check_length(self, v) -> None:
+        if len(v) != self.dim:
+            raise ValueError(f"a vector of A has {self.dim} entries, not {len(v)}")
+
     def act(self, i: int, v: tuple) -> tuple:
         """b_i * v: v's entries combine the column images b_i b_j of the
         table, with native operators and ``% p`` once over F_p."""
-        if len(v) != self.dim:
-            raise ValueError(f"a vector of A has {self.dim} entries, not {len(v)}")
+        self._check_length(v)
         out = self.zero_vector()
         for x, image in zip(v, self.table[i]):
             if x:
@@ -208,8 +211,7 @@ class SubIdeal:
         """Coordinates of v in the basis, or None when v is outside: the
         rows are reduced, so each is v's entry at its row's pivot."""
         A = self.algebra
-        if len(v) != A.dim:
-            raise ValueError(f"a vector of A has {A.dim} entries, not {len(v)}")
+        A._check_length(v)
         p = A.field.p if A.field.finite else 0
         w = [x % p for x in v] if p else v
         rest = _residue(self.rows, self.pivots, w)
@@ -559,6 +561,8 @@ def gorenstein_family_separation(A: ArtinAlgebra, u, v, samples) -> int:
     soc = socle(A)
     if soc.dim != 1:
         raise NotGorenstein(f"socle dimension is {soc.dim}")
+    for w in (u, v):
+        A._check_length(w)
     u = tuple(f.element(x) for x in u)
     v = tuple(f.element(x) for x in v)
     if u[0] or v[0]:

@@ -8,11 +8,11 @@ contains the conductor c, and over a finite field Tr(R) is finite: the
 enumeration runs a fixed-point test on every R-submodule T of R/c from
 the lattice engine of :mod:`traceforge.artin`, with one coordinate per
 member of H below c (:class:`_Quotient`, built once per semigroup and
-prime).  R : T is R plus its part on the gaps of H, so the test solves
-only for that gap part and stops at the first product with T that
-falls outside T.  The gap part is the null space of T's gap system,
-which each module carries down from its parent one row at a time, and
-only the trace ideals are lifted back to fractional ideals.
+prime).  R : T is R plus its part on the gaps of H, so the test takes
+only that gap part and stops at the first product with T that falls
+outside T.  Each module carries the gap part's RREF basis down from its
+parent, cut by the equations of one new row, and only the trace ideals
+are lifted back to fractional ideals.
 Whole-theorem checks sit on top: the blowup bijection for minimal
 multiplicity, the normalization as a union of endomorphism rings, and
 the colon separation probe that certifies infinite families over the
@@ -24,9 +24,9 @@ nonzero samples, which t -> kt maps onto each other.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
+from operator import mul
 
 from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice, _residue
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
@@ -81,7 +81,8 @@ class _Quotient:
     lattice engine.  The gaps are numbered in increasing order:
     ``reach[i]`` lists the pairs (g, j) of gap numbers with exps[i] + gap
     j = gap g, and ``spread[j]`` the pairs (i, k) with exps[i] + gap j =
-    exps[k].
+    exps[k].  ``gap_units`` are the unit vectors of the gaps, the gap part
+    of R : c = K[[t]] (see :meth:`gap_part`).
     """
 
     field: object
@@ -90,6 +91,7 @@ class _Quotient:
     shifts: tuple
     reach: tuple
     spread: tuple
+    gap_units: tuple
 
     def lift(self, rows) -> FractionalIdeal:
         """The ideal span(rows) + c, for a lattice member's RREF rows, built
@@ -99,45 +101,35 @@ class _Quotient:
         return FractionalIdeal(f, self.semigroup, self.semigroup.conductor, tuple(
             LaurentPoly(f, tuple((e, x) for e, x in zip(self.exps, r) if x)) for r in rows))
 
-    def gap_system(self, gaps, v) -> tuple[tuple, tuple]:
-        """The gap system of T + F_p v from ``gaps``, that of T.
+    def gap_part(self, G, v) -> tuple:
+        """The gap part of R : (T + F_p v) from ``G``, that of R : T.
 
-        The gap system of T is the RREF (rows, pivots) of the equations on
-        gamma, one unknown per gap, saying that gamma b has no gap terms for
-        every b in T; c alone has none.  Adding v adds one equation per gap
-        g, the coefficient of t^g in gamma v, and each is reduced against
-        the rows (which vanish at each other's pivots) and, when it
-        survives, scaled to a pivot 1 and cleared from the other rows.
+        The gap part is the RREF basis of the gamma, one coordinate per
+        gap, with no gap terms in gamma b for any b in T.  Adding v imposes
+        one equation per gap g: the coefficient of t^g in gamma v is zero.
+        When some basis vectors fail an equation, the last of them clears
+        it from the others and is dropped; it is zero before its lead and
+        at their leads, so they keep their leads and stay the unique RREF.
+        The parent's G is shared with its siblings, never changed.
         """
+        if not G:  # gamma = 0 already: R : T = R
+            return G
         p = self.field.p
         n = len(self.spread)
-        rows, pivots = gaps
-        if len(pivots) == n:  # gamma = 0 already: R : T = R
-            return gaps
         eqs = {}
         for i, y in enumerate(v):
             if y:
                 for g, j in self.reach[i]:
                     eqs.setdefault(g, [0] * n)[j] = y
-        rows, pivots = list(rows), list(pivots)
         for e in eqs.values():
-            e = _residue(rows, pivots, e)
-            lead = next((j for j, x in enumerate(e) if x % p), None)
-            if lead is None:
-                continue
-            k = pow(e[lead], -1, p)
-            e = [x * k % p for x in e]
-            for i, r in enumerate(rows):
-                x = r[lead]
-                if x:
-                    rows[i] = [(a - x * b) % p for a, b in zip(r, e)]
-            at = bisect_left(pivots, lead)
-            rows.insert(at, e)
-            pivots.insert(at, lead)
-        return tuple(map(tuple, rows)), tuple(pivots)
-
-
-_NO_GAPS = ((), ())  # the gap system of c: no equations
+            vals = [sum(map(mul, gamma, e)) % p for gamma in G]
+            fail = [k for k, x in enumerate(vals) if x]
+            if fail:
+                last = fail[-1]
+                drop, inv = G[last], pow(vals[last], -1, p)
+                G = tuple(tuple((a - x * inv * b) % p for a, b in zip(gamma, drop)) if x else gamma
+                          for gamma, x in zip(G, vals[:last])) + G[last + 1:]
+        return G
 
 
 def _quotient(f, H: NumericalSemigroup) -> _Quotient:
@@ -153,31 +145,28 @@ def _quotient(f, H: NumericalSemigroup) -> _Quotient:
                   for e in exps)
     spread = tuple(tuple((i, index[e + j]) for i, e in enumerate(exps) if e + j in index)
                    for j in gaps)
-    return _Quotient(f, H, exps, shifts, reach, spread)
+    n = len(gaps)
+    gap_units = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    return _Quotient(f, H, exps, shifts, reach, spread, gap_units)
 
 
-def _gap_fixed_point(q: _Quotient, rows, pivots, gaps) -> bool:
+def _gap_fixed_point(q: _Quotient, rows, pivots, G) -> bool:
     """Whether T = span(rows) + c is a trace ideal, for an R-module T
     with c inside T inside R, T/c given by RREF ``rows`` over ``q.exps``
-    with the given pivot columns, and ``gaps`` its gap system
-    (:meth:`_Quotient.gap_system`).
+    with the given pivot columns, and ``G`` the RREF basis of the gap part
+    of R : T (:meth:`_Quotient.gap_part`).
 
     R T lies in T, so R lies in R : T, and modulo c, R : T = R/c + G,
-    where G holds the elements of R : T supported on the gaps: the null
-    space of the gap system, one unknown per gap.  Hence tr(T) = T + G T,
-    and T is a trace ideal exactly when gamma b lies in T for every basis
-    vector gamma of G and every row b.  The test stops at the first
-    product outside T.
+    where G holds the elements of R : T supported on the gaps.  Hence
+    tr(T) = T + G T, and T is a trace ideal exactly when gamma b lies in
+    T for every basis vector gamma of G and every row b.  The test stops
+    at the first product outside T.
     """
     p = q.field.p
-    red, gap_pivots = gaps
     d = len(q.exps)
-    for j in range(len(q.spread)):
-        if j in gap_pivots:
-            continue
-        # the basis vector of G for the free gap j, spread onto R/c
-        gamma = [(j, 1)] + [(g, -r[j]) for g, r in zip(gap_pivots, red) if r[j]]
-        terms = [(i, k, x) for g, x in gamma for i, k in q.spread[g]]
+    for gamma in G:
+        # gamma spread onto R/c
+        terms = [(i, k, x) for g, x in enumerate(gamma) if x for i, k in q.spread[g]]
         for b in rows:
             v = [0] * d
             for i, k, x in terms:
@@ -283,9 +272,9 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     _check_quotient_dim(d)
     q = _quotient(GF(p), H)
     fixed = []  # the stream starts at the zero module, so census is always set
-    walk = _ideal_lattice(p, d, q.shifts, q.gap_system, _NO_GAPS)
-    for census, (rows, pivots, gaps) in enumerate(walk, 1):
-        if _gap_fixed_point(q, rows, pivots, gaps):
+    walk = _ideal_lattice(p, d, q.shifts, q.gap_part, q.gap_units)
+    for census, (rows, pivots, G) in enumerate(walk, 1):
+        if _gap_fixed_point(q, rows, pivots, G):
             fixed.append(rows)
     infos = []
     for rows in sorted(fixed, key=lambda rows: (len(rows), rows)):

@@ -35,8 +35,9 @@ fixed-point test from the rank of the whole tr(T)/c instead of the gap
 part of R : T with an early exit, coordinates in an Artinian ideal
 from row-by-row elimination through the field's operations instead of
 reading them at the pivots, and the state of a lattice module (its
-reduced action images, its socle lines and its gap system) from scratch
-instead of carried down the walk one row at a time, and the reduction
+reduced action images, its socle lines and the RREF basis of the gap
+part of R : T) from scratch instead of carried down the walk one row at
+a time, and the reduction
 exponent of the canonical ideal from the products W^j instead of the
 sumsets of K(H), and the probe's colons R : R[t^n + k t^(n+1)] one per
 sample instead of one colon dilated by t -> kt.
@@ -577,11 +578,11 @@ def socle_lines_by_reduction(p: int, d: int, actions, rows, pivots):
             yield j, tuple(v)
 
 
-def gap_system_by_rref(q, rows):
-    """The RREF (rows, pivots) of the gap equations of T = span(rows) + c
-    on the quotient tables ``q``, from one ``rref`` of every row's
-    equations: the per-candidate solve the library replaced by one
-    update per added row."""
+def gap_part_by_rref(q, rows):
+    """The RREF basis of the gap part of R : T, for T = span(rows) + c on
+    the quotient tables ``q``: ``solve_homogeneous`` of one ``rref`` of
+    every row's gap equations, instead of the basis cut one row at a time
+    along the walk."""
     f = q.field
     zero = f.zero
     n = len(q.spread)
@@ -591,8 +592,8 @@ def gap_system_by_rref(q, rows):
             if y:
                 for g, j in q.reach[i]:
                     eqs.setdefault((r, g), [zero] * n)[j] = y
-    red, gap_pivots = rref(Matrix(f, tuple(map(tuple, eqs.values())), n))
-    return red.rows[:len(gap_pivots)], gap_pivots
+    red, _ = rref(Matrix(f, tuple(map(tuple, eqs.values())), n))
+    return tuple(solve_homogeneous(red))
 
 
 def rref_by_field_ops(m):

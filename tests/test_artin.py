@@ -283,6 +283,12 @@ def test_vectors_of_the_wrong_length_are_refused():
             x.coordinates(v)
         with pytest.raises(ValueError, match="4 entries"):
             ideal_generated_by(A, [v])
+    # u and v of the separation are checked before u[0] or the span reads them
+    G = gorenstein_two_generators(GF(7))
+    for bad in ((), (0, 1), (0, 1, 0, 0, 0)):
+        for u, v in ((bad, (0, 0, 1, 0)), ((0, 1, 0, 0), bad)):
+            with pytest.raises(ValueError, match=f"4 entries, not {len(bad)}"):
+                gorenstein_family_separation(G, u, v, [0, 1])
     assert x.coordinates((0, 2, 0, 1)) == [2, 1]
 
 

@@ -1,5 +1,6 @@
 import json
 from importlib import import_module, resources
+from pathlib import Path
 
 import jsonschema
 
@@ -218,8 +219,8 @@ def test_survey_reports_missing_conductor_as_violation(monkeypatch):
     trace = import_module("traceforge.trace")
     inner = trace._gap_fixed_point
 
-    def reject_empty(q, rows, pivots, gaps):
-        return inner(q, rows, pivots, gaps) if rows else False
+    def reject_empty(q, rows, pivots, G):
+        return inner(q, rows, pivots, G) if rows else False
 
     monkeypatch.setattr(trace, "_gap_fixed_point", reject_empty)
     record = batch.survey_one((3, 4), 2, 0)
@@ -258,3 +259,17 @@ def test_thread_count(tmp_path):
     for threads, expected in ((None, 1), (0, 1), (1, 1), (2, 2)):
         record = survey(1, 2, tmp_path / f"t{threads}", threads=threads)
         assert record["config"]["threads"] == expected, threads
+
+
+def test_readme_python_example(capsys):
+    # run the README's Python block; each comment that spells a printed
+    # line out in full (no "...") must match it, up to runs of spaces
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    printed = capsys.readouterr().out.splitlines()
+    spelled = [" ".join(line.split("# ", 1)[1].split()) for line in block.splitlines()
+               if "# " in line and not line.endswith("...")]
+    assert spelled == ["(0, 1)", "c Ideal[ | t^8K[[t]] over <4,5,11>]",
+                       "c+(t^5) Ideal[t^5 | t^8K[[t]] over <4,5,11>]"]
+    assert [" ".join(line.split()) for line in printed[:len(spelled)]] == spelled

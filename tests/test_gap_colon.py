@@ -6,10 +6,12 @@ gaps of H and stops at the first product outside T;
 compares dimensions.  The two must give the same verdict on every
 candidate over F_p, the one field the kernel serves; over QQ,
 ``is_trace_ideal`` (tr(I) = I from the definition) must agree with the
-rank test.  The gap system comes from
-``_Quotient.gap_system`` one row at a time, and along the lattice walk
+rank test.  The RREF basis of the gap part comes from
+``_Quotient.gap_part`` one row at a time, and along the lattice walk
 with the action images reduced one row at a time; both must equal their
-from-scratch oracles at every module.
+from-scratch oracles at every module: the same basis, not only the same
+span, so a step that drops the wrong vector or changes its parent's
+basis fails.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (_window_basis, _window_vector, gap_system_by_rref, images_by_reduction,
+from _oracles import (_window_basis, _window_vector, gap_part_by_rref, images_by_reduction,
                       is_trace_by_rank, socle_lines_by_reduction)
 from _strategies import capped_semigroups
 from traceforge.artin import (_ideal_lattice, _reduce_images, _socle_lines, enumerate_ideals,
@@ -28,7 +30,7 @@ from traceforge.fields import GF, QQ
 from traceforge.ideals import (LaurentPoly, conductor_ideal, ideal_from_generators,
                                maximal_ideal, unit_ideal)
 from traceforge.semigroups import NumericalSemigroup, enumerate_semigroups, natural_semigroup
-from traceforge.trace import (_NO_GAPS, _gap_fixed_point, _quotient, enumerate_trace_ideals,
+from traceforge.trace import (_gap_fixed_point, _quotient, enumerate_trace_ideals,
                               is_trace_ideal, trace)
 
 S = NumericalSemigroup.from_generators
@@ -41,9 +43,9 @@ def agree(f, H, rows) -> bool:
     basis = [_window_vector(f, H.conductor, dict(zip(exps, r))) for r in rows]
     pivots = [next(k for k, x in enumerate(r) if x) for r in rows]
     q = _quotient(f, H)
-    gaps = reduce(q.gap_system, rows, _NO_GAPS)
-    assert gaps == gap_system_by_rref(q, rows), (H, f, rows)
-    verdict = _gap_fixed_point(q, rows, pivots, gaps)
+    G = reduce(q.gap_part, rows, q.gap_units)
+    assert G == gap_part_by_rref(q, rows), (H, f, rows)
+    verdict = _gap_fixed_point(q, rows, pivots, G)
     assert verdict == is_trace_by_rank(f, H, basis), (H, f, rows)
     return verdict
 
@@ -98,10 +100,10 @@ def test_walk_carries_images_and_gap_system(case):
     q = _quotient(f, H)
     d = len(q.exps)
     exps = q.exps
-    for rows, pivots, gaps in walk_agrees(p, d, q.shifts, q.gap_system, _NO_GAPS):
-        assert gaps == gap_system_by_rref(q, rows), rows
+    for rows, pivots, G in walk_agrees(p, d, q.shifts, q.gap_part, q.gap_units):
+        assert G == gap_part_by_rref(q, rows), rows
         basis = [_window_vector(f, H.conductor, dict(zip(exps, r))) for r in rows]
-        assert _gap_fixed_point(q, rows, pivots, gaps) == is_trace_by_rank(f, H, basis), rows
+        assert _gap_fixed_point(q, rows, pivots, G) == is_trace_by_rank(f, H, basis), rows
 
 
 def test_walk_carries_images_on_artin_presets():
@@ -119,8 +121,8 @@ def test_named_candidates():
         for H in enumerate_semigroups(5):
             d = len(list(H.members(H.conductor)))
             units = [tuple(f.one if i == k else f.zero for i in range(d)) for k in range(d)]
-            # T = c: there are no rows, hence no equations, and every gap
-            # spans the gap part of R : c = K[[t]]; c * K[[t]] = c
+            # T = c: there are no rows, hence no equations, and the unit
+            # vectors of the gaps span the gap part of R : c = K[[t]]; c * K[[t]] = c
             assert agree(f, H, [])
             assert agree(f, H, units)  # T = R
             if H.genus:
@@ -138,8 +140,9 @@ def test_natural_semigroup_has_no_gaps():
     N0 = natural_semigroup()
     for f in (GF(2), GF(5)):
         q = _quotient(f, N0)
-        assert q.exps == q.shifts == q.reach == q.spread == ()
-        assert _gap_fixed_point(q, [], [], _NO_GAPS) and is_trace_by_rank(f, N0, [])
+        assert q.exps == q.shifts == q.reach == q.spread == q.gap_units == ()
+        assert q.gap_units == gap_part_by_rref(q, [])
+        assert _gap_fixed_point(q, [], [], q.gap_units) and is_trace_by_rank(f, N0, [])
     for f in (GF(2), GF(5), QQ):
         assert is_trace_ideal(unit_ideal(f, N0))
     for p in (2, 3):
