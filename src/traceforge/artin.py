@@ -13,16 +13,19 @@ image of v.
 The only elements of m this layer imposes are the b_g of
 ``A.generators``, which span m/m^2 and so, by Nakayama, generate m as an
 algebra: the socle, the Hom systems and the ideal walks use them alone.
+They are read off one elimination of m^2.  For R/c they are the minimal
+generators of H below c, the actions of the trace-ideal enumeration of
+:mod:`traceforge.trace`.
 
 This module also holds the one submodule-lattice engine of the package,
-used by :func:`enumerate_ideals` here and by the trace-ideal enumeration
-of :mod:`traceforge.trace`, which passes the minimal generators below c.
-It is a reverse search: each nonzero module has one parent, itself
-without its first echelon row, and a depth-first walk from 0 streams
-every module once, adding to M each line of the socle of the quotient
-by M that leads before M's first pivot.  Each module
-carries its action images reduced modulo M, and a caller's state, down
-to its children, so a tree edge costs one row update.
+used by :func:`enumerate_ideals` and the Hom walk here and by that
+trace-ideal enumeration.  It is a reverse search: each nonzero module
+has one parent, itself without its first echelon row, and a depth-first
+walk from 0 streams every module once, adding to M each line of the
+socle of the quotient by M that leads before M's first pivot.  Each
+module carries its action images reduced modulo M down to its children,
+so a tree edge costs one row update, and a caller's state, made by a
+step that is handed the child's rows and pivots.
 """
 
 from __future__ import annotations
@@ -115,22 +118,23 @@ class ArtinAlgebra:
 
     @cached_property
     def square(self) -> tuple:
-        """The RREF basis of m^2, the span of the products b_i b_j, i, j >= 1."""
-        return _span(self, [self.table[i][j] for i in range(1, self.dim)
-                            for j in range(i, self.dim)])
+        """A basis of m^2, the span of the products b_i b_j, i, j >= 1: its
+        RREF with the coordinates reversed, so each vector has its own last
+        nonzero entry, and those entries are the last nonzero entries of m^2."""
+        products = [self.table[i][j][::-1] for i in range(1, self.dim) for j in range(i, self.dim)]
+        return tuple(w[::-1] for w in _span(self, products))
 
     @cached_property
     def generators(self) -> tuple:
-        """The indices g >= 1 whose b_g give a basis of m/m^2, taken in
-        index order: b_g is kept when it raises the rank over m^2 and the
-        b_g kept before it."""
-        span, kept = self.square, []
-        for g in range(1, self.dim):
-            grown = _span(self, span + (self.basis_vector(g),))
-            if len(grown) > len(span):
-                span = grown
-                kept.append(g)
-        return tuple(kept)
+        """The indices g >= 1 whose b_g give a basis of m/m^2: those at which
+        no vector of m^2 has its last nonzero entry.
+
+        They are the b_g that raise the rank over m^2 and b_1, ..., b_{g-1}
+        in index order: by induction m^2 plus the b_j kept before g is
+        m^2 + span(b_1, ..., b_{g-1}), and b_g lies in it exactly when some
+        w of m^2 is b_g plus earlier terms."""
+        lasts = {max(i for i, x in enumerate(w) if x) for w in self.square}
+        return tuple(g for g in range(1, self.dim) if g not in lasts)
 
     @cached_property
     def generator_matrices(self) -> tuple:
@@ -371,9 +375,12 @@ def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
     Each module carries down the tree what its children need, so a tree
     edge costs one row update: ``images[j]`` lists a e_j modulo M over the
     actions, for every column j off the pivots (None on them), and
-    ``state`` starts as given and becomes ``step(state, v)`` along the
-    edge from M to M + F_p v.  A child's state is made when it leaves the
-    stack, so the stack holds one set of images per module on the path.
+    ``state`` starts as given and becomes ``step(state, rows, pivots)``
+    along the edge from M to M + F_p v, called with the child's rows and
+    pivots as they are about to be yielded, so ``rows[0]`` is v and
+    ``rows[1:]``, ``pivots[1:]`` are M's.  A child's state is made when it
+    leaves the stack, so the stack holds one set of images per module on
+    the path.
     """
     stack = [((), (), [[a[j] for a in actions] for j in range(d)], state)]
     while stack:
@@ -381,7 +388,7 @@ def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
         if rows:
             images = _reduce_images(p, images, rows[0], pivots[0])
             if step:
-                state = step(state, rows[0])
+                state = step(state, rows, pivots)
         yield rows, pivots, state
         stack += [((v,) + rows, (lead,) + pivots, images, state)
                   for lead, v in _socle_lines(p, images, pivots)]
@@ -469,19 +476,20 @@ def _hom_walk(A: ArtinAlgebra):
 
     A homomorphism phi is the flat tuple of its images of I's rows, d
     entries each, in the order of the rows, so a homomorphism on a child
-    is its image w of v followed by its restriction to the parent.  The
-    root carries the empty basis.
+    is its image w of v = rows[0] followed by its restriction to the
+    parent, whose rows and pivots are ``rows[1:]`` and ``pivots[1:]``.
+    The root carries the empty basis.
     """
     f = A.field
     p, d = f.p, A.dim
 
-    def step(state, v):
-        pivots, homs = state
+    def step(homs, rows, pivots):
+        v = rows[0]
         pad = (0,) * len(homs)
         eqs = []
         for _, M in A.generator_matrices:
             # b_g v lies in I, so its coordinates are its entries M[c] . v at I's pivots
-            lam = [(j * d, x) for j, c in enumerate(pivots)
+            lam = [(j * d, x) for j, c in enumerate(pivots[1:])
                    if (x := sum(a * b for a, b in zip(M[c], v)) % p)]
             if not (lam and homs):  # phi(b_g v) = 0 for every phi
                 eqs += [coeffs + pad for coeffs in M if any(coeffs)]
@@ -499,17 +507,14 @@ def _hom_walk(A: ArtinAlgebra):
                     eqs.append(row)
         extended = []
         for sol in solve_homogeneous(Matrix(f, tuple(eqs), d + len(homs))):
-            phi = [0] * (len(pivots) * d)
+            phi = [0] * ((len(rows) - 1) * d)
             for c, old in zip(sol[d:], homs):
                 if c:
                     phi = [a + c * b for a, b in zip(phi, old)]
             extended.append(sol[:d] + tuple([x % p for x in phi]))
-        lead = next(i for i, x in enumerate(v) if x)
-        return (lead,) + pivots, tuple(extended)
+        return tuple(extended)
 
-    actions = [A.table[g] for g in A.generators]
-    for rows, pivots, (_, homs) in _ideal_lattice(p, d, actions, step, ((), ())):
-        yield rows, pivots, homs
+    return _ideal_lattice(p, d, [A.table[g] for g in A.generators], step, ())
 
 
 def enumerate_trace_ideals_artinian(A: ArtinAlgebra) -> list[SubIdeal]:

@@ -17,7 +17,6 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,8 +27,7 @@ from .semigroups import (NumericalSemigroup, canonical_value_set, enumerate_semi
 from .trace import (ENUMERATION_PRIMES, _bijection_report, enumerate_trace_ideals,
                     family_probe)
 
-__all__ = ["JobConfig", "survey", "survey_one", "SCHEMA_VERSION",
-           "SUMMARY_COLUMNS"]
+__all__ = ["survey", "survey_one", "SCHEMA_VERSION", "SUMMARY_COLUMNS"]
 
 SCHEMA_VERSION = 1
 
@@ -37,21 +35,6 @@ SUMMARY_COLUMNS = ("gens", "genus", "mult", "edim", "arf", "kunz_class",
                    "vs_condition", "n_trace_p", "bijection_ok", "family_witness")
 
 PROBE_SAMPLE_COUNT = 5
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """Echo of a survey invocation; (config, seed) determines every record."""
-
-    command: str
-    max_genus: int
-    prime: int
-    out_dir: str
-    seed: int
-    threads: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _probe_samples(gens: tuple, seed: int) -> list[int]:
@@ -171,8 +154,6 @@ def survey(max_genus: int, prime: int, out_dir, seed: int = 0,
     threads = max(1, threads or 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = JobConfig("survey", max_genus, prime, str(out_dir), seed, threads)
-
     gens_list = [H.minimal_generators for H in semigroups]
     t0 = time.monotonic()
     jobs = [(g, prime, seed) for g in gens_list]
@@ -205,7 +186,8 @@ def survey(max_genus: int, prime: int, out_dir, seed: int = 0,
     run_record = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "config": config.to_json(),
+        "config": {"command": "survey", "max_genus": max_genus, "prime": prime,
+                   "out_dir": str(out_dir), "seed": seed, "threads": threads},
         "count": len(records),
         "violations": violations,
         "flagged_for_study": [r["gens"] for r in records if r["flag_for_study"]],

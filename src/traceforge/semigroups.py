@@ -359,7 +359,7 @@ FINITE_TYPE_TAGS = ("<1>", "<2,2s-1>", "<3,4>", "<3,5>", "<3,5,7>", "<3,4,5>")
 
 
 def _semigroup_with_value_set(K: SemigroupIdeal) -> NumericalSemigroup:
-    """The semigroup generated by H = K.base and K = K(H), for H other than N0.
+    """The semigroup generated by H = K.base and K = K(H).
 
     K(H) is the union of the k + H over its generators k as an H-ideal, so
     H's minimal generators and the nonzero generators of K(H) suffice.
@@ -376,8 +376,6 @@ def cm_type_list_check(K: SemigroupIdeal) -> str | None:
     Returns the tag of the matching entry, or None.  The entries are <1>,
     the family <2,2s-1>, <3,4>, <3,5>, <3,5,7> and <3,4,5>.
     """
-    if K.base.conductor == 0:
-        return "<1>"
     gens = _semigroup_with_value_set(K).minimal_generators
     if gens == (1,):
         return "<1>"

@@ -101,8 +101,10 @@ class _Quotient:
         return FractionalIdeal(f, self.semigroup, self.semigroup.conductor, tuple(
             LaurentPoly(f, tuple((e, x) for e, x in zip(self.exps, r) if x)) for r in rows))
 
-    def gap_part(self, G, v) -> tuple:
-        """The gap part of R : (T + F_p v) from ``G``, that of R : T.
+    def gap_part(self, G, rows, pivots) -> tuple:
+        """The gap part of R : (T + F_p v) from ``G``, that of R : T, as a
+        step of the lattice walk: ``rows`` and ``pivots`` are the child's,
+        so v is ``rows[0]``.
 
         The gap part is the RREF basis of the gamma, one coordinate per
         gap, with no gap terms in gamma b for any b in T.  Adding v imposes
@@ -117,7 +119,7 @@ class _Quotient:
         p = self.field.p
         n = len(self.spread)
         eqs = {}
-        for i, y in enumerate(v):
+        for i, y in enumerate(rows[0]):
             if y:
                 for g, j in self.reach[i]:
                     eqs.setdefault(g, [0] * n)[j] = y

@@ -25,7 +25,9 @@ column-reversed system, remainders from whole polynomial subtractions instead of
 closed-form remainders of the monomials, products of ideals from module
 generation instead of the span of row products, products in an Artinian
 algebra from every pair of nonzero entries through the field's operations
-instead of native combinations of the table's column images, Artinian Hom
+instead of native combinations of the table's column images, the
+generators of m/m^2 from a growing span per basis element instead of the
+last nonzero entries of one elimination of m^2, Artinian Hom
 traces and socles from the ideal generated by the images or the null space
 instead of their span, Hom(I, A) solved on every basis element instead of
 on the generators of m/m^2, the Artinian trace ideals from hom_trace on
@@ -46,7 +48,7 @@ sample instead of one colon dilated by t -> kt.
 from bisect import bisect
 from itertools import combinations, product
 
-from traceforge.artin import SubIdeal, enumerate_ideals, hom_trace, ideal_generated_by
+from traceforge.artin import SubIdeal, _span, enumerate_ideals, hom_trace, ideal_generated_by
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, QQ, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _check_pair,
@@ -689,6 +691,19 @@ def mult_by_field_ops(A, u, v):
                 if not f.is_zero(c):
                     out[r] = f.add(out[r], f.mul(k, c))
     return tuple(out)
+
+
+def generators_by_greedy_span(A):
+    """The indices g >= 1 whose b_g give a basis of m/m^2, taken in
+    index order: b_g is kept when it raises the rank over m^2 and the
+    b_g kept before it."""
+    span, kept = A.square, []
+    for g in range(1, A.dim):
+        grown = _span(A, span + (A.basis_vector(g),))
+        if len(grown) > len(span):
+            span = grown
+            kept.append(g)
+    return tuple(kept)
 
 
 def hom_basis_by_generation(I):

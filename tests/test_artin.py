@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (coordinates_by_elimination, hom_basis_by_generation,
-                      hom_trace_by_generation, lattice_by_covers, mult_by_field_ops,
-                      socle_by_generation, trace_ideals_by_hom_trace)
+from _oracles import (coordinates_by_elimination, generators_by_greedy_span,
+                      hom_basis_by_generation, hom_trace_by_generation, lattice_by_covers,
+                      mult_by_field_ops, socle_by_generation, trace_ideals_by_hom_trace)
 from _strategies import capped_semigroups
 from traceforge.artin import (IDEAL_ENUMERATION_GUARD, ArtinAlgebra, SubIdeal, _hom_walk,
                               enumerate_ideals,
@@ -21,7 +21,7 @@ from traceforge.errors import (DependentGenerators, InfiniteField, NotGorenstein
 from traceforge.fields import GF, QQ, Matrix, rank
 from traceforge.semigroups import (NumericalSemigroup, enumerate_semigroups,
                                    natural_semigroup)
-from traceforge.trace import enumerate_trace_ideals
+from traceforge.trace import _quotient, enumerate_trace_ideals
 
 S = NumericalSemigroup.from_generators
 
@@ -207,6 +207,29 @@ def test_generators_span_m_modulo_m_squared():
         below_c = [g for g in H.minimal_generators if g < H.conductor]
         for p in (2, 3):
             check(semigroup_quotient(H, p), len(below_c))
+    # on R/c they are the minimal generators of H below c: the Artinian
+    # walks and the Tr(R) walk act by the same maps
+    pairs = 0
+    for H in enumerate_semigroups(7):
+        if H.genus:
+            for p in (2, 3, 5, 7):
+                A = semigroup_quotient(H, p)
+                assert tuple(A.table[g] for g in A.generators) == _quotient(GF(p), H).shifts, (H, p)
+                pairs += 1
+    assert pairs == 352
+
+
+def test_generators_match_greedy_span_oracle():
+    algebras = [semigroup_quotient(H, p) for H in enumerate_semigroups(7) if H.genus
+                for p in (2, 3)]
+    for f in (GF(2), GF(3), GF(7), QQ):
+        algebras += [truncated_dvr(f, length) for length in range(1, 9)]
+        algebras += [square_zero_two_vars(f), gorenstein_two_generators(f)]
+    algebras += [unadapted_quartic(f) for f in (GF(2), GF(3), QQ)]
+    algebras += [diagonal_gorenstein(f) for f in (GF(3), GF(7), QQ)]
+    assert len(algebras) == 222
+    for A in algebras:
+        assert A.generators == generators_by_greedy_span(A), A
 
 
 HOM_ALGEBRAS = [make(f) for f in (GF(2), GF(3), QQ)

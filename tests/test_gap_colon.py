@@ -7,7 +7,7 @@ compares dimensions.  The two must give the same verdict on every
 candidate over F_p, the one field the kernel serves; over QQ,
 ``is_trace_ideal`` (tr(I) = I from the definition) must agree with the
 rank test.  The RREF basis of the gap part comes from
-``_Quotient.gap_part`` one row at a time, and along the lattice walk
+``_Quotient.gap_part`` one row suffix at a time, and along the lattice walk
 with the action images reduced one row at a time; both must equal their
 from-scratch oracles at every module: the same basis, not only the same
 span, so a step that drops the wrong vector or changes its parent's
@@ -43,7 +43,9 @@ def agree(f, H, rows) -> bool:
     basis = [_window_vector(f, H.conductor, dict(zip(exps, r))) for r in rows]
     pivots = [next(k for k, x in enumerate(r) if x) for r in rows]
     q = _quotient(f, H)
-    G = reduce(q.gap_part, rows, q.gap_units)
+    # walk step by step from c, each suffix of the rows the parent of the next
+    G = reduce(lambda G, k: q.gap_part(G, rows[k:], pivots[k:]),
+               reversed(range(len(rows))), q.gap_units)
     assert G == gap_part_by_rref(q, rows), (H, f, rows)
     verdict = _gap_fixed_point(q, rows, pivots, G)
     assert verdict == is_trace_by_rank(f, H, basis), (H, f, rows)
@@ -79,10 +81,10 @@ def walk_agrees(p, d, actions, step=None, state=None):
     updated along each edge by ``_reduce_images`` as the walk updates its
     own; at every module they and the socle lines are checked against the
     from-scratch oracles.  Yields the walk's (rows, pivots, state)."""
-    def both(pair, v):
+    def both(pair, rows, pivots):
         images, inner = pair
-        lead = next(j for j, x in enumerate(v) if x)
-        return _reduce_images(p, images, v, lead), step(inner, v) if step else inner
+        images = _reduce_images(p, images, rows[0], pivots[0])
+        return images, step(inner, rows, pivots) if step else inner
 
     start = ([[a[j] for a in actions] for j in range(d)], state)
     for rows, pivots, (images, carried) in _ideal_lattice(p, d, actions, both, start):

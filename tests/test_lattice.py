@@ -64,19 +64,53 @@ def test_members_carry_their_pivots():
                 assert pivots == tuple(next(k for k, x in enumerate(r) if x) for r in rows)
 
 
-def test_artin_presets_match_oracle():
+def artin_presets():
     algebras = []
     for p in (2, 3, 5):
         algebras += [truncated_dvr(GF(p), n) for n in (1, 2, 4)]
         algebras += [square_zero_two_vars(GF(p)), gorenstein_two_generators(GF(p)),
                      semigroup_quotient(S([3, 7]), p)]
-    algebras += [truncated_dvr(GF(2), 7), truncated_dvr(GF(7), 3),
-                 semigroup_quotient(S([4, 5, 11]), 2),
-                 semigroup_quotient(S([4, 6, 9]), 3),
-                 semigroup_quotient(S([5, 7, 8, 9]), 2)]
-    for A in algebras:
+    return algebras + [truncated_dvr(GF(2), 7), truncated_dvr(GF(7), 3),
+                       semigroup_quotient(S([4, 5, 11]), 2),
+                       semigroup_quotient(S([4, 6, 9]), 3),
+                       semigroup_quotient(S([5, 7, 8, 9]), 2)]
+
+
+def test_artin_presets_match_oracle():
+    for A in artin_presets():
         rows = [I.rows for I in enumerate_ideals(A)]
         assert rows == lattice_by_closure(A.field.p, A.dim, A.table), A
+
+
+def recorded_walk(p, d, actions) -> int:
+    """Walk with a step that records its calls and threads a depth
+    counter; each call must hand over the module yielded next, whose
+    parent was yielded before.  Returns the number of modules."""
+    calls = []
+
+    def step(depth, rows, pivots):
+        calls.append((rows, pivots))
+        return depth + 1
+
+    seen = set()
+    for rows, pivots, depth in _ideal_lattice(p, d, actions, step, 0):
+        assert depth == len(rows), rows
+        if rows:
+            assert calls.pop() == (rows, pivots)
+            assert (rows[1:], pivots[1:]) in seen, rows
+        assert not calls, rows  # one call per edge, none for the root
+        seen.add((rows, pivots))
+    return len(seen)
+
+
+def test_step_receives_the_child_it_precedes():
+    for H in enumerate_semigroups(5):
+        for p in (2, 3):
+            q = _quotient(GF(p), H)
+            assert recorded_walk(p, len(q.exps), q.shifts) == len(engine_rows(H, p)), (H, p)
+    for A in artin_presets():
+        actions = [A.table[g] for g in A.generators]
+        assert recorded_walk(A.field.p, A.dim, actions) == len(enumerate_ideals(A)), A
 
 
 def test_natural_semigroup_has_zero_quotient():
