@@ -79,6 +79,10 @@ class ArtinAlgebra:
 
     ``table[i][j]`` holds the coordinates of b_i * b_j.  Index 0 is the
     identity; the span of the other basis elements is the maximal ideal.
+    A table from a caller enters through :meth:`create`, which checks it;
+    the constructors of this module build algebras with canonical entries
+    by construction and skip those checks.  A vector from a caller enters
+    through :meth:`_vector`.
     """
 
     field: object
@@ -143,20 +147,22 @@ class ArtinAlgebra:
         return tuple((g, tuple(zip(*self.table[g]))) for g in self.generators)
 
     def basis_vector(self, i: int) -> tuple:
-        f = self.field
-        return tuple(f.one if j == i else f.zero for j in range(self.dim))
+        return _unit_row(self.field, self.dim, i)
 
     def zero_vector(self) -> tuple:
-        return tuple(self.field.zero for _ in range(self.dim))
+        return (self.field.zero,) * self.dim
 
-    def _check_length(self, v) -> None:
+    def _vector(self, v) -> tuple:
+        """A caller's vector v of A, with its length checked and each entry
+        passed through ``field.element``: the one door for caller vectors."""
         if len(v) != self.dim:
             raise ValueError(f"a vector of A has {self.dim} entries, not {len(v)}")
+        return tuple(map(self.field.element, v))
 
     def act(self, i: int, v: tuple) -> tuple:
         """b_i * v: v's entries combine the column images b_i b_j of the
         table, with native operators and ``% p`` once over F_p."""
-        self._check_length(v)
+        v = self._vector(v)
         out = self.zero_vector()
         for x, image in zip(v, self.table[i]):
             if x:
@@ -215,9 +221,8 @@ class SubIdeal:
         """Coordinates of v in the basis, or None when v is outside: the
         rows are reduced, so each is v's entry at its row's pivot."""
         A = self.algebra
-        A._check_length(v)
+        w = A._vector(v)
         p = A.field.p if A.field.finite else 0
-        w = [x % p for x in v] if p else v
         rest = _residue(self.rows, self.pivots, w)
         return None if any(x % p if p else x for x in rest) else [w[j] for j in self.pivots]
 
@@ -238,45 +243,36 @@ def ideal_generated_by(A: ArtinAlgebra, vectors) -> SubIdeal:
 # constructors
 
 
+def _unit_row(field, d: int, k: int) -> tuple:
+    """The k-th unit vector of K^d, with canonical entries."""
+    return tuple(field.one if j == k else field.zero for j in range(d))
+
+
 def truncated_dvr(field, length: int) -> ArtinAlgebra:
     """K[x] / (x^length), a chain ring; length 1 gives the field itself."""
     if length < 1:
         raise ValueError("length must be at least 1")
-    labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, length)]
-    zero = [0] * length
-    table = [[(_unit_row(length, i + j) if i + j < length else zero)
-              for j in range(length)] for i in range(length)]
-    return ArtinAlgebra.create(field, labels, table)
-
-
-def _unit_row(d, k):
-    row = [0] * d
-    row[k] = 1
-    return row
+    labels = ("1",) + tuple(f"x^{i}" if i > 1 else "x" for i in range(1, length))
+    zero = (field.zero,) * length
+    table = tuple(tuple(_unit_row(field, length, i + j) if i + j < length else zero
+                        for j in range(length)) for i in range(length))
+    return ArtinAlgebra(field, length, labels, table)
 
 
 def square_zero_two_vars(field) -> ArtinAlgebra:
     """K[x, y] / (x, y)^2: dim 3, every product of non-units is zero."""
-    zero = [0, 0, 0]
-    table = [
-        [_unit_row(3, 0), _unit_row(3, 1), _unit_row(3, 2)],
-        [_unit_row(3, 1), zero, zero],
-        [_unit_row(3, 2), zero, zero],
-    ]
-    return ArtinAlgebra.create(field, ("1", "x", "y"), table)
+    one, x, y = (_unit_row(field, 3, k) for k in range(3))
+    zero = (field.zero,) * 3
+    table = ((one, x, y), (x, zero, zero), (y, zero, zero))
+    return ArtinAlgebra(field, 3, ("1", "x", "y"), table)
 
 
 def gorenstein_two_generators(field) -> ArtinAlgebra:
     """K[x, y] / (x^2 - y^2, xy): dim 4, Gorenstein, socle spanned by x^2."""
-    zero = [0, 0, 0, 0]
-    s = _unit_row(4, 3)
-    table = [
-        [_unit_row(4, 0), _unit_row(4, 1), _unit_row(4, 2), _unit_row(4, 3)],
-        [_unit_row(4, 1), s, zero, zero],
-        [_unit_row(4, 2), zero, s, zero],
-        [_unit_row(4, 3), zero, zero, zero],
-    ]
-    return ArtinAlgebra.create(field, ("1", "x", "y", "x^2"), table)
+    one, x, y, s = (_unit_row(field, 4, k) for k in range(4))
+    zero = (field.zero,) * 4
+    table = ((one, x, y, s), (x, s, zero, zero), (y, zero, s, zero), (s, zero, zero, zero))
+    return ArtinAlgebra(field, 4, ("1", "x", "y", "x^2"), table)
 
 
 def semigroup_quotient(H, p: int) -> ArtinAlgebra:
@@ -289,10 +285,11 @@ def semigroup_quotient(H, p: int) -> ArtinAlgebra:
     _check_quotient_dim(d)
     index = {e: i for i, e in enumerate(exps)}
     labels = tuple("1" if e == 0 else f"t^{e}" for e in exps)
-    # commutative, associative, unital and nilpotent as built: no ``create`` checks
-    table = tuple(tuple(tuple(_unit_row(d, index[a + b])) if a + b < c else (0,) * d
+    f = GF(p)
+    zero = (f.zero,) * d
+    table = tuple(tuple(_unit_row(f, d, index[a + b]) if a + b < c else zero
                         for b in exps) for a in exps)
-    return ArtinAlgebra(GF(p), d, labels, table)
+    return ArtinAlgebra(f, d, labels, table)
 
 
 # ---------------------------------------------------------------------------
@@ -562,21 +559,14 @@ def gorenstein_family_separation(A: ArtinAlgebra, u, v, samples) -> int:
     of A and tr(I) = I.  Distinct samples are expected to give distinct
     ideals.
     """
-    f = A.field
     soc = socle(A)
     if soc.dim != 1:
         raise NotGorenstein(f"socle dimension is {soc.dim}")
-    for w in (u, v):
-        A._check_length(w)
-    u = tuple(f.element(x) for x in u)
-    v = tuple(f.element(x) for x in v)
+    u, v = A._vector(u), A._vector(v)
     if u[0] or v[0]:
         raise DependentGenerators("u and v must lie in the maximal ideal")
     if len(_span(A, A.square + (u, v))) != len(A.square) + 2:
         raise DependentGenerators("u and v are dependent modulo m^2")
-    seen = set()
-    for a in samples:
-        a = f.element(a)
-        w = tuple(f.element(x + a * y) for x, y in zip(u, v))
-        seen.add(ideal_generated_by(A, [w]).rows)
-    return len(seen)
+    # u + a v enters through act, which makes its entries canonical
+    return len({ideal_generated_by(A, [[x + a * y for x, y in zip(u, v)]]).rows
+                for a in samples})

@@ -18,12 +18,13 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
 from .semigroups import (NumericalSemigroup, canonical_value_set, enumerate_semigroups,
                          is_arf, kunz_cone_classify, value_set_condition,
-                         cm_type_list_check, INTERIOR)
+                         cm_type_list_check, EXTERIOR, INTERIOR)
 from .trace import (ENUMERATION_PRIMES, _bijection_report, enumerate_trace_ideals,
                     family_probe)
 
@@ -35,6 +36,16 @@ SUMMARY_COLUMNS = ("gens", "genus", "mult", "edim", "arf", "kunz_class",
                    "vs_condition", "n_trace_p", "bijection_ok", "family_witness")
 
 PROBE_SAMPLE_COUNT = 5
+
+# each key of record["checks"] and the violation it names, in report order:
+# False is a violation, None means the check does not apply
+THEOREM_CHECKS = {
+    "kunz_class_consistent": "kunz-classification",
+    "conductor_least_trace": "conductor-least-trace",
+    "maximal_ideal_trace_iff_not_dvr": "maximal-ideal-trace",
+    "blowup_bijection": "blowup-bijection",
+    "arf_value_set_condition": "arf-value-set-condition",
+}
 
 
 def _probe_samples(gens: tuple, seed: int) -> list[int]:
@@ -61,7 +72,6 @@ def survey_one(gens: tuple, prime: int, seed: int) -> dict:
         "arf": is_arf(H),
         "finite_type_tag": cm_type_list_check(K),
     }
-    violations: list[str] = []
 
     cond = value_set_condition(K)
     record["vs_condition"] = {"kind": cond.kind, "witness": cond.witness}
@@ -74,25 +84,14 @@ def survey_one(gens: tuple, prime: int, seed: int) -> dict:
         kv = H.kunz_coordinates(e)
         region = kunz_cone_classify(kv)
         record["kunz"] = {"e": e, "coords": list(kv.coords), "class": region}
-        kunz_ok = (region != "exterior"
+        kunz_ok = (region != EXTERIOR
                    and (region == INTERIOR) == H.has_minimal_multiplicity)
-    if not kunz_ok:
-        violations.append("kunz-classification")
 
     enum = enumerate_trace_ideals(H, prime)
     record["trace"] = {"prime": prime, **enum.to_report()}
     record["n_trace"] = enum.count_with_zero
-
-    # every enumerated ideal contains the conductor by construction
-    conductor_least = any(i.is_conductor for i in enum.ideals)
-    if not conductor_least:
-        violations.append("conductor-least-trace")
-
     m_trace = any(i.is_maximal_ideal for i in enum.ideals)
-    maximal_check = m_trace == (H.genus != 0)
     record["maximal_ideal_is_trace"] = m_trace
-    if not maximal_check:
-        violations.append("maximal-ideal-trace")
 
     bijection_ok = None
     if H.genus > 0 and H.has_minimal_multiplicity:
@@ -100,16 +99,8 @@ def survey_one(gens: tuple, prime: int, seed: int) -> dict:
         bijection_ok = rep.ok
         record["bijection"] = {"ok": rep.ok, "left": rep.left_count,
                                "right": rep.right_count, "blowup": rep.blowup}
-        if not rep.ok:
-            violations.append("blowup-bijection")
     else:
         record["bijection"] = None
-
-    shadow_ok = None
-    if record["arf"]:
-        shadow_ok = cond.holds()
-        if not shadow_ok:
-            violations.append("arf-value-set-condition")
 
     probe = None
     # the least n >= 2 with n, n + 1 outside K(H), and only when 1 is outside
@@ -121,20 +112,18 @@ def survey_one(gens: tuple, prime: int, seed: int) -> dict:
                  "distinct": rep.distinct_results, "verdict": rep.verdict}
     record["family_probe"] = probe
 
-    record["checks"] = {
-        "conductor_least_trace": conductor_least,
-        "maximal_ideal_trace_iff_not_dvr": maximal_check,
-        "blowup_bijection": bijection_ok,
-        "arf_value_set_condition": shadow_ok,
+    checks = record["checks"] = {
         "kunz_class_consistent": kunz_ok,
+        # every enumerated ideal contains the conductor by construction
+        "conductor_least_trace": any(i.is_conductor for i in enum.ideals),
+        "maximal_ideal_trace_iff_not_dvr": m_trace == (H.genus != 0),
+        "blowup_bijection": bijection_ok,
+        "arf_value_set_condition": cond.holds() if record["arf"] else None,
     }
-    record["violations"] = violations
+    record["violations"] = [name for key, name in THEOREM_CHECKS.items()
+                            if checks[key] is False]
     record["flag_for_study"] = (not cond.holds())
     return record
-
-
-def _worker(args):
-    return survey_one(*args)
 
 
 def survey(max_genus: int, prime: int, out_dir, seed: int = 0,
@@ -156,12 +145,12 @@ def survey(max_genus: int, prime: int, out_dir, seed: int = 0,
     out.mkdir(parents=True, exist_ok=True)
     gens_list = [H.minimal_generators for H in semigroups]
     t0 = time.monotonic()
-    jobs = [(g, prime, seed) for g in gens_list]
+    args = (gens_list, repeat(prime), repeat(seed))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_worker, jobs))
+            records = list(pool.map(survey_one, *args))
     else:
-        records = [survey_one(*job) for job in jobs]
+        records = list(map(survey_one, *args))
     elapsed = time.monotonic() - t0
 
     summary_rows = []

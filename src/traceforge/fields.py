@@ -53,7 +53,6 @@ class RationalField:
     """The field of rational numbers; elements are reduced ``Fraction`` values."""
 
     finite = False
-    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -112,7 +111,6 @@ class PrimeField:
         if p >= 2**31:
             raise ValueError("prime moduli must fit in 31 bits")
         self.p = p
-        self.characteristic = p
         self.zero = 0
         self.one = 1 % p
 

@@ -70,8 +70,14 @@ class LaurentPoly:
 
     @classmethod
     def from_dict(cls, field, mapping) -> "LaurentPoly":
-        items = tuple(sorted((e, c) for e, c in mapping.items() if not field.is_zero(c)))
-        return cls(field, items)
+        """The sum of c t^e over the items (e, c), each c passed through
+        ``field.element``."""
+        return cls._from_canonical(field, {e: field.element(c) for e, c in mapping.items()})
+
+    @classmethod
+    def _from_canonical(cls, field, mapping) -> "LaurentPoly":
+        """:meth:`from_dict` on canonical coefficients: zeros are false."""
+        return cls(field, tuple(sorted((e, c) for e, c in mapping.items() if c)))
 
     @classmethod
     def zero(cls, field) -> "LaurentPoly":
@@ -79,10 +85,8 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, field, exp: int, coeff=None) -> "LaurentPoly":
-        coeff = field.one if coeff is None else coeff
-        if field.is_zero(coeff):
-            return cls.zero(field)
-        return cls(field, ((exp, coeff),))
+        coeff = field.one if coeff is None else field.element(coeff)
+        return cls(field, ((exp, coeff),) if coeff else ())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -109,7 +113,7 @@ class LaurentPoly:
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = f.add(acc.get(e, f.zero), c)
-        return LaurentPoly.from_dict(f, acc)
+        return LaurentPoly._from_canonical(f, acc)
 
     def sub(self, other) -> "LaurentPoly":
         return self.add(other.neg())
@@ -132,7 +136,7 @@ class LaurentPoly:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 acc[e] = f.add(acc.get(e, f.zero), f.mul(c1, c2))
-        return LaurentPoly.from_dict(f, acc)
+        return LaurentPoly._from_canonical(f, acc)
 
     def shift(self, k: int) -> "LaurentPoly":
         return LaurentPoly(self.field, tuple((e + k, c) for e, c in self.terms))

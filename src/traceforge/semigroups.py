@@ -373,17 +373,15 @@ def cm_type_list_check(K: SemigroupIdeal) -> str | None:
     """Match the semigroup generated by H = K.base and K = K(H) against
     the finite list.
 
-    Returns the tag of the matching entry, or None.  The entries are <1>,
-    the family <2,2s-1>, <3,4>, <3,5>, <3,5,7> and <3,4,5>.
+    Returns the tag of the matching entry of ``FINITE_TYPE_TAGS``, or
+    None.  The family <2,2s-1> is matched by its rule, every other entry
+    by its generators.
     """
     gens = _semigroup_with_value_set(K).minimal_generators
-    if gens == (1,):
-        return "<1>"
     if len(gens) == 2 and gens[0] == 2 and gens[1] % 2 == 1:
         return "<2,2s-1>"
-    if gens in ((3, 4), (3, 5), (3, 5, 7), (3, 4, 5)):
-        return f"<{','.join(map(str, gens))}>"
-    return None
+    tag = f"<{','.join(map(str, gens))}>"
+    return tag if tag in FINITE_TYPE_TAGS else None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
-from .artin import ENUMERATION_DIM_LIMIT, _check_quotient_dim, _ideal_lattice, _residue
+from .artin import _check_quotient_dim, _ideal_lattice, _residue
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
 from .fields import QQ, GF
 from .ideals import (FractionalIdeal, LaurentPoly, _colon, _powers, colon,
@@ -44,7 +44,6 @@ __all__ = [
     "TraceEnumeration",
     "enumerate_trace_ideals",
     "ENUMERATION_PRIMES",
-    "ENUMERATION_DIM_LIMIT",
     "BijectionReport",
     "verify_bijection",
     "FamilyProbeReport",

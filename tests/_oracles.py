@@ -42,7 +42,9 @@ part of R : T) from scratch instead of carried down the walk one row at
 a time, and the reduction
 exponent of the canonical ideal from the products W^j instead of the
 sumsets of K(H), and the probe's colons R : R[t^n + k t^(n+1)] one per
-sample instead of one colon dilated by t -> kt.
+sample instead of one colon dilated by t -> kt, and the finite-type tag
+of cm_type_list_check from a literal list of generator tuples instead of
+``FINITE_TYPE_TAGS``.
 """
 
 from bisect import bisect
@@ -55,7 +57,8 @@ from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _check_
                                _module_from, canonical_fractional_ideal, colon,
                                contains, equals,
                                ideal_from_generators, multiply, shift, unit_ideal)
-from traceforge.semigroups import NumericalSemigroup, canonical_value_set
+from traceforge.semigroups import (NumericalSemigroup, _semigroup_with_value_set,
+                                   canonical_value_set)
 from traceforge.trace import FamilyProbeReport, _overring_trace
 
 
@@ -131,6 +134,19 @@ def is_arf_by_rule(H):
                 if (x + y - mem[zi]) not in H:
                     return False
     return True
+
+
+def cm_type_list_check_by_rule(K):
+    """The tag of the semigroup generated by H = K.base and K = K(H) in the
+    finite list, or None, from a literal list of generator tuples."""
+    gens = _semigroup_with_value_set(K).minimal_generators
+    if gens == (1,):
+        return "<1>"
+    if len(gens) == 2 and gens[0] == 2 and gens[1] % 2 == 1:
+        return "<2,2s-1>"
+    if gens in ((3, 4), (3, 5), (3, 5, 7), (3, 4, 5)):
+        return f"<{','.join(map(str, gens))}>"
+    return None
 
 
 def semigroup_from_member_set(members, bound):

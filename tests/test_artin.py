@@ -286,12 +286,18 @@ def test_lattice_on_generators_matches_covers_on_all_of_m():
 
 
 def test_semigroup_quotient_tables_pass_the_checks_of_create():
-    # semigroup_quotient builds its monomial table without re-checking it
-    for H in enumerate_semigroups(7):
-        if H.genus:
-            for p in (2, 3):
-                A = semigroup_quotient(H, p)
-                assert ArtinAlgebra.create(A.field, A.labels, A.table) == A, (H, p)
+    # the constructors build their tables without re-checking them, with
+    # entries of the field's own type, as create would make them
+    built = [semigroup_quotient(H, p) for H in enumerate_semigroups(7) if H.genus
+             for p in (2, 3)]
+    for f in (GF(2), GF(3), GF(7), QQ):
+        built += [truncated_dvr(f, length) for length in range(1, 10)]
+        built += [square_zero_two_vars(f), gorenstein_two_generators(f)]
+    assert len(built) == 176 + 44
+    for A in built:
+        assert ArtinAlgebra.create(A.field, A.labels, A.table) == A, A
+        kind = type(A.field.zero)
+        assert all(type(x) is kind for row in A.table for cell in row for x in cell), A
 
 
 def test_vectors_of_the_wrong_length_are_refused():
@@ -313,6 +319,24 @@ def test_vectors_of_the_wrong_length_are_refused():
             with pytest.raises(ValueError, match=f"4 entries, not {len(bad)}"):
                 gorenstein_family_separation(G, u, v, [0, 1])
     assert x.coordinates((0, 2, 0, 1)) == [2, 1]
+
+
+def test_caller_vectors_enter_through_the_field():
+    # over F_3, 1/2 is 2: every function that takes a caller's vector reads it so
+    A = gorenstein_two_generators(GF(3))
+    half, two = (0, Fraction(1, 2), 0, 0), (0, 2, 0, 0)
+    for i in range(A.dim):
+        assert A.act(i, half) == A.act(i, two), i
+    x = ideal_generated_by(A, [half])
+    assert x == ideal_generated_by(A, [two]) and x.dim == 2
+    coords = x.coordinates((0, Fraction(1, 2), 0, Fraction(5, 2)))
+    assert coords == [2, 1] and all(type(c) is int for c in coords)
+    assert x.contains(half) and not x.contains((0, 0, Fraction(1, 2), 0))
+    y = (0, 0, 1, 0)
+    assert gorenstein_family_separation(A, half, y, [0, 1, 2]) == \
+        gorenstein_family_separation(A, two, y, [0, 1, 2]) == 3
+    # the samples 1/2 and 2 are one element of F_3
+    assert gorenstein_family_separation(A, two, y, [Fraction(1, 2), 2]) == 1
 
 
 def test_trace_ideals_square_zero():

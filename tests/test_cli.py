@@ -7,6 +7,7 @@ import jsonschema
 from traceforge import batch, cli
 from traceforge.batch import SUMMARY_COLUMNS, survey
 from traceforge.cli import main
+from traceforge.semigroups import EXTERIOR
 
 
 def run(capsys, *argv):
@@ -226,6 +227,19 @@ def test_survey_reports_missing_conductor_as_violation(monkeypatch):
     record = batch.survey_one((3, 4), 2, 0)
     assert "conductor-least-trace" in record["violations"]
     assert record["checks"]["conductor_least_trace"] is False
+
+
+def test_survey_lists_failed_checks_in_table_order(monkeypatch):
+    # two forced failures, listed in the order of batch.THEOREM_CHECKS; a
+    # check that does not apply (None) is no violation
+    monkeypatch.setattr(batch, "kunz_cone_classify", lambda kv: EXTERIOR)
+    monkeypatch.setattr(batch, "is_arf", lambda H: True)
+    record = batch.survey_one((4, 5, 6), 2, 0)  # its value-set condition fails
+    assert record["violations"] == ["kunz-classification", "arf-value-set-condition"]
+    assert record["checks"]["blowup_bijection"] is None
+    assert {key for key, ok in record["checks"].items() if ok is False} == \
+        {"kunz_class_consistent", "arf_value_set_condition"}
+    assert set(batch.THEOREM_CHECKS) == set(record["checks"])
 
 
 def test_survey_bound(tmp_path, capsys):

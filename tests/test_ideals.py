@@ -52,6 +52,20 @@ def test_laurent_poly_arithmetic():
         a.add(P(GF(2), "1"))
 
 
+def test_laurent_poly_coefficients_enter_through_the_field():
+    F = GF(5)
+    half = LaurentPoly.from_dict(F, {0: Fraction(1, 2)})
+    assert half == P(F, "1/2") and half.format() == "3"
+    assert LaurentPoly.from_dict(F, {0: 7}) == LaurentPoly.from_dict(F, {0: 2})
+    assert LaurentPoly.from_dict(F, {0: 5, 1: 1}).terms == ((1, 1),)
+    assert LaurentPoly.monomial(F, 3, Fraction(1, 2)) == LaurentPoly.monomial(F, 3, 3)
+    assert LaurentPoly.monomial(F, 3, 10).is_zero()
+    assert LaurentPoly.monomial(QQ, 2, 3).terms == ((2, Fraction(3)),)
+    H35 = S([3, 5])
+    I = ideal_from_generators(F, H35, [LaurentPoly.monomial(F, 3, Fraction(1, 2))])
+    assert equals(I, ideal_from_generators(F, H35, [LaurentPoly.monomial(F, 3)]))
+
+
 def test_unit_ideal_shapes():
     R = unit_ideal(QQ, H)
     assert R.pivots == (0, 4, 5) and R.tail == 8

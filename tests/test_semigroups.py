@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (apery_by_scan, arf_closure_by_rule, children_by_member_sets,
-                      closure_members, gap_sets_for_genus, is_arf_by_rule,
-                      semigroup_with_value_set_by_window)
+                      closure_members, cm_type_list_check_by_rule, gap_sets_for_genus,
+                      is_arf_by_rule, semigroup_with_value_set_by_window)
 from traceforge import semigroups
 from traceforge.errors import (BoundTooLarge, EmptyGenerators, FieldMismatch, NotAMember,
                                NotCofinite)
@@ -228,6 +228,17 @@ def test_cm_type_list_examples():
     assert cm_type_list_check(canonical_value_set(S([3, 5]))) == "<3,5>"
     assert cm_type_list_check(canonical_value_set(S([5, 7, 8, 11]))) == "<3,5,7>"
     assert cm_type_list_check(canonical_value_set(S([4, 5, 6]))) is None
+
+
+def test_cm_type_list_check_matches_rule_oracle():
+    # FINITE_TYPE_TAGS against the literal generator tuples of the rule
+    tags = set()
+    for H in enumerate_semigroups(12):
+        K = canonical_value_set(H)
+        tag = cm_type_list_check(K)
+        assert tag == cm_type_list_check_by_rule(K), H
+        tags.add(tag)
+    assert tags == {None, "<1>", "<2,2s-1>", "<3,4>", "<3,5>", "<3,5,7>", "<3,4,5>"}
 
 
 def test_value_set_semigroup_matches_window_oracle():
