@@ -25,7 +25,8 @@ walk from 0 streams every module once, adding to M each line of the
 socle of the quotient by M that leads before M's first pivot.  Each
 module carries its action images reduced modulo M down to its children,
 so a tree edge costs one row update, and a caller's state, made by a
-step that is handed the child's rows and pivots.
+step that is handed the child's rows and pivots and may cut the child
+with its subtree.
 """
 
 from __future__ import annotations
@@ -108,14 +109,14 @@ class ArtinAlgebra:
             raise ValueError("basis element 0 is missing or does not act as the identity")
         # (b_i b_j) b_k = b_i (b_j b_k); the table is already commutative
         for i, j, k in itertools.product(range(d), repeat=3):
-            if A.act(k, table[i][j]) != A.act(i, table[j][k]):
+            if A._act(k, table[i][j]) != A._act(i, table[j][k]):
                 raise ValueError("multiplication table is not associative")
         # locality: the span of the non-unit basis elements must be nilpotent
         power = [A.basis_vector(i) for i in range(1, d)]
         for _ in range(d + 1):
             if not power:
                 break
-            power = _span(A, [A.act(i, v) for i in range(1, d) for v in power])
+            power = _span(A, [A._act(i, v) for i in range(1, d) for v in power])
         else:
             raise ValueError("the non-unit basis span is not nilpotent")
         return A
@@ -160,9 +161,13 @@ class ArtinAlgebra:
         return tuple(map(self.field.element, v))
 
     def act(self, i: int, v: tuple) -> tuple:
-        """b_i * v: v's entries combine the column images b_i b_j of the
-        table, with native operators and ``% p`` once over F_p."""
-        v = self._vector(v)
+        """b_i * v for a caller's vector v."""
+        return self._act(i, self._vector(v))
+
+    def _act(self, i: int, v: tuple) -> tuple:
+        """b_i * v for a vector v with canonical entries: v's entries
+        combine the column images b_i b_j of the table, with native
+        operators and ``% p`` once over F_p."""
         out = self.zero_vector()
         for x, image in zip(v, self.table[i]):
             if x:
@@ -218,10 +223,14 @@ class SubIdeal:
         return tuple(next(i for i, x in enumerate(row) if x) for row in self.rows)
 
     def coordinates(self, v: tuple):
-        """Coordinates of v in the basis, or None when v is outside: the
-        rows are reduced, so each is v's entry at its row's pivot."""
+        """Coordinates of a caller's vector v in the basis, or None when v
+        is outside."""
+        return self._coordinates(self.algebra._vector(v))
+
+    def _coordinates(self, w: tuple):
+        """:meth:`coordinates` of a vector w with canonical entries: the
+        rows are reduced, so each is w's entry at its row's pivot."""
         A = self.algebra
-        w = A._vector(v)
         p = A.field.p if A.field.finite else 0
         rest = _residue(self.rows, self.pivots, w)
         return None if any(x % p if p else x for x in rest) else [w[j] for j in self.pivots]
@@ -235,7 +244,7 @@ class SubIdeal:
 
 def ideal_generated_by(A: ArtinAlgebra, vectors) -> SubIdeal:
     """The ideal generated by ``vectors``: spanned by all basis multiples."""
-    prods = [A.act(i, v) for v in vectors for i in range(A.dim)]
+    prods = [A._act(i, v) for v in map(A._vector, vectors) for i in range(A.dim)]
     return SubIdeal(A, _span(A, prods))
 
 
@@ -331,7 +340,7 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
     eqs = []
     for g, M in A.generator_matrices:  # M[r][c]: coordinate r of b_g b_c
         for i, b in enumerate(I.rows):
-            lam = I.coordinates(A.act(g, b))
+            lam = I._coordinates(A._act(g, b))
             if lam is None:
                 raise AssertionError("vector not inside the ideal")
             neg = [-x for x in lam]
@@ -375,17 +384,21 @@ def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
     ``state`` starts as given and becomes ``step(state, rows, pivots)``
     along the edge from M to M + F_p v, called with the child's rows and
     pivots as they are about to be yielded, so ``rows[0]`` is v and
-    ``rows[1:]``, ``pivots[1:]`` are M's.  A child's state is made when it
-    leaves the stack, so the stack holds one set of images per module on
-    the path.
+    ``rows[1:]``, ``pivots[1:]`` are M's.  A step that returns None cuts
+    the child: it is not yielded and its subtree is not walked.  A
+    child's state is made when it leaves the stack, before its images, so
+    the stack holds one set of images per module on the path and a cut
+    child costs no row update.
     """
     stack = [((), (), [[a[j] for a in actions] for j in range(d)], state)]
     while stack:
         rows, pivots, images, state = stack.pop()
         if rows:
-            images = _reduce_images(p, images, rows[0], pivots[0])
             if step:
                 state = step(state, rows, pivots)
+                if state is None:
+                    continue
+            images = _reduce_images(p, images, rows[0], pivots[0])
         yield rows, pivots, state
         stack += [((v,) + rows, (lead,) + pivots, images, state)
                   for lead, v in _socle_lines(p, images, pivots)]
@@ -567,6 +580,6 @@ def gorenstein_family_separation(A: ArtinAlgebra, u, v, samples) -> int:
         raise DependentGenerators("u and v must lie in the maximal ideal")
     if len(_span(A, A.square + (u, v))) != len(A.square) + 2:
         raise DependentGenerators("u and v are dependent modulo m^2")
-    # u + a v enters through act, which makes its entries canonical
+    # u + a v enters through ideal_generated_by, which makes its entries canonical
     return len({ideal_generated_by(A, [[x + a * y for x, y in zip(u, v)]]).rows
                 for a in samples})

@@ -5,14 +5,17 @@ takes it from that definition with the colon and the product of
 :mod:`traceforge.ideals`; ``is_trace_ideal`` compares it with I and
 ``has_free_summand`` with R.  Over any field every nonzero trace
 contains the conductor c, and over a finite field Tr(R) is finite: the
-enumeration runs a fixed-point test on every R-submodule T of R/c from
-the lattice engine of :mod:`traceforge.artin`, with one coordinate per
-member of H below c (:class:`_Quotient`, built once per semigroup and
-prime).  R : T is R plus its part on the gaps of H, so the test takes
-only that gap part and stops at the first product with T that falls
-outside T.  Each module carries the gap part's RREF basis down from its
-parent, cut by the equations of one new row, and only the trace ideals
-are lifted back to fractional ideals.
+enumeration walks the R-submodules T of R/c with the lattice engine of
+:mod:`traceforge.artin`, with one coordinate per member of H below c
+(:class:`_Quotient`, built once per semigroup and prime), and runs a
+fixed-point test on one module per orbit of the torus t -> lam t,
+lam in F_p^*, which permutes Tr(R); the rest of each orbit is counted
+and, for a trace ideal, listed by rescaling its rows.  R : T is R plus
+its part on the gaps of H, so the test takes only that gap part and
+stops at the first product with T that falls outside T.  Each module
+carries the gap part's RREF basis down from its parent, cut by the
+equations of one new row, and only the trace ideals are lifted back to
+fractional ideals.
 Whole-theorem checks sit on top: the blowup bijection for minimal
 multiplicity, the normalization as a union of endomorphism rings, and
 the colon separation probe that certifies infinite families over the
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import gcd
 from operator import mul
 
 from .artin import _check_quotient_dim, _ideal_lattice, _residue
@@ -81,7 +85,9 @@ class _Quotient:
     ``reach[i]`` lists the pairs (g, j) of gap numbers with exps[i] + gap
     j = gap g, and ``spread[j]`` the pairs (i, k) with exps[i] + gap j =
     exps[k].  ``gap_units`` are the unit vectors of the gaps, the gap part
-    of R : c = K[[t]] (see :meth:`gap_part`).
+    of R : c = K[[t]] (see :meth:`gap_part`).  ``unit`` generates F_p^*,
+    and ``roots[g]`` lists the lam != 1 of mu_g = {lam : lam^g = 1} for
+    g < p (see :meth:`orbit_step`).
     """
 
     field: object
@@ -91,6 +97,8 @@ class _Quotient:
     reach: tuple
     spread: tuple
     gap_units: tuple
+    unit: int
+    roots: tuple
 
     def lift(self, rows) -> FractionalIdeal:
         """The ideal span(rows) + c, for a lattice member's RREF rows, built
@@ -99,6 +107,48 @@ class _Quotient:
         f = self.field
         return FractionalIdeal(f, self.semigroup, self.semigroup.conductor, tuple(
             LaurentPoly(f, tuple((e, x) for e, x in zip(self.exps, r) if x)) for r in rows))
+
+    def dilate(self, rows, pivots, lam) -> tuple:
+        """The RREF rows of sigma_lam(T), where sigma_lam: t -> lam t for lam
+        in F_p^* (:func:`ideals.dilate`): the row with lead e_l, rescaled to
+        lead 1, takes x lam^(e_i - e_l) at coordinate i.  Zeros stay zero,
+        so the rows keep their pivots and stay reduced."""
+        p, e = self.field.p, self.exps
+        return tuple(tuple(x * pow(lam, e[i] - e[l], p) % p if x else 0 for i, x in enumerate(r))
+                     for r, l in zip(rows, pivots))
+
+    def orbit_step(self, state, rows, pivots):
+        """The walk step of :func:`enumerate_trace_ideals`: the state is
+        (G, g), G the gap part of R : T (:meth:`gap_part`) and mu_g the
+        stabilizer of T in the torus, or None to cut the child.
+
+        sigma_lam maps R onto itself and each module to one with the same
+        pivots (:meth:`dilate`), and it commutes with dropping the first
+        row, so it acts on the walk's tree by automorphisms.  It fixes the
+        rows exactly when lam^(e_i - e_l) = 1 at every nonzero entry off
+        each lead, so the stabilizer is mu_g with g the gcd of p - 1 and
+        those differences; the root has g = p - 1.  The stabilizer of the
+        parent M permutes its children M + F_p v, and a child is kept only
+        when v is the least of its images under it.  So the walk visits one
+        module per orbit: some member of each orbit is a child of a visited
+        module, and two visited members of one orbit would have the same
+        visited parent and be images under its stabilizer.
+        """
+        G, g = state
+        v, lead = rows[0], pivots[0]
+        if g > 1:
+            p, e = self.field.p, self.exps
+            terms = [(e[i] - e[lead], x) for i, x in enumerate(v) if x and i != lead]
+            for lam in self.roots[g]:
+                # the first entry that lam moves decides the order
+                for n, x in terms:
+                    y = x * pow(lam, n, p) % p
+                    if y != x:
+                        if y < x:
+                            return None
+                        break
+            g = gcd(g, *(n for n, _ in terms))
+        return self.gap_part(G, rows, pivots), g
 
     def gap_part(self, G, rows, pivots) -> tuple:
         """The gap part of R : (T + F_p v) from ``G``, that of R : T, as a
@@ -148,7 +198,10 @@ def _quotient(f, H: NumericalSemigroup) -> _Quotient:
                    for j in gaps)
     n = len(gaps)
     gap_units = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-    return _Quotient(f, H, exps, shifts, reach, spread, gap_units)
+    p = f.p
+    unit = next(w for w in range(1, p) if len({pow(w, k, p) for k in range(p - 1)}) == p - 1)
+    roots = tuple(tuple(lam for lam in range(2, p) if pow(lam, g, p) == 1) for g in range(p))
+    return _Quotient(f, H, exps, shifts, reach, spread, gap_units, unit, roots)
 
 
 def _gap_fixed_point(q: _Quotient, rows, pivots, G) -> bool:
@@ -225,8 +278,9 @@ class TraceEnumeration:
 
     ``ideals`` lists the nonzero trace ideals in canonical form, sorted
     by dimension over the conductor; the zero ideal is always a trace
-    ideal and is only counted.  ``census`` counts every candidate ideal
-    between the conductor and R that was examined.
+    ideal and is only counted.  ``census`` counts every R-submodule of
+    R/c, that is every candidate ideal between the conductor and R,
+    though only one module per torus orbit is tested.
     """
 
     field: object
@@ -266,17 +320,27 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     the gap part of R : T whether tr(T) = T; the tables of R/c are built
     once for all candidates.  With d = dim R/c, the conductor, the
     maximal ideal and R are the submodules of dimension 0, d - 1 and d.
+
+    The walk tests one module per orbit of the torus t -> lam t, lam in
+    F_p^*, which permutes Tr(R) (:meth:`_Quotient.orbit_step`): a module
+    with stabilizer mu_g counts (p - 1)/g in the census, and a trace
+    ideal is listed with its images under w^k, k < (p - 1)/g, for the
+    generator w of F_p^* that ``_Quotient.unit`` holds.
     """
     if p not in ENUMERATION_PRIMES:
         raise ValueError(f"enumeration supports primes {ENUMERATION_PRIMES}")
     d = H.conductor - H.genus
     _check_quotient_dim(d)
     q = _quotient(GF(p), H)
-    fixed = []  # the stream starts at the zero module, so census is always set
-    walk = _ideal_lattice(p, d, q.shifts, q.gap_part, q.gap_units)
-    for census, (rows, pivots, G) in enumerate(walk, 1):
+    fixed = []
+    census = 0
+    walk = _ideal_lattice(p, d, q.shifts, q.orbit_step, (q.gap_units, p - 1))
+    for rows, pivots, (G, g) in walk:
+        orbit = (p - 1) // g
+        census += orbit
         if _gap_fixed_point(q, rows, pivots, G):
             fixed.append(rows)
+            fixed += [q.dilate(rows, pivots, pow(q.unit, k, p)) for k in range(1, orbit)]
     infos = []
     for rows in sorted(fixed, key=lambda rows: (len(rows), rows)):
         ideal = q.lift(rows)

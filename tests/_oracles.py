@@ -44,13 +44,15 @@ exponent of the canonical ideal from the products W^j instead of the
 sumsets of K(H), and the probe's colons R : R[t^n + k t^(n+1)] one per
 sample instead of one colon dilated by t -> kt, and the finite-type tag
 of cm_type_list_check from a literal list of generator tuples instead of
-``FINITE_TYPE_TAGS``.
+``FINITE_TYPE_TAGS``, and the trace ideals of R/c from a walk that tests
+every module instead of one module per torus orbit.
 """
 
 from bisect import bisect
 from itertools import combinations, product
 
-from traceforge.artin import SubIdeal, _span, enumerate_ideals, hom_trace, ideal_generated_by
+from traceforge.artin import (SubIdeal, _ideal_lattice, _span, enumerate_ideals, hom_trace,
+                              ideal_generated_by)
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, QQ, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _check_pair,
@@ -59,7 +61,7 @@ from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _check_
                                ideal_from_generators, multiply, shift, unit_ideal)
 from traceforge.semigroups import (NumericalSemigroup, _semigroup_with_value_set,
                                    canonical_value_set)
-from traceforge.trace import FamilyProbeReport, _overring_trace
+from traceforge.trace import FamilyProbeReport, _gap_fixed_point, _overring_trace, _quotient
 
 
 def closure_members(gens, bound):
@@ -612,6 +614,21 @@ def gap_part_by_rref(q, rows):
                     eqs.setdefault((r, g), [zero] * n)[j] = y
     red, _ = rref(Matrix(f, tuple(map(tuple, eqs.values())), n))
     return tuple(solve_homogeneous(red))
+
+
+def trace_ideals_by_full_walk(H, p):
+    """(census, rows) for the trace ideals of F_p[[H]]: the walk visits and
+    tests every R-submodule of R/c, with the gap part of R : T as its only
+    state, and ``rows`` are the RREF rows over ``q.exps`` of each nonzero
+    trace ideal, sorted by dimension."""
+    d = H.conductor - H.genus
+    q = _quotient(GF(p), H)
+    fixed = []  # the stream starts at the zero module, so census is always set
+    walk = _ideal_lattice(p, d, q.shifts, q.gap_part, q.gap_units)
+    for census, (rows, pivots, G) in enumerate(walk, 1):
+        if _gap_fixed_point(q, rows, pivots, G):
+            fixed.append(rows)
+    return census, sorted(fixed, key=lambda rows: (len(rows), rows))
 
 
 def rref_by_field_ops(m):

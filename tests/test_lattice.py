@@ -113,6 +113,30 @@ def test_step_receives_the_child_it_precedes():
         assert recorded_walk(A.field.p, A.dim, actions) == len(enumerate_ideals(A)), A
 
 
+def test_step_returning_none_cuts_the_subtree():
+    # a module lies below a cut child exactly when its pivots hold the cut
+    # lead, so the stream is the full walk, in order, without those; the
+    # step is called once per yielded edge and once per cut child, never below
+    for H in enumerate_semigroups(5):
+        for p in (2, 3):
+            q = _quotient(GF(p), H)
+            d = len(q.exps)
+            full = [(rows, pivots) for rows, pivots, _ in _ideal_lattice(p, d, q.shifts)]
+            for lead in range(d):
+                calls = []
+
+                def step(depth, rows, pivots):
+                    calls.append(rows)
+                    return None if pivots[0] == lead else depth + 1
+
+                stream = list(_ideal_lattice(p, d, q.shifts, step, 0))
+                kept = [m for m in full if lead not in m[1]]
+                assert [(rows, pivots) for rows, pivots, _ in stream] == kept, (H, p, lead)
+                assert all(depth == len(rows) for rows, _, depth in stream)
+                cut = sum(1 for _, pivots in full if pivots[:1] == (lead,))
+                assert len(calls) == len(kept) - 1 + cut, (H, p, lead)
+
+
 def test_natural_semigroup_has_zero_quotient():
     # c = 0: R/c is zero and its only submodule gives the candidate R
     N0 = natural_semigroup()
