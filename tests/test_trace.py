@@ -1,8 +1,6 @@
 import hashlib
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +19,7 @@ from traceforge.trace import (LARGER, MINIMAL_TRACE_SET, _overring_trace, _probe
                               verify_bijection, verify_normalization_union)
 
 from _oracles import family_probe_by_colons, trace_by_colon
+from goldens import DATA, PROBE_SAMPLES, probe_lines
 
 S = NumericalSemigroup.from_generators
 N0 = natural_semigroup()
@@ -265,24 +264,13 @@ def test_overring_trace_is_colon_of_adjoin(case):
     assert equals(_overring_trace(R, g), colon(R, adjoin(f, H_, g))), case
 
 
-PROBE_SAMPLES = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(7, 5))
-
-
 def test_probe_colons_match_golden_digest():
-    # R : R[g] for g = t^n + k t^(n+1) on every semigroup of genus <= 8 with a
-    # probe exponent n; the digest was taken from colon(R, adjoin(QQ, H, g))
-    lines = []
-    for H_ in enumerate_semigroups(8):
-        n = value_set_condition(canonical_value_set(H_)).witness
-        if n is None:
-            continue
-        for k, T in zip(PROBE_SAMPLES, _probe_colons(H_, n, PROBE_SAMPLES)):
-            lines.append(json.dumps([H_.text, n, str(k), T.tail,
-                                     [r.to_json() for r in T.rows]]))
+    # the registry's genus-8 probe lines; the digest was taken from
+    # colon(R, adjoin(QQ, H, g)) for g = t^n + k t^(n+1)
+    lines = probe_lines(8)
     assert len(lines) == 66 * len(PROBE_SAMPLES)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    golden = Path(__file__).parent / "data" / "probe-colons-g8.sha256"
-    assert digest == golden.read_text().strip()
+    assert digest == (DATA / "probe-colons-g8.sha256").read_text().strip()
 
 
 def _probe_exponents(H_):
