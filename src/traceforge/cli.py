@@ -144,10 +144,8 @@ def cmd_artin(args) -> int:
         # refuse before building the L^3 table; over QQ with F_2's bound, the loosest
         _check_ideal_sweep(field.p if field.finite else 2, args.l)
         A = truncated_dvr(field, args.l)
-    elif args.preset == "gor4":
+    else:  # gor4: argparse's choices admit only the three presets
         A = gorenstein_two_generators(field)
-    else:
-        raise ValueError(f"unknown preset {args.preset!r}")
     print(f"A = {A!r}  dim {A.dim}, socle dim {socle(A).dim}")
     if args.rationals:
         # exhaustive enumeration needs a finite field; over QQ the point of

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import islice
 from math import gcd
+from operator import index
 
 from .errors import BoundTooLarge, EmptyGenerators, FieldMismatch, NotAMember, NotCofinite
 
@@ -84,7 +85,8 @@ class NumericalSemigroup:
 
     @classmethod
     def from_generators(cls, gens) -> "NumericalSemigroup":
-        """The semigroup generated by ``gens``; gcd must be 1.
+        """The semigroup generated by ``gens``, integers with gcd 1 (a
+        float, a Fraction or a string raises TypeError).
 
         The sieve stops at the first run of m = min(gens) members, which
         starts at c (adding m covers the rest).  A gap at or above
@@ -92,7 +94,7 @@ class NumericalSemigroup:
         """
         if not gens:
             raise EmptyGenerators("at least one generator is required")
-        gens = sorted({int(g) for g in gens})
+        gens = sorted(set(map(index, gens)))
         if gens[0] <= 0:
             raise ValueError("generators must be positive")
         if reduce(gcd, gens) != 1:

@@ -124,30 +124,29 @@ class _Quotient:
 
         sigma_lam maps R onto itself and each module to one with the same
         pivots (:meth:`dilate`), and it commutes with dropping the first
-        row, so it acts on the walk's tree by automorphisms.  It fixes the
-        rows exactly when lam^(e_i - e_l) = 1 at every nonzero entry off
-        each lead, so the stabilizer is mu_g with g the gcd of p - 1 and
-        those differences; the root has g = p - 1.  The stabilizer of the
-        parent M permutes its children M + F_p v, and a child is kept only
-        when v is the least of its images under it.  So the walk visits one
-        module per orbit: some member of each orbit is a child of a visited
-        module, and two visited members of one orbit would have the same
-        visited parent and be images under its stabilizer.
+        row, so it acts on the walk's tree by automorphisms.  The stabilizer
+        mu_g of the parent M (g = p - 1 at the root) permutes its children
+        M + F_p v, and a child is kept only when v is the least of its
+        images under it.  So the walk visits one module per orbit: some
+        member of each orbit is a child of a visited module, and two
+        visited members of one orbit would have the same visited parent
+        and be images under its stabilizer.  One scan of v's nonzero
+        entries x off the lead walks down the chain of stabilizers to T's:
+        fixing v before i takes x at i to x lam^n, n = e_i - e_lead, so
+        with h = gcd(g, n) it moves x to x mu_(g/h) and fixes it exactly
+        on mu_h.  The first entry moved decides the order, so the child is
+        cut when some x r, r in mu_(g/h), is below x; else g becomes h.
         """
         G, g = state
         v, lead = rows[0], pivots[0]
         if g > 1:
             p, e = self.field.p, self.exps
-            terms = [(e[i] - e[lead], x) for i, x in enumerate(v) if x and i != lead]
-            for lam in self.roots[g]:
-                # the first entry that lam moves decides the order
-                for n, x in terms:
-                    y = x * pow(lam, n, p) % p
-                    if y != x:
-                        if y < x:
-                            return None
-                        break
-            g = gcd(g, *(n for n, _ in terms))
+            for i, x in enumerate(v):
+                if x and i != lead:
+                    h = gcd(g, e[i] - e[lead])
+                    if any(x * r % p < x for r in self.roots[g // h]):
+                        return None
+                    g = h
         return self.gap_part(G, rows, pivots), g
 
     def gap_part(self, G, rows, pivots) -> tuple:

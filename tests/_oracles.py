@@ -45,11 +45,14 @@ sumsets of K(H), and the probe's colons R : R[t^n + k t^(n+1)] one per
 sample instead of one colon dilated by t -> kt, and the finite-type tag
 of cm_type_list_check from a literal list of generator tuples instead of
 ``FINITE_TYPE_TAGS``, and the trace ideals of R/c from a walk that tests
-every module instead of one module per torus orbit.
+every module instead of one module per torus orbit, and that walk's
+torus cut from v's image under every lam of the parent's stabilizer
+instead of one scan of v down the chain of stabilizers.
 """
 
 from bisect import bisect
 from itertools import combinations, product
+from math import gcd
 
 from traceforge.artin import (SubIdeal, _ideal_lattice, _span, enumerate_ideals, hom_trace,
                               ideal_generated_by)
@@ -629,6 +632,28 @@ def trace_ideals_by_full_walk(H, p):
         if _gap_fixed_point(q, rows, pivots, G):
             fixed.append(rows)
     return census, sorted(fixed, key=lambda rows: (len(rows), rows))
+
+
+def orbit_step_by_images(q, state, rows, pivots):
+    """``_Quotient.orbit_step`` on the quotient tables ``q`` from v's image
+    under every lam != 1 of the parent's stabilizer mu_g, one ``pow`` per
+    entry it reads, and the child's g from a second gcd pass over v's
+    entries, instead of one scan of v down the chain of stabilizers."""
+    G, g = state
+    v, lead = rows[0], pivots[0]
+    if g > 1:
+        p, e = q.field.p, q.exps
+        terms = [(e[i] - e[lead], x) for i, x in enumerate(v) if x and i != lead]
+        for lam in q.roots[g]:
+            # the first entry that lam moves decides the order
+            for n, x in terms:
+                y = x * pow(lam, n, p) % p
+                if y != x:
+                    if y < x:
+                        return None
+                    break
+        g = gcd(g, *(n for n, _ in terms))
+    return q.gap_part(G, rows, pivots), g
 
 
 def rref_by_field_ops(m):

@@ -46,6 +46,8 @@ def test_info_bad_input_exit_2(capsys):
     assert code == 2 and "gcd" in err
     code, _, err = run(capsys, "sgp", "info", "4,x")
     assert code == 2
+    code, _, err = run(capsys, "sgp", "info", "2.5,3")
+    assert code == 2 and "bad generator list" in err
 
 
 def test_info_conductor_limit_exit_3(capsys):
@@ -287,3 +289,14 @@ def test_readme_python_example(capsys):
     assert spelled == ["(0, 1)", "c Ideal[ | t^8K[[t]] over <4,5,11>]",
                        "c+(t^5) Ideal[t^5 | t^8K[[t]] over <4,5,11>]"]
     assert [" ".join(line.split()) for line in printed[:len(spelled)]] == spelled
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every traceforge line of README's "Command line" block exits 0
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("\n```\n", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("traceforge ")]
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv

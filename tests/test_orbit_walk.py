@@ -6,12 +6,15 @@ census and lists every image of each trace ideal it finds;
 ``_oracles.trace_ideals_by_full_walk`` visits and tests every module.
 Both must give the same census and the same sorted ideals.  The torus
 has two representations, ``_Quotient.dilate`` on the rows of R/c and
-``ideals.dilate`` on fractional ideals, and they must agree.
+``ideals.dilate`` on fractional ideals, and they must agree.  The walk's
+step reads the cut and the child's stabilizer off one scan of the new
+row; ``_oracles.orbit_step_by_images`` compares the row with each of its
+images, and the two must agree at every child edge.
 """
 
 from hypothesis import given, settings
 
-from _oracles import trace_ideals_by_full_walk
+from _oracles import orbit_step_by_images, trace_ideals_by_full_walk
 from _strategies import capped_semigroups
 from traceforge.artin import _ideal_lattice
 from traceforge.fields import GF
@@ -32,6 +35,24 @@ def test_orbit_walk_matches_full_walk():
     for p, genus in ((2, 6), (3, 6), (5, 5), (7, 4)):
         for H in enumerate_semigroups(genus):
             agrees_with_full_walk(H, p)
+
+
+def test_one_pass_cut_matches_images():
+    edges = 0
+    for p, genus in ((3, 6), (5, 5), (7, 4)):
+        for H in enumerate_semigroups(genus):
+            q = _quotient(GF(p), H)
+
+            def step(state, rows, pivots):
+                nonlocal edges
+                edges += 1
+                found = q.orbit_step(state, rows, pivots)
+                assert found == orbit_step_by_images(q, state, rows, pivots), (H, p, rows)
+                return found
+
+            for _ in _ideal_lattice(p, len(q.exps), q.shifts, step, (q.gap_units, p - 1)):
+                pass
+    assert edges == 3699
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +50,10 @@ def test_from_generators_errors():
         S([])
     with pytest.raises(ValueError):
         S([0, 3])
+    # generators are integers: int() would truncate 2.5 to 2 and 3.9 to 3
+    for gens in ([2.5, 3], [3.9, 5], [Fraction(5, 2), 3], ["3", "5"]):
+        with pytest.raises(TypeError):
+            S(gens)
 
 
 def test_from_generators_conductor_limit(monkeypatch):
