@@ -6,7 +6,7 @@ from .errors import *  # noqa: F401,F403
 from .fields import QQ, GF, Matrix, PrimeField, RationalField, rank, rref, solve_homogeneous
 from .semigroups import (NumericalSemigroup, SemigroupIdeal, KunzVector,
                          natural_semigroup, parse_generators, canonical_value_set,
-                         pseudo_frobenius, ValueSetCondition, value_set_condition,
+                         ValueSetCondition, value_set_condition,
                          cm_type_list_check, kunz_cone_classify, blowup,
                          lipman_sequence, is_arf, arf_closure, enumerate_semigroups,
                          EXTERIOR, BOUNDARY, INTERIOR)

@@ -101,7 +101,7 @@ def cmd_trace_enum(args) -> int:
         desc = f"pivots {{{piv}}}, tail {info.ideal.tail}" if piv else \
                f"tail {info.ideal.tail}"
         print(f"  {info.label():<24} {desc}")
-    print(f"candidates examined: {enum.census}")
+    print(f"R-submodules of R/c (census): {enum.census}")
     if args.json:
         print(f"wrote {args.json}")
     return EXIT_OK

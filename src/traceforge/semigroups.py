@@ -31,7 +31,6 @@ __all__ = [
     "natural_semigroup",
     "parse_generators",
     "canonical_value_set",
-    "pseudo_frobenius",
     "ValueSetCondition",
     "value_set_condition",
     "cm_type_list_check",
@@ -145,9 +144,12 @@ class NumericalSemigroup:
 
     @property
     def is_symmetric(self) -> bool:
-        """Gap-reflection test: x in H iff F - x not in H (Gorenstein)."""
-        F = self.frobenius
-        return all((x in self) != (F - x in self) for x in range(self.conductor))
+        """Gorenstein: x in H iff F - x not in H for every x, that is g = c/2.
+
+        x -> F - x maps the c - g members below c into the g gaps (F is a
+        gap), so c <= 2g, with equality exactly when it is onto.
+        """
+        return 2 * self.genus == self.conductor
 
     def apery_set(self, e: int) -> tuple[int, ...]:
         """The e smallest members, one per residue class mod e."""
@@ -320,10 +322,6 @@ def canonical_value_set(H: NumericalSemigroup) -> SemigroupIdeal:
     F = H.frobenius
     elems = {x for x in range(H.conductor) if (F - x) not in H}
     return SemigroupIdeal.create(H, elems, H.conductor)
-
-
-def pseudo_frobenius(H: NumericalSemigroup) -> tuple[int, ...]:
-    return H.pseudo_frobenius()
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ of cm_type_list_check from a literal list of generator tuples instead of
 ``FINITE_TYPE_TAGS``, and the trace ideals of R/c from a walk that tests
 every module instead of one module per torus orbit, and that walk's
 torus cut from v's image under every lam of the parent's stabilizer
-instead of one scan of v down the chain of stabilizers.
+instead of one scan of v down the chain of stabilizers, and symmetry
+from the reflection x -> F - x of every x below c instead of 2g = c.
 """
 
 from bisect import bisect
@@ -139,6 +140,12 @@ def is_arf_by_rule(H):
                 if (x + y - mem[zi]) not in H:
                     return False
     return True
+
+
+def is_symmetric_by_reflection(H):
+    """Gap-reflection test: x in H iff F - x not in H (Gorenstein)."""
+    F = H.frobenius
+    return all((x in H) != (F - x in H) for x in range(H.conductor))
 
 
 def cm_type_list_check_by_rule(K):

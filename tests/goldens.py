@@ -11,13 +11,16 @@ file that differs or is missing, and exits 1 if any check failed.
 
 To add a golden, add one entry and run the script at the commit whose
 output it pins, before ``src/`` changes: the missing file's diff is what
-to commit.  ``enum-9-16-p2.sha256`` is not here; CI writes it in a child
-process whose peak RSS it measures.
+to commit.  ``enum-9-16-p2`` runs the CLI in a child process, under a
+5-minute timeout, and also asserts that the child's peak RSS (printed
+before its line) stays under 50 MB: the lattice must be streamed, not
+held in memory.
 """
 
 import difflib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 import time
@@ -47,11 +50,40 @@ def _cli(*argv) -> str:
     return out.getvalue()
 
 
-def _enum_json(gens, p, census=None, ideals=None) -> str:
-    """The report ``trace enum GENS --p P --json`` writes."""
+# Run as ``python -c RSS_PROBE TIMEOUT ARGV...``: runs ARGV to exit 0 within
+# TIMEOUT seconds and prints its peak RSS in MB (Linux counts ru_maxrss in KB).
+RSS_PROBE = """\
+import resource, subprocess, sys
+subprocess.run(sys.argv[2:], check=True, stdout=subprocess.DEVNULL, timeout=float(sys.argv[1]))
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+"""
+
+
+def peak_rss_mb(argv, timeout) -> float:
+    """The peak RSS in MB of ARGV, run to exit 0 within TIMEOUT seconds.
+
+    On Linux a child's ru_maxrss starts at its parent's RSS at spawn, so
+    ARGV is started by a fresh ``python -c RSS_PROBE`` wrapper, far smaller
+    than ARGV, and not by this process, whose size it would report.
+    """
+    run = subprocess.run([sys.executable, "-c", RSS_PROBE, str(timeout), *argv],
+                         stdout=subprocess.PIPE, text=True)
+    assert run.returncode == 0, (argv, run.returncode)
+    return float(run.stdout)
+
+
+def _enum_json(gens, p, census=None, ideals=None, max_rss_mb=None) -> str:
+    """The report ``trace enum GENS --p P --json`` writes; with MAX_RSS_MB,
+    written by a child process whose peak RSS must stay below it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "enum.json")
-        _cli("trace", "enum", gens, "--p", str(p), "--json", str(path))
+        argv = ("trace", "enum", gens, "--p", str(p), "--json", str(path))
+        if max_rss_mb is None:
+            _cli(*argv)
+        else:
+            rss = peak_rss_mb([sys.executable, "-m", "traceforge.cli", *argv], timeout=300)
+            print(f"trace enum {gens} --p {p}: peak RSS {rss:.1f} MB", flush=True)
+            assert rss < max_rss_mb, "the lattice must be streamed, not held in memory"
         text = path.read_text()
     if census is not None:
         report = json.loads(text)
@@ -141,6 +173,9 @@ GOLDENS = {
                      lambda: _enum_json("8,9,10,11,12,13,14", 2, census=29213, ideals=111)),
     "enum-8-14-p3": ("enum-8-14-p3.sha256",
                      lambda: _enum_json("8,9,10,11,12,13,14", 3, census=2052657, ideals=330)),
+    # 195 trace ideals with zero
+    "enum-9-16-p2": ("enum-9-16-p2.sha256", lambda: _enum_json(
+        "9,10,11,12,13,14,15,16", 2, census=417200, ideals=194, max_rss_mb=50)),
     "sgp-info-300-301": ("sgp-info-300-301.sha256", lambda: _cli("sgp", "info", "300,301")),
     "artin-cli": ("artin-cli.sha256", lambda: "".join(
         _cli("artin", *args.split())

@@ -66,6 +66,10 @@ def test_trace_enum_output_and_json(tmp_path, capsys):
     _validator("trace_report").validate(payload)
     assert [row["label"] for row in payload["trace_ideals"]] == \
         ["c", "c+(t^5)", "m = c+(t^4, t^5)", "R"]
+    # odd p tests one module per torus orbit (239 here), but the census
+    # line counts all of them
+    code, out, _ = run(capsys, "trace", "enum", "5,7,8,9", "--p", "3")
+    assert code == 0 and "R-submodules of R/c (census): 397\n" in out
 
 
 def test_trace_enum_workload_exit_3(tmp_path, capsys):
