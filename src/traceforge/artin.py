@@ -257,15 +257,20 @@ def _unit_row(field, d: int, k: int) -> tuple:
     return tuple(field.one if j == k else field.zero for j in range(d))
 
 
+def _monomial_table(field, exps, bound: int) -> tuple:
+    """The product table of the t^e, e in the increasing ``exps``, mod t^bound:
+    cell (a, b) is the unit row of t^(a + b), in ``exps`` below the bound, else zero."""
+    units = {e: _unit_row(field, len(exps), i) for i, e in enumerate(exps)}
+    zero = (field.zero,) * len(exps)
+    return tuple(tuple(units[a + b] if a + b < bound else zero for b in exps) for a in exps)
+
+
 def truncated_dvr(field, length: int) -> ArtinAlgebra:
     """K[x] / (x^length), a chain ring; length 1 gives the field itself."""
     if length < 1:
         raise ValueError("length must be at least 1")
     labels = ("1",) + tuple(f"x^{i}" if i > 1 else "x" for i in range(1, length))
-    zero = (field.zero,) * length
-    table = tuple(tuple(_unit_row(field, length, i + j) if i + j < length else zero
-                        for j in range(length)) for i in range(length))
-    return ArtinAlgebra(field, length, labels, table)
+    return ArtinAlgebra(field, length, labels, _monomial_table(field, range(length), length))
 
 
 def square_zero_two_vars(field) -> ArtinAlgebra:
@@ -290,15 +295,10 @@ def semigroup_quotient(H, p: int) -> ArtinAlgebra:
     if c == 0:
         raise ZeroQuotient("the conductor of N0 is the whole ring")
     exps = list(H.members(c))
-    d = len(exps)
-    _check_quotient_dim(d)
-    index = {e: i for i, e in enumerate(exps)}
+    _check_quotient_dim(len(exps))
     labels = tuple("1" if e == 0 else f"t^{e}" for e in exps)
     f = GF(p)
-    zero = (f.zero,) * d
-    table = tuple(tuple(_unit_row(f, d, index[a + b]) if a + b < c else zero
-                        for b in exps) for a in exps)
-    return ArtinAlgebra(f, d, labels, table)
+    return ArtinAlgebra(f, len(exps), labels, _monomial_table(f, exps, c))
 
 
 # ---------------------------------------------------------------------------

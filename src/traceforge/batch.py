@@ -139,6 +139,8 @@ def survey(max_genus: int, prime: int, out_dir, seed: int = 0,
         raise ValueError("survey bound is genus 10")
     if prime not in ENUMERATION_PRIMES:
         raise ValueError(f"survey supports primes {ENUMERATION_PRIMES}")
+    if out_dir == "":  # Path("") is the current directory
+        raise ValueError("survey needs a nonempty output directory")
     semigroups = enumerate_semigroups(max_genus)  # rejects a negative genus
     threads = max(1, threads or 1)
     out = Path(out_dir)

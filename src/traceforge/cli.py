@@ -82,7 +82,7 @@ def cmd_info(args) -> int:
 def cmd_trace_enum(args) -> int:
     H = _semigroup(args.gens)
     # open --json first, so an unwritable path fails before the enumeration
-    fh = open(args.json, "w") if args.json else None
+    fh = open(args.json, "w") if args.json is not None else None
     try:
         enum = enumerate_trace_ideals(H, args.p)
         if fh:

@@ -32,7 +32,7 @@ from functools import reduce
 from math import gcd
 from operator import mul
 
-from .artin import _check_quotient_dim, _ideal_lattice, _residue
+from .artin import _check_quotient_dim, _ideal_lattice, _monomial_table, _residue, _unit_row
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
 from .fields import QQ, GF
 from .ideals import (FractionalIdeal, LaurentPoly, _colon, _powers, colon,
@@ -80,14 +80,13 @@ class _Quotient:
 
     ``exps`` are the members below c, the coordinates of R/c.  ``shifts``
     holds multiplication by t^g on R/c for each minimal generator g below
-    c (those past it act as zero), as integer column images for the
-    lattice engine.  The gaps are numbered in increasing order:
-    ``reach[i]`` lists the pairs (g, j) of gap numbers with exps[i] + gap
-    j = gap g, and ``spread[j]`` the pairs (i, k) with exps[i] + gap j =
-    exps[k].  ``gap_units`` are the unit vectors of the gaps, the gap part
-    of R : c = K[[t]] (see :meth:`gap_part`).  ``unit`` generates F_p^*,
-    and ``roots[g]`` lists the lam != 1 of mu_g = {lam : lam^g = 1} for
-    g < p (see :meth:`orbit_step`).
+    c (those past it act as zero): the rows of R/c's product table at g,
+    column images for the lattice engine.  The gaps are numbered in
+    increasing order: ``reach[i]`` lists the pairs (g, j) of gap numbers
+    with exps[i] + gap j = gap g, and ``spread[j]`` the pairs (i, k) with
+    exps[i] + gap j = exps[k].  ``gap_units`` are the unit vectors of the
+    gaps, the gap part of R : c = K[[t]] (see :meth:`gap_part`), and
+    ``roots[g]`` lists the lam != 1 of mu_g = {lam : lam^g = 1} for g < p.
     """
 
     field: object
@@ -97,7 +96,6 @@ class _Quotient:
     reach: tuple
     spread: tuple
     gap_units: tuple
-    unit: int
     roots: tuple
 
     def lift(self, rows) -> FractionalIdeal:
@@ -184,23 +182,19 @@ class _Quotient:
 
 def _quotient(f, H: NumericalSemigroup) -> _Quotient:
     exps = tuple(H.members(H.conductor))
+    _check_quotient_dim(len(exps))
     gaps = H.gaps()
     index = {e: i for i, e in enumerate(exps)}
     gap_index = {g: n for n, g in enumerate(gaps)}
-    d = len(exps)
-    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    shifts = tuple(tuple(units[index[e + g]] if e + g in index else (0,) * d for e in exps)
-                   for g in H.minimal_generators if g < H.conductor)
+    table = _monomial_table(f, exps, H.conductor)
+    shifts = tuple(table[index[g]] for g in H.minimal_generators if g < H.conductor)
     reach = tuple(tuple((gap_index[e + j], n) for n, j in enumerate(gaps) if e + j in gap_index)
                   for e in exps)
     spread = tuple(tuple((i, index[e + j]) for i, e in enumerate(exps) if e + j in index)
                    for j in gaps)
-    n = len(gaps)
-    gap_units = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
-    p = f.p
-    unit = next(w for w in range(1, p) if len({pow(w, k, p) for k in range(p - 1)}) == p - 1)
-    roots = tuple(tuple(lam for lam in range(2, p) if pow(lam, g, p) == 1) for g in range(p))
-    return _Quotient(f, H, exps, shifts, reach, spread, gap_units, unit, roots)
+    gap_units = tuple(_unit_row(f, len(gaps), j) for j in range(len(gaps)))
+    roots = tuple(tuple(lam for lam in range(2, f.p) if pow(lam, g, f.p) == 1) for g in range(f.p))
+    return _Quotient(f, H, exps, shifts, reach, spread, gap_units, roots)
 
 
 def _gap_fixed_point(q: _Quotient, rows, pivots, G) -> bool:
@@ -323,23 +317,22 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     The walk tests one module per orbit of the torus t -> lam t, lam in
     F_p^*, which permutes Tr(R) (:meth:`_Quotient.orbit_step`): a module
     with stabilizer mu_g counts (p - 1)/g in the census, and a trace
-    ideal is listed with its images under w^k, k < (p - 1)/g, for the
-    generator w of F_p^* that ``_Quotient.unit`` holds.
+    ideal T is listed with its images under every lam outside mu_g; each
+    image arrives g times, and the set keeps one.
     """
     if p not in ENUMERATION_PRIMES:
         raise ValueError(f"enumeration supports primes {ENUMERATION_PRIMES}")
-    d = H.conductor - H.genus
-    _check_quotient_dim(d)
     q = _quotient(GF(p), H)
-    fixed = []
+    d = len(q.exps)
+    fixed = set()
     census = 0
     walk = _ideal_lattice(p, d, q.shifts, q.orbit_step, (q.gap_units, p - 1))
     for rows, pivots, (G, g) in walk:
-        orbit = (p - 1) // g
-        census += orbit
+        census += (p - 1) // g
         if _gap_fixed_point(q, rows, pivots, G):
-            fixed.append(rows)
-            fixed += [q.dilate(rows, pivots, pow(q.unit, k, p)) for k in range(1, orbit)]
+            fixed.add(rows)
+            fixed.update(q.dilate(rows, pivots, lam) for lam in range(2, p)
+                         if lam not in q.roots[g])
     infos = []
     for rows in sorted(fixed, key=lambda rows: (len(rows), rows)):
         ideal = q.lift(rows)

@@ -255,9 +255,10 @@ def test_survey_bound(tmp_path, capsys):
 
 
 def test_unwritable_paths_exit_2(tmp_path, capsys):
-    code, _, err = run(capsys, "trace", "enum", "4,5,11", "--p", "2",
-                       "--json", str(tmp_path / "missing" / "x.json"))
-    assert code == 2 and err.startswith("error: ")
+    # an empty --json path is refused by open too, not taken for no --json
+    for path in (str(tmp_path / "missing" / "x.json"), ""):
+        code, out, err = run(capsys, "trace", "enum", "4,5,11", "--p", "2", "--json", path)
+        assert code == 2 and err.startswith("error: ") and not out, path
     taken = tmp_path / "taken"
     taken.write_text("")
     code, _, err = run(capsys, "survey", "--max-genus", "2", "--p", "2",
@@ -265,13 +266,14 @@ def test_unwritable_paths_exit_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ")
 
 
-def test_survey_checks_inputs_before_creating_out_dir(tmp_path, capsys):
-    for genus, p in (("3", "11"), ("11", "2"), ("-1", "2")):
-        out_dir = tmp_path / f"g{genus}-p{p}"
-        code, _, err = run(capsys, "survey", "--max-genus", genus, "--p", p,
-                           "--out", str(out_dir))
-        assert code == 2 and err.startswith("error: ")
-        assert not out_dir.exists()
+def test_survey_checks_inputs_before_creating_out_dir(tmp_path, capsys, monkeypatch):
+    # an empty --out would name the current directory, so nothing may appear in it
+    monkeypatch.chdir(tmp_path)
+    cases = (("3", "11", "a"), ("11", "2", "b"), ("-1", "2", "c"), ("1", "2", ""))
+    for genus, p, out_dir in cases:
+        code, _, err = run(capsys, "survey", "--max-genus", genus, "--p", p, "--out", out_dir)
+        assert code == 2 and err.startswith("error: "), out_dir
+    assert not any(tmp_path.iterdir())
 
 
 def test_thread_count(tmp_path):

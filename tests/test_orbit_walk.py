@@ -10,7 +10,14 @@ has two representations, ``_Quotient.dilate`` on the rows of R/c and
 step reads the cut and the child's stabilizer off one scan of the new
 row; ``_oracles.orbit_step_by_images`` compares the row with each of its
 images, and the two must agree at every child edge.
+``scripts/bench_trace_walk.py`` times both walks; its counts must stay
+those of ``BENCH_28.json``.
 """
+
+import importlib.util
+import json
+from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 
@@ -19,8 +26,10 @@ from _strategies import capped_semigroups
 from traceforge.artin import _ideal_lattice
 from traceforge.fields import GF
 from traceforge.ideals import dilate
-from traceforge.semigroups import enumerate_semigroups
-from traceforge.trace import _quotient, enumerate_trace_ideals
+from traceforge.semigroups import NumericalSemigroup, enumerate_semigroups
+from traceforge.trace import _gap_fixed_point, _quotient, enumerate_trace_ideals
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def agrees_with_full_walk(H, p):
@@ -35,6 +44,16 @@ def test_orbit_walk_matches_full_walk():
     for p, genus in ((2, 6), (3, 6), (5, 5), (7, 4)):
         for H in enumerate_semigroups(genus):
             agrees_with_full_walk(H, p)
+    # over F_7 the trace ideals above have stabilizer 1 or mu_6; <4,6,7>, the
+    # only semigroup of genus <= 5 with others, has three with g = 3 and two
+    # with g = 2, so the census term and the listing outside mu_g meet them
+    H, p = NumericalSemigroup.from_generators((4, 6, 7)), 7
+    agrees_with_full_walk(H, p)
+    q = _quotient(GF(p), H)
+    walk = _ideal_lattice(p, len(q.exps), q.shifts, q.orbit_step, (q.gap_units, p - 1))
+    stabilizers = Counter(g for rows, pivots, (G, g) in walk
+                          if _gap_fixed_point(q, rows, pivots, G))
+    assert (stabilizers[3], stabilizers[2]) == (3, 2)
 
 
 def test_one_pass_cut_matches_images():
@@ -88,3 +107,21 @@ def test_row_dilation_is_ideal_dilation():
                 T = q.lift(rows)
                 for lam in range(1, p):
                     assert q.lift(q.dilate(rows, pivots, lam)) == dilate(T, lam), (H, p, rows, lam)
+
+
+def test_bench_trace_walk_counts(tmp_path):
+    # the script reaches into trace's private walk and the oracles; run it
+    # once and compare each case's census, modules tested by each walk and
+    # trace ideals (zero included) with the committed record
+    spec = importlib.util.spec_from_file_location("bench_trace_walk",
+                                                  ROOT / "scripts" / "bench_trace_walk.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.main([str(tmp_path / "out.json"), "--repeats", "1"])
+
+    def counts(path):
+        return [(c["case"], c["census"], c["orbit_walk"]["modules_tested"],
+                 c["full_walk"]["modules_tested"], c["trace_ideals_with_zero"])
+                for c in json.loads(path.read_text())["cases"]]
+
+    assert counts(tmp_path / "out.json") == counts(ROOT / "BENCH_28.json")
