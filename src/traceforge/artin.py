@@ -379,20 +379,22 @@ def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
     and its stack never holds the lattice.
 
     Each module carries down the tree what its children need, so a tree
-    edge costs one row update: ``images[j]`` lists a e_j modulo M over the
-    actions, for every column j off the pivots (None on them), and
-    ``state`` starts as given and becomes ``step(state, rows, pivots)``
-    along the edge from M to M + F_p v, called with the child's rows and
-    pivots as they are about to be yielded, so ``rows[0]`` is v and
-    ``rows[1:]``, ``pivots[1:]`` are M's.  A step that returns None cuts
-    the child: it is not yielded and its subtree is not walked.  A
-    child's state is made when it leaves the stack, before its images, so
-    the stack holds one set of images per module on the path and a cut
-    child costs no row update.
+    edge costs one row update and each module eliminates only the columns
+    before its first pivot: ``images[j]`` lists a e_j modulo M over the
+    actions for those columns j, and the child gets the elimination of
+    :func:`_socle_lines` as it stood before the child's lead.  ``state``
+    starts as given and becomes ``step(state, rows, pivots)`` along the
+    edge from M to M + F_p v, called with the child's rows and pivots as
+    they are about to be yielded, so ``rows[0]`` is v and ``rows[1:]``,
+    ``pivots[1:]`` are M's.  A step that returns None cuts the child: it
+    is not yielded and its subtree is not walked.  A child's state is
+    made when it leaves the stack, before its images, so the stack holds
+    one set of images per module on the path and a cut child costs no
+    row update.
     """
-    stack = [((), (), [[a[j] for a in actions] for j in range(d)], state)]
+    stack = [((), (), [[a[j] for a in actions] for j in range(d)], state, (), ())]
     while stack:
-        rows, pivots, images, state = stack.pop()
+        rows, pivots, images, state, echelon, kernel = stack.pop()
         if rows:
             if step:
                 state = step(state, rows, pivots)
@@ -400,38 +402,40 @@ def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
                     continue
             images = _reduce_images(p, images, rows[0], pivots[0])
         yield rows, pivots, state
-        stack += [((v,) + rows, (lead,) + pivots, images, state)
-                  for lead, v in _socle_lines(p, images, pivots)]
+        stack += [((v,) + rows, (lead,) + pivots, images, state, *done)
+                  for lead, v, done in _socle_lines(p, d, images, echelon, kernel)]
 
 
 def _reduce_images(p: int, images, v, lead: int) -> list:
-    """The images modulo M + F_p v from those modulo M, for (v, *rows) in
-    RREF: v is zero on M's pivots, so w - w[lead] v is reduced for both.
+    """The images modulo M + F_p v of the columns before ``lead`` from
+    those modulo M, for (v, *rows) in RREF: v is zero on M's pivots, so
+    w - w[lead] v is reduced for both.  The child needs no other column,
+    and an image beyond ``lead`` is zero at it, so v would leave it alone.
     Images that v leaves alone are shared with the parent, never copied."""
-    return [None if ws is None or j == lead else
-            [[(s - w[lead] * t) % p for s, t in zip(w, v)] if w[lead] else w for w in ws]
-            for j, ws in enumerate(images)]
+    return [[[(s - w[lead] * t) % p for s, t in zip(w, v)] if w[lead] else w for w in ws]
+            for ws in images[:lead]]
 
 
-def _socle_lines(p: int, images, pivots):
+def _socle_lines(p: int, d: int, images, echelon, kernel):
     """One vector per line of N/M that leads before M's first pivot, with
-    N = {v : a v in M for all a}, as pairs (lead, v) with v[lead] = 1.
+    N = {v : a v in M for all a}, as triples (lead, v, done) with v[lead] = 1.
 
-    M is the span of RREF rows with the given ``pivots``, and ``images[j]``
-    lists every a e_j already reduced modulo M.  The unit vectors e_j off
-    the pivot columns represent a basis of V/M, so N/M is the kernel of
-    the map sending such e_j to those images; it is found by eliminating
-    the images over the free columns from the last e_j down while
-    tracking e_j, so each kernel vector is 1 at its own j, zero before it
-    and zero on ``pivots``.
+    M is the span of RREF rows, and ``images[j]`` lists every a e_j
+    reduced modulo M for the columns j before M's first pivot, all free.
+    The unit vectors e_j off the pivots represent a basis of V/M, so N/M
+    is the kernel of the map sending such e_j to their images, each laid
+    out as the actions' d coordinates end to end.  It is found by
+    eliminating the images from the last e_j down while tracking e_j, so
+    each kernel vector is 1 at its own j, zero before it and zero on the
+    pivots.  M's parent eliminated the columns from M's first pivot l on
+    and hands over ``echelon`` and ``kernel`` as they stood before l:
+    each image beyond l is zero at l, so M's first row leaves it alone
+    and would give them again.  ``done`` is that hand-over for v's child.
     """
-    d = len(images)
-    first = pivots[0] if pivots else d
-    free = [j for j in range(d) if j not in pivots]
-    echelon = []  # (pivot, image, tag) with image[pivot] == 1
-    kernel = []  # (j, tag), j falling
-    for j in reversed(free):
-        image = [w[i] for w in images[j] for i in free]
+    echelon = list(echelon)  # (pivot, image, tag) with image[pivot] == 1
+    kernel = list(kernel)  # tags, j falling
+    for j in reversed(range(len(images))):
+        image = [x for w in images[j] for x in w]
         tag = [0] * d
         tag[j] = 1
         for c, u, t in echelon:
@@ -440,21 +444,18 @@ def _socle_lines(p: int, images, pivots):
                 image = [(s - x * y) % p for s, y in zip(image, u)]
                 tag = [(s - x * y) % p for s, y in zip(tag, t)]
         lead = next((i for i, x in enumerate(image) if x), None)
-        if lead is None:
-            kernel.append((j, tag))
+        if lead is not None:
+            inv = pow(image[lead], -1, p)
+            echelon.append((lead, [x * inv % p for x in image], [x * inv % p for x in tag]))
             continue
-        inv = pow(image[lead], -1, p)
-        echelon.append((lead, [x * inv % p for x in image], [x * inv % p for x in tag]))
-    for i, (j, top) in enumerate(kernel):
-        if j >= first:
-            continue
-        rest = [t for _, t in kernel[:i]]  # the kernel vectors after j
-        for coeffs in itertools.product(range(p), repeat=len(rest)):
-            v = top
-            for k, r in zip(coeffs, rest):
+        done = tuple(echelon), tuple(kernel)  # kernel: the kernel vectors after j
+        for coeffs in itertools.product(range(p), repeat=len(kernel)):
+            v = tag
+            for k, r in zip(coeffs, kernel):
                 if k:
                     v = [(s + k * t) % p for s, t in zip(v, r)]
-            yield j, tuple(v)
+            yield j, tuple(v), done
+        kernel.append(tag)
 
 
 def _check_walkable(A: ArtinAlgebra) -> None:

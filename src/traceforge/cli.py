@@ -137,7 +137,7 @@ def cmd_trace_probe(args) -> int:
 
 
 def cmd_artin(args) -> int:
-    field = QQ if args.rationals else GF(args.p)
+    field = QQ if args.rationals else GF(2 if args.p is None else args.p)
     if args.preset == "sq0":
         A = square_zero_two_vars(field)
     elif args.preset == "chain":
@@ -220,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     artin = sub.add_parser("artin", help="zero-dimensional algebras")
     artin.add_argument("preset", choices=["sq0", "chain", "gor4"])
-    artin.add_argument("--p", type=int, default=2)
+    field = artin.add_mutually_exclusive_group()
+    field.add_argument("--p", type=int, default=None, help="the prime of F_p (default 2)")
+    field.add_argument("--rationals", action="store_true")
     artin.add_argument("--l", type=int, default=3, help="chain length for 'chain'")
-    artin.add_argument("--rationals", action="store_true")
     artin.set_defaults(func=cmd_artin)
 
     sv = sub.add_parser("survey", help="batch run over all semigroups up to a genus")

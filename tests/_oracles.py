@@ -39,7 +39,8 @@ from row-by-row elimination through the field's operations instead of
 reading them at the pivots, and the state of a lattice module (its
 reduced action images, its socle lines and the RREF basis of the gap
 part of R : T) from scratch instead of carried down the walk one row at
-a time, and the reduction
+a time, and the walk's socle elimination redone over every free column
+at each module instead of carried down from the parent, and the reduction
 exponent of the canonical ideal from the products W^j instead of the
 sumsets of K(H), and the probe's colons R : R[t^n + k t^(n+1)] one per
 sample instead of one colon dilated by t -> kt, and the finite-type tag
@@ -583,6 +584,105 @@ def socle_lines_by_reduction(p: int, d: int, actions, rows, pivots):
                 if x:
                     w = [(s - x * t) % p for s, t in zip(w, r)]
             image += [w[i] for i in free]
+        tag = [0] * d
+        tag[j] = 1
+        for c, u, t in echelon:
+            x = image[c]
+            if x:
+                image = [(s - x * y) % p for s, y in zip(image, u)]
+                tag = [(s - x * y) % p for s, y in zip(tag, t)]
+        lead = next((i for i, x in enumerate(image) if x), None)
+        if lead is None:
+            kernel.append((j, tag))
+            continue
+        inv = pow(image[lead], -1, p)
+        echelon.append((lead, [x * inv % p for x in image], [x * inv % p for x in tag]))
+    for i, (j, top) in enumerate(kernel):
+        if j >= first:
+            continue
+        rest = [t for _, t in kernel[:i]]  # the kernel vectors after j
+        for coeffs in product(range(p), repeat=len(rest)):
+            v = top
+            for k, r in zip(coeffs, rest):
+                if k:
+                    v = [(s + k * t) % p for s, t in zip(v, r)]
+            yield j, tuple(v)
+
+
+def lattice_by_fresh_elimination(p: int, d: int, actions, step=None, state=None):
+    """Every subspace of F_p^d stable under ``actions``, yielded once each
+    as (rows, pivots, state) in the order of the walk: its RREF rows,
+    their pivot columns and the caller's state.
+
+    ``actions`` are linear maps on F_p^d given by column images (``a[j]``
+    is the image of the j-th unit vector); they need only generate the
+    maximal ideal of a local ring with residue field F_p as an algebra (a
+    subspace stable under them is stable under their products), and they
+    raise the index (``a[j]`` is zero up to j).  So a nonzero submodule
+    without its first row is again a submodule, its one parent, and the
+    children of M are M + F_p v for the socle lines of the quotient by M
+    that lead before M's first pivot; (v, *rows) is already in RREF.  A
+    depth-first walk from 0 makes each submodule once (reverse search),
+    and its stack never holds the lattice.
+
+    This is the former library engine, kept as the reference of the one
+    that carries the socle elimination down the walk: every module
+    reduces the images of all its free columns and eliminates them all.
+
+    Each module carries down the tree what its children need, so a tree
+    edge costs one row update: ``images[j]`` lists a e_j modulo M over the
+    actions, for every column j off the pivots (None on them), and
+    ``state`` starts as given and becomes ``step(state, rows, pivots)``
+    along the edge from M to M + F_p v, called with the child's rows and
+    pivots as they are about to be yielded, so ``rows[0]`` is v and
+    ``rows[1:]``, ``pivots[1:]`` are M's.  A step that returns None cuts
+    the child: it is not yielded and its subtree is not walked.  A
+    child's state is made when it leaves the stack, before its images, so
+    the stack holds one set of images per module on the path and a cut
+    child costs no row update.
+    """
+    stack = [((), (), [[a[j] for a in actions] for j in range(d)], state)]
+    while stack:
+        rows, pivots, images, state = stack.pop()
+        if rows:
+            if step:
+                state = step(state, rows, pivots)
+                if state is None:
+                    continue
+            images = images_reduced_in_full(p, images, rows[0], pivots[0])
+        yield rows, pivots, state
+        stack += [((v,) + rows, (lead,) + pivots, images, state)
+                  for lead, v in socle_lines_by_fresh_elimination(p, images, pivots)]
+
+
+def images_reduced_in_full(p: int, images, v, lead: int) -> list:
+    """The images modulo M + F_p v from those modulo M, for (v, *rows) in
+    RREF: v is zero on M's pivots, so w - w[lead] v is reduced for both.
+    Images that v leaves alone are shared with the parent, never copied."""
+    return [None if ws is None or j == lead else
+            [[(s - w[lead] * t) % p for s, t in zip(w, v)] if w[lead] else w for w in ws]
+            for j, ws in enumerate(images)]
+
+
+def socle_lines_by_fresh_elimination(p: int, images, pivots):
+    """One vector per line of N/M that leads before M's first pivot, with
+    N = {v : a v in M for all a}, as pairs (lead, v) with v[lead] = 1.
+
+    M is the span of RREF rows with the given ``pivots``, and ``images[j]``
+    lists every a e_j already reduced modulo M.  The unit vectors e_j off
+    the pivot columns represent a basis of V/M, so N/M is the kernel of
+    the map sending such e_j to those images; it is found by eliminating
+    the images over the free columns from the last e_j down while
+    tracking e_j, so each kernel vector is 1 at its own j, zero before it
+    and zero on ``pivots``.
+    """
+    d = len(images)
+    first = pivots[0] if pivots else d
+    free = [j for j in range(d) if j not in pivots]
+    echelon = []  # (pivot, image, tag) with image[pivot] == 1
+    kernel = []  # (j, tag), j falling
+    for j in reversed(free):
+        image = [w[i] for w in images[j] for i in free]
         tag = [0] * d
         tag[j] = 1
         for c, u, t in echelon:

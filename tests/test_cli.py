@@ -3,6 +3,7 @@ from importlib import import_module, resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from traceforge import batch, cli
 from traceforge.batch import SUMMARY_COLUMNS, survey
@@ -138,6 +139,12 @@ def test_artin_command(capsys):
     assert code == 0 and "(5 trace ideals)" in out
     code, out, _ = run(capsys, "artin", "gor4", "--rationals")
     assert code == 0 and "socle dim 1" in out
+    # a prime and the rationals name two fields; the default prime conflicts too
+    for p in ("3", "2"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["artin", "sq0", "--rationals", "--p", p])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2 and "not allowed with argument" in err
 
 
 def test_artin_chain_guard_exits_3_before_building_the_ring(capsys, monkeypatch):

@@ -11,7 +11,8 @@ rank test.  The RREF basis of the gap part comes from
 with the action images reduced one row at a time; both must equal their
 from-scratch oracles at every module: the same basis, not only the same
 span, so a step that drops the wrong vector or changes its parent's
-basis fails.
+basis fails.  So must each module's children, which the walk finds by
+carrying the socle elimination down from the parent.
 """
 
 from fractions import Fraction
@@ -21,9 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (_window_basis, _window_vector, gap_part_by_rref, images_by_reduction,
-                      is_trace_by_rank, socle_lines_by_reduction)
+                      images_reduced_in_full, is_trace_by_rank, socle_lines_by_fresh_elimination,
+                      socle_lines_by_reduction)
 from _strategies import capped_semigroups
-from traceforge.artin import (_ideal_lattice, _reduce_images, _socle_lines, enumerate_ideals,
+from traceforge.artin import (_ideal_lattice, _reduce_images, enumerate_ideals,
                               gorenstein_two_generators, semigroup_quotient,
                               square_zero_two_vars, truncated_dvr)
 from traceforge.fields import GF, QQ
@@ -78,20 +80,33 @@ def frozen(images):
 
 def walk_agrees(p, d, actions, step=None, state=None):
     """The walk with the action images carried beside the caller's state,
-    updated along each edge by ``_reduce_images`` as the walk updates its
-    own; at every module they and the socle lines are checked against the
-    from-scratch oracles.  Yields the walk's (rows, pivots, state)."""
-    def both(pair, rows, pivots):
-        images, inner = pair
-        images = _reduce_images(p, images, rows[0], pivots[0])
-        return images, step(inner, rows, pivots) if step else inner
+    updated along each edge both by ``_reduce_images``, as the walk
+    updates its own, and by the former engine's ``images_reduced_in_full``;
+    at every module both are checked against the from-scratch oracle, and
+    so are the former engine's socle lines.  The children the walk makes
+    of each module, in the reverse of the order it yields them, must be
+    those lines too, so the step must cut nothing.  Yields the walk's
+    (rows, pivots, state)."""
+    def both(triple, rows, pivots):
+        images, full, inner = triple
+        v, lead = rows[0], pivots[0]
+        return (_reduce_images(p, images, v, lead), images_reduced_in_full(p, full, v, lead),
+                step(inner, rows, pivots) if step else inner)
 
-    start = ([[a[j] for a in actions] for j in range(d)], state)
-    for rows, pivots, (images, carried) in _ideal_lattice(p, d, actions, both, start):
-        assert frozen(images) == images_by_reduction(p, d, actions, rows, pivots), rows
-        assert (list(_socle_lines(p, images, pivots))
-                == list(socle_lines_by_reduction(p, d, actions, rows, pivots))), rows
+    start = [[a[j] for a in actions] for j in range(d)]
+    lines, made = {}, {}
+    for rows, pivots, (images, full, carried) in _ideal_lattice(p, d, actions, both,
+                                                                (start, start, state)):
+        expected = images_by_reduction(p, d, actions, rows, pivots)
+        assert frozen(full) == expected, rows
+        # the columns before the first pivot, all of them free
+        assert frozen(images) == expected[:pivots[0] if pivots else d], rows
+        lines[rows] = list(socle_lines_by_reduction(p, d, actions, rows, pivots))
+        assert list(socle_lines_by_fresh_elimination(p, full, pivots)) == lines[rows], rows
+        if rows:
+            made.setdefault(rows[1:], []).append((pivots[0], rows[0]))
         yield rows, pivots, carried
+    assert all(made.get(rows, [])[::-1] == found for rows, found in lines.items())
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,17 +5,20 @@ conductor (trace) or the table rows of the generators of m (artin),
 and streams each module once, in the order of its walk.  The
 brute-force oracle gets every monomial shift or every table row, the
 identity included, and sweeps all cyclic modules; the cover oracle is
-the former engine, which climbs by covers and drops copies per layer.
-RREF bases are unique, so the sorted stream must agree with both row
-for row.
+the engine before the reverse search, which climbs by covers and drops
+copies per layer.  RREF bases are unique, so the sorted stream must
+agree with both row for row.  The walk before the socle elimination was
+carried down the tree, which eliminates every free column at every
+module, must give the same stream: rows, pivots, order and step states.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from _oracles import lattice_by_closure, lattice_by_covers
+from _oracles import lattice_by_closure, lattice_by_covers, lattice_by_fresh_elimination
 from _strategies import capped_semigroups
-from traceforge.artin import (ArtinAlgebra, _ideal_lattice, enumerate_ideals,
+from traceforge import artin
+from traceforge.artin import (ArtinAlgebra, _hom_walk, _ideal_lattice, enumerate_ideals,
                               gorenstein_two_generators, semigroup_quotient,
                               socle, square_zero_two_vars, truncated_dvr)
 from traceforge.errors import WorkloadExceeded
@@ -135,6 +138,42 @@ def test_step_returning_none_cuts_the_subtree():
                 assert all(depth == len(rows) for rows, _, depth in stream)
                 cut = sum(1 for _, pivots in full if pivots[:1] == (lead,))
                 assert len(calls) == len(kept) - 1 + cut, (H, p, lead)
+
+
+def same_streams(H, p):
+    """The two engines' streams on R/c over F_p, with no step, with the gap
+    part of R : T carried, and with the orbit step, which cuts children
+    over odd p, so the streams must agree on cut walks too."""
+    q = _quotient(GF(p), H)
+    d = len(q.exps)
+    for step, state in ((None, None), (q.gap_part, q.gap_units),
+                        (q.orbit_step, (q.gap_units, p - 1))):
+        assert (list(_ideal_lattice(p, d, q.shifts, step, state))
+                == list(lattice_by_fresh_elimination(p, d, q.shifts, step, state))), (H, p, step)
+
+
+def test_stream_matches_fresh_elimination():
+    for p, genus in ((2, 6), (3, 6), (5, 5), (7, 4)):
+        for H in enumerate_semigroups(genus):
+            same_streams(H, p)
+
+
+def test_stream_matches_fresh_elimination_on_artin_presets(monkeypatch):
+    presets = artin_presets()
+    for A in presets:
+        p, d = A.field.p, A.dim
+        actions = [A.table[g] for g in A.generators]
+        assert (list(_ideal_lattice(p, d, actions))
+                == list(lattice_by_fresh_elimination(p, d, actions))), A
+    carried = [list(_hom_walk(A)) for A in presets]
+    monkeypatch.setattr(artin, "_ideal_lattice", lattice_by_fresh_elimination)
+    assert [list(_hom_walk(A)) for A in presets] == carried
+
+
+@settings(max_examples=40, deadline=None)
+@given(capped_semigroups)
+def test_stream_matches_fresh_elimination_random_semigroups(case):
+    same_streams(*case)
 
 
 def test_natural_semigroup_has_zero_quotient():
