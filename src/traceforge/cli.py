@@ -6,7 +6,7 @@ Subcommands:
     traceforge trace enum <gens> --p P [--json out.json]
     traceforge trace bijection <gens> --p P
     traceforge trace probe <gens> --n N --samples k1,k2,...
-    traceforge artin <preset> [--p P | --rationals] [--l L]
+    traceforge artin <preset> [--p P | --rationals] [--l L, chain only]
     traceforge survey --max-genus G --p P --out DIR [--seed S] [--threads T]
 
 Exit codes: 0 success, 2 input errors (unreadable or unwritable paths
@@ -137,13 +137,16 @@ def cmd_trace_probe(args) -> int:
 
 
 def cmd_artin(args) -> int:
+    if args.l is not None and args.preset != "chain":
+        raise ValueError("--l sets the length of 'chain' only")
     field = QQ if args.rationals else GF(2 if args.p is None else args.p)
     if args.preset == "sq0":
         A = square_zero_two_vars(field)
     elif args.preset == "chain":
+        length = 3 if args.l is None else args.l
         # refuse before building the L^3 table; over QQ with F_2's bound, the loosest
-        _check_ideal_sweep(field.p if field.finite else 2, args.l)
-        A = truncated_dvr(field, args.l)
+        _check_ideal_sweep(field.p if field.finite else 2, length)
+        A = truncated_dvr(field, length)
     else:  # gor4: argparse's choices admit only the three presets
         A = gorenstein_two_generators(field)
     print(f"A = {A!r}  dim {A.dim}, socle dim {socle(A).dim}")
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     field = artin.add_mutually_exclusive_group()
     field.add_argument("--p", type=int, default=None, help="the prime of F_p (default 2)")
     field.add_argument("--rationals", action="store_true")
-    artin.add_argument("--l", type=int, default=3, help="chain length for 'chain'")
+    artin.add_argument("--l", type=int, default=None, help="chain length for 'chain' (default 3)")
     artin.set_defaults(func=cmd_artin)
 
     sv = sub.add_parser("survey", help="batch run over all semigroups up to a genus")

@@ -538,7 +538,7 @@ def _powers(field, H, g: LaurentPoly) -> list:
     if not g.is_zero() and g.valuation < 0:
         raise NotIntegral(f"{g} has negative valuation")
     gens = [LaurentPoly.monomial(field, 0)]
-    x = g.sub(gens[0].scale(g.coeff(0)))
+    x = LaurentPoly(g.field, tuple((e, a) for e, a in g.terms if e))
     while not (power := gens[-1].mul(x).truncate(H.conductor)).is_zero():
         gens.append(power)
     return gens

@@ -13,9 +13,9 @@ lam in F_p^*, which permutes Tr(R); the rest of each orbit is counted
 and, for a trace ideal, listed by rescaling its rows.  R : T is R plus
 its part on the gaps of H, so the test takes only that gap part and
 stops at the first product with T that falls outside T.  Each module
-carries the gap part's RREF basis down from its parent, cut by the
-equations of one new row, and only the trace ideals are lifted back to
-fractional ideals.
+carries the gap part's RREF basis and its stabilizer in the torus down
+from its parent, both cut in one scan of the new row, and only the trace
+ideals are lifted back to fractional ideals.
 Whole-theorem checks sit on top: the blowup bijection for minimal
 multiplicity, the normalization as a union of endomorphism rings, and
 the colon separation probe that certifies infinite families over the
@@ -85,7 +85,7 @@ class _Quotient:
     increasing order: ``reach[i]`` lists the pairs (g, j) of gap numbers
     with exps[i] + gap j = gap g, and ``spread[j]`` the pairs (i, k) with
     exps[i] + gap j = exps[k].  ``gap_units`` are the unit vectors of the
-    gaps, the gap part of R : c = K[[t]] (see :meth:`gap_part`), and
+    gaps, the gap part of R : c = K[[t]] (see :meth:`step`), and
     ``roots[g]`` lists the lam != 1 of mu_g = {lam : lam^g = 1} for g < p.
     """
 
@@ -115,10 +115,10 @@ class _Quotient:
         return tuple(tuple(x * pow(lam, e[i] - e[l], p) % p if x else 0 for i, x in enumerate(r))
                      for r, l in zip(rows, pivots))
 
-    def orbit_step(self, state, rows, pivots):
+    def step(self, state, rows, pivots):
         """The walk step of :func:`enumerate_trace_ideals`: the state is
-        (G, g), G the gap part of R : T (:meth:`gap_part`) and mu_g the
-        stabilizer of T in the torus, or None to cut the child.
+        (G, g), G the gap part of R : T and mu_g the stabilizer of T in the
+        torus, or None to cut the child; v is the child's ``rows[0]``.
 
         sigma_lam maps R onto itself and each module to one with the same
         pivots (:meth:`dilate`), and it commutes with dropping the first
@@ -128,56 +128,47 @@ class _Quotient:
         images under it.  So the walk visits one module per orbit: some
         member of each orbit is a child of a visited module, and two
         visited members of one orbit would have the same visited parent
-        and be images under its stabilizer.  One scan of v's nonzero
-        entries x off the lead walks down the chain of stabilizers to T's:
-        fixing v before i takes x at i to x lam^n, n = e_i - e_lead, so
-        with h = gcd(g, n) it moves x to x mu_(g/h) and fixes it exactly
-        on mu_h.  The first entry moved decides the order, so the child is
+        and be images under its stabilizer; from g = 1 at the root it
+        cuts nothing and visits every module.  The nonzero entries x of v
+        off the lead walk down the chain of stabilizers to T's: fixing v
+        before i takes x at i to x lam^n, n = e_i - e_lead, so with
+        h = gcd(g, n) it moves x to x mu_(g/h) and fixes it exactly on
+        mu_h.  The first entry moved decides the order, so the child is
         cut when some x r, r in mu_(g/h), is below x; else g becomes h.
+
+        G is the RREF basis of the gamma, one coordinate per gap, with no
+        gap terms in gamma b for any b in T.  Adding v imposes one equation
+        per gap k, read off the same scan of v: the coefficient of t^k in
+        gamma v is zero.  When some basis vectors fail an equation, the
+        last of them clears it from the others and is dropped; it is zero
+        before its lead and at their leads, so they keep their leads and
+        stay the unique RREF.  The parent's G is shared with its siblings,
+        never changed.
         """
         G, g = state
         v, lead = rows[0], pivots[0]
-        if g > 1:
-            p, e = self.field.p, self.exps
-            for i, x in enumerate(v):
-                if x and i != lead:
+        p, e = self.field.p, self.exps
+        n = len(self.spread)
+        eqs = {}
+        for i, x in enumerate(v):
+            if x:
+                if g > 1 and i != lead:
                     h = gcd(g, e[i] - e[lead])
                     if any(x * r % p < x for r in self.roots[g // h]):
                         return None
                     g = h
-        return self.gap_part(G, rows, pivots), g
-
-    def gap_part(self, G, rows, pivots) -> tuple:
-        """The gap part of R : (T + F_p v) from ``G``, that of R : T, as a
-        step of the lattice walk: ``rows`` and ``pivots`` are the child's,
-        so v is ``rows[0]``.
-
-        The gap part is the RREF basis of the gamma, one coordinate per
-        gap, with no gap terms in gamma b for any b in T.  Adding v imposes
-        one equation per gap g: the coefficient of t^g in gamma v is zero.
-        When some basis vectors fail an equation, the last of them clears
-        it from the others and is dropped; it is zero before its lead and
-        at their leads, so they keep their leads and stay the unique RREF.
-        The parent's G is shared with its siblings, never changed.
-        """
-        if not G:  # gamma = 0 already: R : T = R
-            return G
-        p = self.field.p
-        n = len(self.spread)
-        eqs = {}
-        for i, y in enumerate(rows[0]):
-            if y:
-                for g, j in self.reach[i]:
-                    eqs.setdefault(g, [0] * n)[j] = y
-        for e in eqs.values():
-            vals = [sum(map(mul, gamma, e)) % p for gamma in G]
+                if G:  # else gamma = 0 already: R : T = R
+                    for k, j in self.reach[i]:
+                        eqs.setdefault(k, [0] * n)[j] = x
+        for eq in eqs.values():
+            vals = [sum(map(mul, gamma, eq)) % p for gamma in G]
             fail = [k for k, x in enumerate(vals) if x]
             if fail:
                 last = fail[-1]
                 drop, inv = G[last], pow(vals[last], -1, p)
                 G = tuple(tuple((a - x * inv * b) % p for a, b in zip(gamma, drop)) if x else gamma
                           for gamma, x in zip(G, vals[:last])) + G[last + 1:]
-        return G
+        return G, g
 
 
 def _quotient(f, H: NumericalSemigroup) -> _Quotient:
@@ -201,7 +192,7 @@ def _gap_fixed_point(q: _Quotient, rows, pivots, G) -> bool:
     """Whether T = span(rows) + c is a trace ideal, for an R-module T
     with c inside T inside R, T/c given by RREF ``rows`` over ``q.exps``
     with the given pivot columns, and ``G`` the RREF basis of the gap part
-    of R : T (:meth:`_Quotient.gap_part`).
+    of R : T (:meth:`_Quotient.step`).
 
     R T lies in T, so R lies in R : T, and modulo c, R : T = R/c + G,
     where G holds the elements of R : T supported on the gaps.  Hence
@@ -315,7 +306,7 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     maximal ideal and R are the submodules of dimension 0, d - 1 and d.
 
     The walk tests one module per orbit of the torus t -> lam t, lam in
-    F_p^*, which permutes Tr(R) (:meth:`_Quotient.orbit_step`): a module
+    F_p^*, which permutes Tr(R) (:meth:`_Quotient.step`): a module
     with stabilizer mu_g counts (p - 1)/g in the census, and a trace
     ideal T is listed with its images under every lam outside mu_g; each
     image arrives g times, and the set keeps one.
@@ -326,7 +317,7 @@ def enumerate_trace_ideals(H: NumericalSemigroup, p: int) -> TraceEnumeration:
     d = len(q.exps)
     fixed = set()
     census = 0
-    walk = _ideal_lattice(p, d, q.shifts, q.orbit_step, (q.gap_units, p - 1))
+    walk = _ideal_lattice(p, d, q.shifts, q.step, (q.gap_units, p - 1))
     for rows, pivots, (G, g) in walk:
         census += (p - 1) // g
         if _gap_fixed_point(q, rows, pivots, G):
@@ -355,9 +346,9 @@ class BijectionReport:
     ok: bool
     left_count: int   # |Tr(R) \ {R}|, zero ideal included
     right_count: int  # |Tr(B)|, zero ideal included
-    semigroup: str = ""
-    blowup: str = ""
-    prime: int = 0
+    semigroup: str
+    blowup: str
+    prime: int
 
 
 def verify_bijection(H: NumericalSemigroup, p: int) -> BijectionReport:

@@ -728,24 +728,25 @@ def gap_part_by_rref(q, rows):
 
 def trace_ideals_by_full_walk(H, p):
     """(census, rows) for the trace ideals of F_p[[H]]: the walk visits and
-    tests every R-submodule of R/c, with the gap part of R : T as its only
-    state, and ``rows`` are the RREF rows over ``q.exps`` of each nonzero
-    trace ideal, sorted by dimension."""
+    tests every R-submodule of R/c, since ``_Quotient.step`` started from
+    the trivial stabilizer mu_1 never cuts, and ``rows`` are the RREF rows
+    over ``q.exps`` of each nonzero trace ideal, sorted by dimension."""
     d = H.conductor - H.genus
     q = _quotient(GF(p), H)
     fixed = []  # the stream starts at the zero module, so census is always set
-    walk = _ideal_lattice(p, d, q.shifts, q.gap_part, q.gap_units)
-    for census, (rows, pivots, G) in enumerate(walk, 1):
+    walk = _ideal_lattice(p, d, q.shifts, q.step, (q.gap_units, 1))
+    for census, (rows, pivots, (G, _)) in enumerate(walk, 1):
         if _gap_fixed_point(q, rows, pivots, G):
             fixed.append(rows)
     return census, sorted(fixed, key=lambda rows: (len(rows), rows))
 
 
 def orbit_step_by_images(q, state, rows, pivots):
-    """``_Quotient.orbit_step`` on the quotient tables ``q`` from v's image
-    under every lam != 1 of the parent's stabilizer mu_g, one ``pow`` per
-    entry it reads, and the child's g from a second gcd pass over v's
-    entries, instead of one scan of v down the chain of stabilizers."""
+    """``_Quotient.step`` on the quotient tables ``q`` from v's image under
+    every lam != 1 of the parent's stabilizer mu_g, one ``pow`` per entry
+    it reads, and the child's g from a second gcd pass over v's entries,
+    instead of one scan of v down the chain of stabilizers; the gap part
+    comes from ``step`` from mu_1, which reads only the gap equations."""
     G, g = state
     v, lead = rows[0], pivots[0]
     if g > 1:
@@ -760,7 +761,7 @@ def orbit_step_by_images(q, state, rows, pivots):
                         return None
                     break
         g = gcd(g, *(n for n, _ in terms))
-    return q.gap_part(G, rows, pivots), g
+    return q.step((G, 1), rows, pivots)[0], g
 
 
 def rref_by_field_ops(m):

@@ -145,6 +145,10 @@ def test_artin_command(capsys):
             main(["artin", "sq0", "--rationals", "--p", p])
         err = capsys.readouterr().err
         assert exit_.value.code == 2 and "not allowed with argument" in err
+    # --l is the length of chain alone
+    for argv in (("sq0", "--l", "9"), ("gor4", "--rationals", "--l", "40")):
+        code, _, err = run(capsys, "artin", *argv)
+        assert code == 2 and err.startswith("error: ") and "'chain'" in err, argv
 
 
 def test_artin_chain_guard_exits_3_before_building_the_ring(capsys, monkeypatch):

@@ -6,13 +6,13 @@ gaps of H and stops at the first product outside T;
 compares dimensions.  The two must give the same verdict on every
 candidate over F_p, the one field the kernel serves; over QQ,
 ``is_trace_ideal`` (tr(I) = I from the definition) must agree with the
-rank test.  The RREF basis of the gap part comes from
-``_Quotient.gap_part`` one row suffix at a time, and along the lattice walk
-with the action images reduced one row at a time; both must equal their
-from-scratch oracles at every module: the same basis, not only the same
-span, so a step that drops the wrong vector or changes its parent's
-basis fails.  So must each module's children, which the walk finds by
-carrying the socle elimination down from the parent.
+rank test.  The RREF basis of the gap part comes from ``_Quotient.step``
+from the trivial stabilizer, one row suffix at a time and along the
+lattice walk with the action images reduced one row at a time; both must
+equal their from-scratch oracles at every module: the same basis, not
+only the same span, so a step that drops the wrong vector or changes its
+parent's basis fails.  So must each module's children, which the walk
+finds by carrying the socle elimination down from the parent.
 """
 
 from fractions import Fraction
@@ -46,8 +46,8 @@ def agree(f, H, rows) -> bool:
     pivots = [next(k for k, x in enumerate(r) if x) for r in rows]
     q = _quotient(f, H)
     # walk step by step from c, each suffix of the rows the parent of the next
-    G = reduce(lambda G, k: q.gap_part(G, rows[k:], pivots[k:]),
-               reversed(range(len(rows))), q.gap_units)
+    G, _ = reduce(lambda state, k: q.step(state, rows[k:], pivots[k:]),
+                  reversed(range(len(rows))), (q.gap_units, 1))
     assert G == gap_part_by_rref(q, rows), (H, f, rows)
     verdict = _gap_fixed_point(q, rows, pivots, G)
     assert verdict == is_trace_by_rank(f, H, basis), (H, f, rows)
@@ -117,7 +117,7 @@ def test_walk_carries_images_and_gap_system(case):
     q = _quotient(f, H)
     d = len(q.exps)
     exps = q.exps
-    for rows, pivots, G in walk_agrees(p, d, q.shifts, q.gap_part, q.gap_units):
+    for rows, pivots, (G, _) in walk_agrees(p, d, q.shifts, q.step, (q.gap_units, 1)):
         assert G == gap_part_by_rref(q, rows), rows
         basis = [_window_vector(f, H.conductor, dict(zip(exps, r))) for r in rows]
         assert _gap_fixed_point(q, rows, pivots, G) == is_trace_by_rank(f, H, basis), rows

@@ -141,13 +141,14 @@ def test_step_returning_none_cuts_the_subtree():
 
 
 def same_streams(H, p):
-    """The two engines' streams on R/c over F_p, with no step, with the gap
-    part of R : T carried, and with the orbit step, which cuts children
-    over odd p, so the streams must agree on cut walks too."""
+    """The two engines' streams on R/c over F_p, with no step, with the
+    trace step from mu_1, which carries the gap part of R : T and cuts
+    nothing, and with it from mu_(p-1), which cuts children over odd p, so
+    the streams must agree on cut walks too."""
     q = _quotient(GF(p), H)
     d = len(q.exps)
-    for step, state in ((None, None), (q.gap_part, q.gap_units),
-                        (q.orbit_step, (q.gap_units, p - 1))):
+    for step, state in ((None, None), (q.step, (q.gap_units, 1)),
+                        (q.step, (q.gap_units, p - 1))):
         assert (list(_ideal_lattice(p, d, q.shifts, step, state))
                 == list(lattice_by_fresh_elimination(p, d, q.shifts, step, state))), (H, p, step)
 

@@ -3,13 +3,14 @@
 ``enumerate_trace_ideals`` visits one R-submodule of R/c per orbit of
 the torus t -> lam t, lam in F_p^*, counts each orbit's size in the
 census and lists every image of each trace ideal it finds;
-``_oracles.trace_ideals_by_full_walk`` visits and tests every module.
-Both must give the same census and the same sorted ideals.  The torus
-has two representations, ``_Quotient.dilate`` on the rows of R/c and
+``_oracles.trace_ideals_by_full_walk`` takes the same step from the
+trivial stabilizer, so it visits and tests every module.  Both must give
+the same census and the same sorted ideals.  The torus has two
+representations, ``_Quotient.dilate`` on the rows of R/c and
 ``ideals.dilate`` on fractional ideals, and they must agree.  The walk's
-step reads the cut and the child's stabilizer off one scan of the new
-row; ``_oracles.orbit_step_by_images`` compares the row with each of its
-images, and the two must agree at every child edge.
+step reads the cut, the child's stabilizer and the gap equations off one
+scan of the new row; ``_oracles.orbit_step_by_images`` compares the row
+with each of its images, and the two must agree at every child edge.
 ``scripts/bench_trace_walk.py`` times both walks; its counts must stay
 those of ``BENCH_28.json``.
 """
@@ -50,7 +51,7 @@ def test_orbit_walk_matches_full_walk():
     H, p = NumericalSemigroup.from_generators((4, 6, 7)), 7
     agrees_with_full_walk(H, p)
     q = _quotient(GF(p), H)
-    walk = _ideal_lattice(p, len(q.exps), q.shifts, q.orbit_step, (q.gap_units, p - 1))
+    walk = _ideal_lattice(p, len(q.exps), q.shifts, q.step, (q.gap_units, p - 1))
     stabilizers = Counter(g for rows, pivots, (G, g) in walk
                           if _gap_fixed_point(q, rows, pivots, G))
     assert (stabilizers[3], stabilizers[2]) == (3, 2)
@@ -65,7 +66,7 @@ def test_one_pass_cut_matches_images():
             def step(state, rows, pivots):
                 nonlocal edges
                 edges += 1
-                found = q.orbit_step(state, rows, pivots)
+                found = q.step(state, rows, pivots)
                 assert found == orbit_step_by_images(q, state, rows, pivots), (H, p, rows)
                 return found
 
@@ -89,7 +90,7 @@ def test_visited_modules_are_one_per_orbit():
             d = len(q.exps)
             every = {rows for rows, *_ in _ideal_lattice(p, d, q.shifts)}
             covered = set()
-            for rows, pivots, (_, g) in _ideal_lattice(p, d, q.shifts, q.orbit_step,
+            for rows, pivots, (_, g) in _ideal_lattice(p, d, q.shifts, q.step,
                                                        (q.gap_units, p - 1)):
                 orbit = {q.dilate(rows, pivots, lam) for lam in range(1, p)}
                 assert len(orbit) == (p - 1) // g, (H, p, rows)
