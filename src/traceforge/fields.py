@@ -195,8 +195,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     The reduced form is unique, which canonical ideal forms rely on; the
     pivot in each column is the first row with a nonzero entry.  Entries
     must be canonical field elements, so that zero is false (over F_p
-    they are reduced mod p on entry).  Rows of any width other than
-    ``m.ncols`` raise ``ValueError``; a matrix with no rows is reduced.
+    they are reduced mod p on entry, and over QQ ints serve as well).
+    Rows of any width other than ``m.ncols`` raise ``ValueError``; a
+    matrix with no rows is reduced.
 
     Over F_p every other row is updated only at the columns where the
     scaled pivot row is nonzero, with native operators and ``% p``.  Over

@@ -18,12 +18,20 @@ because the discarded tail of alpha multiplies J into t^N K[[t]].
 Dually only the tail monomials t^j of J with j < N - lo(alpha) impose
 constraints.  Products obey tail(I*J) <= min(tail(I) + lo(J),
 tail(J) + lo(I)).
+
+Over QQ the colon's system is built on integers.  Each of J's
+generators is multiplied by the lcm of its denominators, which scales
+its own block of equations, and the whole system by D, the lcm of the
+denominators of I's rows; neither changes the null space, and D = 1 for
+every monomial I.  The powers that generate R[g] are those of s x for
+x = g - g(0) and s the lcm of x's denominators, since R[s x] = R[x].
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import FieldMismatch, NotIntegral, ZeroIdeal
 from .fields import Matrix, rref, solve_homogeneous
@@ -255,7 +263,7 @@ def _pivot_rows(I: FractionalIdeal) -> dict:
     return {r.valuation: r.terms[1:] for r in I.rows}
 
 
-def _remainder(F, pivot_rows: dict, tail: int, terms) -> dict:
+def _remainder(F, pivot_rows: dict, tail: int, terms, scale=1) -> dict:
     """Remainder of the series with ``terms`` against the module with the
     given pivot-to-row map and tail, as {exponent: nonzero coefficient};
     empty iff the series lies in the module.
@@ -263,6 +271,8 @@ def _remainder(F, pivot_rows: dict, tail: int, terms) -> dict:
     The rows have pivot coefficient 1 and vanish at each other's pivots,
     so each monomial t^k below the tail has a closed-form remainder: t^k
     itself off the pivots, minus the rest of the pivot's row on a pivot.
+    With the rests multiplied by ``scale``, the off-pivot monomials are
+    too, and the remainder comes out multiplied by ``scale``.
     """
     w = {}
     for e, c in terms:
@@ -270,7 +280,7 @@ def _remainder(F, pivot_rows: dict, tail: int, terms) -> dict:
             continue
         rest = pivot_rows.get(e)
         if rest is None:
-            w[e] = w.get(e, 0) + c
+            w[e] = w.get(e, 0) + c * scale
         else:
             for k, x in rest:
                 w[k] = w.get(k, 0) - c * x
@@ -448,12 +458,20 @@ def colon(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     if all(r.is_monomial() for r in I.rows + J.rows):
         E = value_set(I) - value_set(J)
         return _monomial_ideal(I.field, I.semigroup, E.elements(E.stable), E.stable)
-    return _colon(I, _generators(J), J.lo)
+    return _colon(I, [g.terms for g in _generators(J)], J.lo)
+
+
+def _numerators(terms, s: int) -> tuple:
+    """The rational ``terms`` times s, a common multiple of their
+    denominators, as integers."""
+    return tuple((e, a.numerator * (s // a.denominator)) for e, a in terms)
 
 
 def _colon(I: FractionalIdeal, gens, m: int) -> FractionalIdeal:
-    """I : J from ``gens``, generators of J over R that may leave out
-    those of valuation tail(I) - lo(I) + m or more, where m = lo(J).
+    """I : J from ``gens``, the terms of generators of J over R that may
+    leave out those of valuation tail(I) - lo(I) + m or more, where
+    m = lo(J).  Any nonzero multiple of a generator serves as well, and
+    over QQ its coefficients may be ints.
 
     Unknown coefficients of alpha live on [lo(I) - m, tail(I) - m);
     everything above is unconstrained because it lands in I's tail, as
@@ -462,16 +480,29 @@ def _colon(I: FractionalIdeal, gens, m: int) -> FractionalIdeal:
     t^x * g, one column per window exponent x, from I's pivot-to-row map
     built once per call.
 
+    Over QQ the system is built on integers, and no ``Fraction`` is made
+    before the RREF's output.  Each generator is multiplied by the lcm of
+    its denominators, which scales its own equations.  The rows of I past
+    their pivots are multiplied by D, the lcm of all their denominators,
+    and ``_remainder`` multiplies the off-pivot monomials by D too, which
+    scales every equation by D.  Neither scaling changes the null space.
+    D = 1 for every monomial I, R and m among them.
+
     The null space comes back in RREF, so its vectors are I : J's echelon
     rows, and tail(I) - m is minimal: J has an element of valuation m and
     none of I has valuation tail(I) - 1, so t^(tail(I) - m - 1) is outside.
     """
     f = I.field
     tail, lo_min = I.tail - m, I.lo - m
-    spanning = [g.terms for g in gens if g.valuation < I.tail - lo_min]
+    spanning = [g for g in gens if g[0][0] < I.tail - lo_min]
     pivot_rows = _pivot_rows(I)
+    scale = 1
+    if not f.finite:
+        spanning = [_numerators(g, lcm(*(a.denominator for _, a in g))) for g in spanning]
+        scale = lcm(*(a.denominator for rest in pivot_rows.values() for _, a in rest))
+        pivot_rows = {e: _numerators(rest, scale) for e, rest in pivot_rows.items()}
     columns = [{(gi, e): c for gi, g in enumerate(spanning) for e, c in
-                _remainder(f, pivot_rows, I.tail, [(k + x, a) for k, a in g]).items()}
+                _remainder(f, pivot_rows, I.tail, [(k + x, a) for k, a in g], scale).items()}
                for x in range(lo_min, tail)]
     keys = sorted({k for col in columns for k in col})
     mat = Matrix(f, tuple(tuple(col.get(k, f.zero) for col in columns) for k in keys),
@@ -531,22 +562,47 @@ def canonical_fractional_ideal(field, H) -> tuple[FractionalIdeal, int]:
 
 
 def _powers(field, H, g: LaurentPoly) -> list:
-    """1 and the powers of x = g - g(0) cut at t^c, up to the first that
-    vanishes, for g integral over R (val >= 0): with c they generate
-    R[g] = R[x] over R, since a power of x of valuation c or more lies in c.
+    """The terms of 1 and of the powers of s x cut at t^c, up to the first
+    that vanishes, where x = g - g(0), for g over ``field`` and integral
+    over R (val >= 0).  With c they generate R[g] = R[x] over R, since a
+    power of x of valuation c or more lies in c.
+
+    Over QQ, s is the lcm of x's denominators, and R[s x] = R[x] for a
+    nonzero scalar s, so every coefficient is an int; over F_p, s = 1 and
+    the coefficients are residues.  The products run on native ints, with
+    ``% p`` over F_p only.
     """
+    if g.field != field:
+        raise FieldMismatch(f"{field!r} vs {g.field!r}")
     if not g.is_zero() and g.valuation < 0:
         raise NotIntegral(f"{g} has negative valuation")
-    gens = [LaurentPoly.monomial(field, 0)]
-    x = LaurentPoly(g.field, tuple((e, a) for e, a in g.terms if e))
-    while not (power := gens[-1].mul(x).truncate(H.conductor)).is_zero():
-        gens.append(power)
-    return gens
+    x = [(e, a) for e, a in g.terms if e]
+    p = field.p if field.finite else 0
+    if not p:
+        x = _numerators(x, lcm(*(a.denominator for _, a in x)))
+    c = H.conductor
+    powers = [((0, 1),)]
+    while True:
+        acc = {}
+        for i, a in powers[-1]:
+            # x's exponents increase, and every one is positive
+            for j, b in x:
+                if i + j >= c:
+                    break
+                acc[i + j] = acc.get(i + j, 0) + a * b
+        if p:
+            acc = {e: a % p for e, a in acc.items()}
+        power = tuple(sorted((e, a) for e, a in acc.items() if a))
+        if not power:
+            return powers
+        powers.append(power)
 
 
 def adjoin(field, H, g: LaurentPoly) -> FractionalIdeal:
     """The ring R[g] as an R-module, generated by :func:`_powers` and c."""
-    return ideal_from_generators(field, H, _powers(field, H, g), with_conductor=True)
+    gens = [LaurentPoly(field, tuple((e, field.element(a)) for e, a in terms))
+            for terms in _powers(field, H, g)]
+    return ideal_from_generators(field, H, gens, with_conductor=True)
 
 
 def minimal_generator_count(I: FractionalIdeal) -> int:

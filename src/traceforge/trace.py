@@ -21,8 +21,9 @@ multiplicity, the normalization as a union of endomorphism rings, and
 the colon separation probe that certifies infinite families over the
 rationals; for a ring S over R the trace of S is R : S, so the probe
 takes the colon alone, on the generators of S = R[g] over R (1 and the
-powers of g - g(0) below c), without building S, and once for all
-nonzero samples, which t -> kt maps onto each other.
+powers of a multiple of g - g(0) below c, on integers over QQ), without
+building S, and once for all nonzero samples, which t -> kt maps onto
+each other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from .artin import _check_quotient_dim, _ideal_lattice, _monomial_table, _residue, _unit_row
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
@@ -400,7 +401,8 @@ class FamilyProbeReport:
 def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
     """Separate tr(R[g]) = R : R[g] for g = t^n + k t^(n+1) over the sample values k.
 
-    Requires n >= 0, 1, n and n+1 all outside K(H), and at least one sample,
+    Requires an integer n >= 0 (taken through ``operator.index``, so a float
+    is refused), 1, n and n+1 all outside K(H), and at least one sample,
     all distinct.  R : S is an S-module for a ring S over R, so
     tr(S) = (R : S) S = R : S, and the probe takes the colon alone, with
     no product, from the generators of R[g] over R (:func:`_overring_trace`).
@@ -410,6 +412,7 @@ def family_probe(H: NumericalSemigroup, n: int, samples) -> FamilyProbeReport:
     (:func:`_probe_colons`).  When every pair of samples yields a
     different ideal, the probe certifies an infinite family over QQ.
     """
+    n = index(n)
     if n < 0:
         raise PreconditionViolated(
             f"probe exponent {n} is negative: t^n + k*t^(n+1) is not integral over R")

@@ -8,7 +8,10 @@ generators, the Arf closure from the triple rule x + y - z repeated to
 a fixed point instead of the Lipman chain's multiplicities, the genus
 tree's children from their member sets instead of the parent's table,
 colons from exhaustive coefficient search and from a
-reduction of every shifted spanning element, Arf from the triple rule
+reduction of every shifted spanning element, the colon's system on
+J's generators in the field's elements (``Fraction`` rows over QQ)
+instead of on integer rows, the powers of g - g(0) from products of
+Laurent polynomials instead of native integers, Arf from the triple rule
 instead of the Lipman chain, submodule lattices from a sweep of every
 cyclic module closed under pairwise sums and from a layer-by-layer
 cover search with a dict per layer instead of the reverse search, traces from the window kernel on K^c = K[t]/(t^c), one coordinate per
@@ -61,8 +64,8 @@ from traceforge.artin import (SubIdeal, _ideal_lattice, _span, enumerate_ideals,
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, QQ, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _check_pair,
-                               _module_from, canonical_fractional_ideal, colon,
-                               contains, equals,
+                               _module_from, _pivot_rows, _remainder,
+                               canonical_fractional_ideal, colon, contains, equals,
                                ideal_from_generators, multiply, shift, unit_ideal)
 from traceforge.semigroups import (NumericalSemigroup, _semigroup_with_value_set,
                                    canonical_value_set)
@@ -284,6 +287,50 @@ def colon_by_reduction(I, J):
     sols = [LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
             for vec in solve_homogeneous(mat)]
     return _canonical(f, H, sols, tail)
+
+
+def colon_by_fraction_rows(I: FractionalIdeal, gens, m: int) -> FractionalIdeal:
+    """I : J from ``gens``, generators of J over R that may leave out
+    those of valuation tail(I) - lo(I) + m or more, where m = lo(J).
+
+    Unknown coefficients of alpha live on [lo(I) - m, tail(I) - m);
+    everything above is unconstrained because it lands in I's tail, as
+    does alpha*g for the generators left out.  The rest give a homogeneous
+    linear system in the unknowns: the coefficients of the remainders of
+    t^x * g, one column per window exponent x, from I's pivot-to-row map
+    built once per call.
+
+    The null space comes back in RREF, so its vectors are I : J's echelon
+    rows, and tail(I) - m is minimal: J has an element of valuation m and
+    none of I has valuation tail(I) - 1, so t^(tail(I) - m - 1) is outside.
+    """
+    f = I.field
+    tail, lo_min = I.tail - m, I.lo - m
+    spanning = [g.terms for g in gens if g.valuation < I.tail - lo_min]
+    pivot_rows = _pivot_rows(I)
+    columns = [{(gi, e): c for gi, g in enumerate(spanning) for e, c in
+                _remainder(f, pivot_rows, I.tail, [(k + x, a) for k, a in g]).items()}
+               for x in range(lo_min, tail)]
+    keys = sorted({k for col in columns for k in col})
+    mat = Matrix(f, tuple(tuple(col.get(k, f.zero) for col in columns) for k in keys),
+                 tail - lo_min)
+    return FractionalIdeal(f, I.semigroup, tail, tuple(
+        LaurentPoly(f, tuple((lo_min + i, c) for i, c in enumerate(vec) if c))
+        for vec in solve_homogeneous(mat)))
+
+
+def powers_by_poly_ops(field, H, g: LaurentPoly) -> list:
+    """1 and the powers of x = g - g(0) cut at t^c, up to the first that
+    vanishes, for g integral over R (val >= 0): with c they generate
+    R[g] = R[x] over R, since a power of x of valuation c or more lies in c.
+    """
+    if not g.is_zero() and g.valuation < 0:
+        raise NotIntegral(f"{g} has negative valuation")
+    gens = [LaurentPoly.monomial(field, 0)]
+    x = LaurentPoly(g.field, tuple((e, a) for e, a in g.terms if e))
+    while not (power := gens[-1].mul(x).truncate(H.conductor)).is_zero():
+        gens.append(power)
+    return gens
 
 
 def _window_vector(f, c: int, coeffs: dict) -> tuple:

@@ -1,17 +1,22 @@
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (adjoin_by_iteration, closed_under, colon_by_reduction, colon_by_search,
-                      maximal_ideal_by_generation, multiply_by_module_generation,
-                      reduce_by_poly_ops, reduction_exponent_by_products)
+from _oracles import (adjoin_by_iteration, closed_under, colon_by_fraction_rows,
+                      colon_by_reduction, colon_by_search, maximal_ideal_by_generation,
+                      multiply_by_module_generation, powers_by_poly_ops, reduce_by_poly_ops,
+                      reduction_exponent_by_products)
 from traceforge.errors import FieldMismatch, NotIntegral, ZeroIdeal
 from traceforge.fields import GF, QQ
 from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _colon, _generators,
-                               _module_from, _pivot_rows, _remainder, add, adjoin,
+                               _module_from, _pivot_rows, _powers, _remainder, add, adjoin,
                                canonical_fractional_ideal, colon,
                                conductor_ideal, contains, contains_ideal, dilate,
                                endomorphism_ring, equals,
@@ -26,6 +31,7 @@ from traceforge.trace import _overring_trace
 S = NumericalSemigroup.from_generators
 N0 = natural_semigroup()
 H = S([4, 5, 11])
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(field, text):
@@ -349,6 +355,59 @@ def test_colon_by_generators_matches_reduction_oracle(case, b):
         assert equals(colon(X, J), colon_by_reduction(X, J)), (X, J)
 
 
+def _fraction_coefficients(X):
+    """Over QQ every coefficient is a ``Fraction``; an int equals its
+    ``Fraction``, so == alone would not see one."""
+    return X.field.finite or all(type(c) is Fraction for r in X.rows for _, c in r.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ideal_pairs(fields=(QQ, GF(2), GF(3), GF(5), GF(7))),
+       st.integers(-4, 4), st.integers(-4, 4))
+# I's rows have denominators 3 and 2, so D = 6; J's and g's have 3 and 6
+@example((ideal_from_generators(QQ, H, [P(QQ, "t^4 + 1/3*t^6"), P(QQ, "t^5 + 1/2*t^7")],
+                                with_conductor=True),
+          ideal_from_generators(QQ, H, [P(QQ, "t + 2/3*t^2")]),
+          P(QQ, "5 + 1/2*t^2 + 1/3*t^3")), 0, 0)
+def test_integer_colon_matches_fraction_rows(case, a, b):
+    # the powers of s x on native ints (residues over F_p) against the
+    # powers of x = g - g(0) times s^k; the colon's system on integer rows
+    # against the former system in field elements, on J's generators and
+    # on the powers, and adjoin on the scaled powers against the powers
+    # themselves; over QQ the results hold Fractions only
+    I, J, g = case
+    I, J = shift(I, a), shift(J, b)
+    f, H_ = I.field, I.semigroup
+    R = unit_ideal(f, H_)
+    pairs = ((I, J), (J, I), (I, I))
+    powers = powers_by_poly_ops(f, H_, g)
+    s = 1 if f.finite else lcm(*(c.denominator for e, c in g.terms if e))
+    scaled = _powers(f, H_, g)
+    assert [LaurentPoly.from_dict(f, dict(t)) for t in scaled] == [
+        x.scale(f.element(s ** k)) for k, x in enumerate(powers)], case
+    assert all(type(c) is int and (not f.finite or 0 < c < f.p)
+               for t in scaled for _, c in t), case
+    got = [_colon(X, [r.terms for r in _generators(Y)], Y.lo) for X, Y in pairs]
+    got += [_overring_trace(R, g), adjoin(f, H_, g)]
+    want = [colon_by_fraction_rows(X, _generators(Y), Y.lo) for X, Y in pairs]
+    want += [colon_by_fraction_rows(R, powers, 0),
+             ideal_from_generators(f, H_, powers, with_conductor=True)]
+    assert got == want, case
+    assert all(map(_fraction_coefficients, got)), case
+
+
+def test_powers_check_the_field():
+    # a series over another field is refused, not reduced into this one:
+    # t^2 + 4t^3 over F_5 read mod 3 would give a wrong ideal over F_3
+    H456 = S([4, 5, 6])
+    for f, g in ((QQ, P(GF(2), "t^2 + t^3")), (GF(3), P(QQ, "t^2 + 1/2*t^3")),
+                 (GF(3), P(GF(5), "t^2 + 4*t^3"))):
+        with pytest.raises(FieldMismatch):
+            adjoin(f, H456, g)
+        with pytest.raises(FieldMismatch):
+            _overring_trace(unit_ideal(f, H456), g)
+
+
 @st.composite
 def _monomial_pairs(draw):
     """Two monomial ideals of one genus <= 6 semigroup ring over QQ, F_2 or
@@ -382,7 +441,7 @@ def test_monomial_colon_matches_linear_solve(pair):
     assert all(r.is_monomial() for r in I.rows + J.rows)
     for X, Y in ((I, J), (J, I), (I, I)):
         got = colon(X, Y)
-        assert got == _colon(X, _generators(Y), Y.lo), (X, Y)
+        assert got == _colon(X, [g.terms for g in _generators(Y)], Y.lo), (X, Y)
         assert equals(got, colon_by_reduction(X, Y)), (X, Y)
 
 
@@ -394,7 +453,7 @@ def test_endomorphism_ring_of_m_matches_linear_solve():
     for H_ in enumerate_semigroups(10):
         m = maximal_ideal(QQ, H_)
         E = endomorphism_ring(m)
-        assert E == _colon(m, _generators(m), m.lo), H_
+        assert E == _colon(m, [g.terms for g in _generators(m)], m.lo), H_
         c = H_.conductor
         if c:  # PF(N0) = (-1,) by convention
             members = set(H_.members(c)) | set(H_.pseudo_frobenius())
@@ -436,6 +495,25 @@ def test_probe_colons_come_out_canonical():
             assert _is_canonical(T) and not contains(R, LaurentPoly.monomial(QQ, T.tail - 1))
             count += 1
     assert count == 66 * len(samples)
+
+
+def test_bench_qq_colons_counts(tmp_path):
+    # the script wraps the colon's solve_homogeneous; run it once and compare
+    # its inputs and each stage's colons and system sizes with the committed
+    # record
+    spec = importlib.util.spec_from_file_location("bench_qq_colons",
+                                                  ROOT / "scripts" / "bench_qq_colons.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.main([str(tmp_path / "out.json"), "--repeats", "1"])
+
+    def counts(path):
+        record = json.loads(path.read_text())
+        return ([record[k] for k in ("semigroups", "probes", "samples")]
+                + [{k: v for k, v in stage.items() if k != "best_s"}
+                   for stage in record["stages"]])
+
+    assert counts(tmp_path / "out.json") == counts(ROOT / "BENCH_35.json")
 
 
 @st.composite

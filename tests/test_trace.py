@@ -226,6 +226,14 @@ def test_family_probe_rejects_negative_exponent_before_any_colon():
     assert errors[0] == errors[1] == errors[2] and "negative" in errors[0]
 
 
+def test_family_probe_takes_the_exponent_through_index():
+    # an exponent is an int, as a generator is: a float would name the
+    # template t^2.5 + k*t^3.5 or report the exponent 2.0
+    for n in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            family_probe(S([4, 5, 6]), n, [1, 2])
+
+
 GENUS_AT_MOST_7 = list(enumerate_semigroups(7))
 
 
