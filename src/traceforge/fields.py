@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import index
 
 from .errors import DivisionByZero
 
@@ -106,6 +107,7 @@ class PrimeField:
     finite = True
 
     def __init__(self, p: int):
+        p = index(p)
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p >= 2**31:
@@ -127,6 +129,8 @@ class PrimeField:
         if isinstance(value, Fraction):
             den = den * value.denominator
             value = value.numerator
+        else:
+            value = index(value)
         return value * self.inv(den % self.p) % self.p if den != 1 else value % self.p
 
     def add(self, a, b):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import nullspace_by_free_columns, rref_by_field_ops
 from traceforge import fields
+from traceforge.artin import truncated_dvr
 from traceforge.errors import DivisionByZero
 from traceforge.fields import GF, QQ, Matrix, rank, rref, solve_homogeneous
 
@@ -37,6 +38,13 @@ def test_gf_rejects_composites():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def test_fields_take_only_integers():
+    for build in (lambda: GF(2.0), lambda: GF(5).element(2.5),
+                  lambda: truncated_dvr(GF(5), 3).act(1, (0.5, 1, 0)), lambda: QQ.element(0.5)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_gf_parses_fractions():

@@ -1,9 +1,6 @@
-import importlib.util
-import json
 import random
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +28,6 @@ from traceforge.trace import _overring_trace
 S = NumericalSemigroup.from_generators
 N0 = natural_semigroup()
 H = S([4, 5, 11])
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(field, text):
@@ -495,25 +491,6 @@ def test_probe_colons_come_out_canonical():
             assert _is_canonical(T) and not contains(R, LaurentPoly.monomial(QQ, T.tail - 1))
             count += 1
     assert count == 66 * len(samples)
-
-
-def test_bench_qq_colons_counts(tmp_path):
-    # the script wraps the colon's solve_homogeneous; run it once and compare
-    # its inputs and each stage's colons and system sizes with the committed
-    # record
-    spec = importlib.util.spec_from_file_location("bench_qq_colons",
-                                                  ROOT / "scripts" / "bench_qq_colons.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    bench.main([str(tmp_path / "out.json"), "--repeats", "1"])
-
-    def counts(path):
-        record = json.loads(path.read_text())
-        return ([record[k] for k in ("semigroups", "probes", "samples")]
-                + [{k: v for k, v in stage.items() if k != "best_s"}
-                   for stage in record["stages"]])
-
-    assert counts(tmp_path / "out.json") == counts(ROOT / "BENCH_35.json")
 
 
 @st.composite

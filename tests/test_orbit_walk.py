@@ -11,14 +11,11 @@ representations, ``_Quotient.dilate`` on the rows of R/c and
 step reads the cut, the child's stabilizer and the gap equations off one
 scan of the new row; ``_oracles.orbit_step_by_images`` compares the row
 with each of its images, and the two must agree at every child edge.
-``scripts/bench_trace_walk.py`` times both walks; its counts must stay
-those of ``BENCH_28.json``.
+The ``trace-walk`` entry of ``scripts/bench.py`` times both walks, and
+``tests/test_bench.py`` keeps its counts those of ``BENCH_28.json``.
 """
 
-import importlib.util
-import json
 from collections import Counter
-from pathlib import Path
 
 from hypothesis import given, settings
 
@@ -29,8 +26,6 @@ from traceforge.fields import GF
 from traceforge.ideals import dilate
 from traceforge.semigroups import NumericalSemigroup, enumerate_semigroups
 from traceforge.trace import _gap_fixed_point, _quotient, enumerate_trace_ideals
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def agrees_with_full_walk(H, p):
@@ -108,21 +103,3 @@ def test_row_dilation_is_ideal_dilation():
                 T = q.lift(rows)
                 for lam in range(1, p):
                     assert q.lift(q.dilate(rows, pivots, lam)) == dilate(T, lam), (H, p, rows, lam)
-
-
-def test_bench_trace_walk_counts(tmp_path):
-    # the script reaches into trace's private walk and the oracles; run it
-    # once and compare each case's census, modules tested by each walk and
-    # trace ideals (zero included) with the committed record
-    spec = importlib.util.spec_from_file_location("bench_trace_walk",
-                                                  ROOT / "scripts" / "bench_trace_walk.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    bench.main([str(tmp_path / "out.json"), "--repeats", "1"])
-
-    def counts(path):
-        return [(c["case"], c["census"], c["orbit_walk"]["modules_tested"],
-                 c["full_walk"]["modules_tested"], c["trace_ideals_with_zero"])
-                for c in json.loads(path.read_text())["cases"]]
-
-    assert counts(tmp_path / "out.json") == counts(ROOT / "BENCH_28.json")
