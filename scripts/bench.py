@@ -26,7 +26,7 @@ qq-colons (BENCH_35.json)
     m : m), the best time over all inputs and the colons solved (the
     colon's ``solve_homogeneous`` calls) with the summed rows, columns,
     rows x columns and nonzero cells of their systems.
-frontier (BENCH_36.json)
+frontier (BENCH_36.json, BENCH_37.json)
     For each of ``FRONTIER``: the census, the trace ideals (zero
     included) and the modules tested of one in-process enumeration, and
     the best time and the peak RSS (``goldens.peak_rss_mb``) of a child

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .errors import (DependentGenerators, InfiniteField, NotGorenstein,
                      WorkloadExceeded, ZeroQuotient)
@@ -362,6 +363,51 @@ def hom_trace(I: SubIdeal) -> SubIdeal:
 # enumeration
 
 
+class _Packing(NamedTuple):
+    """How the lattice engine packs a vector over F_p into one int: a
+    field of ``bits`` bits per coordinate, coordinate 0 lowest.  Entries
+    are kept in [0, p), and an update w + x u (x <= p) before its
+    reduction holds at most (p - 1) + p (p - 1) = p^2 - 1 in a field, so
+    p <= 13 takes bytes, which a byte table reduces; wider fields are
+    reduced one coordinate at a time.  A column's action images are n
+    fields, a block of d per action; ``blocks`` masks each block's first
+    field and ``tops`` holds p there."""
+    p: int
+    d: int
+    n: int
+    bits: int
+    blocks: int
+    tops: int
+    reduce: Callable[[int, int], int]  # (w, n): w's n fields mod p
+    unpack: Callable[[int, int], tuple]  # (w, n): w's n fields
+
+    def pack(self, entries) -> int:
+        return sum(x << self.bits * c for c, x in enumerate(entries))
+
+
+def _packing(p: int, d: int, k: int) -> _Packing:
+    """The packing of vectors of length d over F_p, with k actions."""
+    bits = 8 * ((p * p - 1).bit_length() + 7 >> 3)
+    mask = (1 << bits) - 1
+    if bits == 8:
+        table = bytes(b % p for b in range(256))
+
+        def reduce(w, n):
+            return int.from_bytes(w.to_bytes(n, "little").translate(table), "little")
+
+        def unpack(w, n):
+            return tuple(w.to_bytes(n, "little"))
+    else:
+        def reduce(w, n):
+            return sum((w >> s & mask) % p << s for s in range(0, bits * n, bits))
+
+        def unpack(w, n):
+            return tuple(w >> s & mask for s in range(0, bits * n, bits))
+    first = [bits * d * i for i in range(k)]
+    return _Packing(p, d, d * k, bits, sum(mask << s for s in first), sum(p << s for s in first),
+                    reduce, unpack)
+
+
 def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
     """Every subspace of F_p^d stable under ``actions``, yielded once each
     as (rows, pivots, state) in the order of the walk: its RREF rows,
@@ -380,7 +426,7 @@ def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
 
     Each module carries down the tree what its children need, so a tree
     edge costs one row update and each module eliminates only the columns
-    before its first pivot: ``images[j]`` lists a e_j modulo M over the
+    before its first pivot: ``images[j]`` packs a e_j modulo M over the
     actions for those columns j, and the child gets the elimination of
     :func:`_socle_lines` as it stood before the child's lead.  ``state``
     starts as given and becomes ``step(state, rows, pivots)`` along the
@@ -391,70 +437,90 @@ def _ideal_lattice(p: int, d: int, actions, step=None, state=None):
     made when it leaves the stack, before its images, so the stack holds
     one set of images per module on the path and a cut child costs no
     row update.
+
+    Vectors are packed ints (:class:`_Packing`), each field holding up to
+    p^2 - 1, and every update is reduced to entries in [0, p) before it
+    is read, so each entry, lead and line is the one the tuple rows of
+    ``tests/_oracles.lattice_by_tuple_rows`` give, and so is the stream.
+    A child's rows get their tuple once, when it leaves the stack.
     """
-    stack = [((), (), [[a[j] for a in actions] for j in range(d)], state, (), ())]
+    pk = _packing(p, d, len(actions))
+    unpack = pk.unpack
+    images = [pk.pack([x for a in actions for x in a[j]]) for j in range(d)]
+    stack = [(0, (), (), images, state, (), ())]
     while stack:
-        rows, pivots, images, state, echelon, kernel = stack.pop()
-        if rows:
+        v, rows, pivots, images, state, echelon, kernel = stack.pop()
+        if v:
+            rows = (unpack(v, d),) + rows
             if step:
                 state = step(state, rows, pivots)
                 if state is None:
                     continue
-            images = _reduce_images(p, images, rows[0], pivots[0])
+            images = _reduce_images(pk, images, v, pivots[0])
         yield rows, pivots, state
-        stack += [((v,) + rows, (lead,) + pivots, images, state, *done)
-                  for lead, v, done in _socle_lines(p, d, images, echelon, kernel)]
+        stack += [(v, rows, (lead,) + pivots, images, state, *done)
+                  for lead, v, done in _socle_lines(pk, images, echelon, kernel)]
 
 
-def _reduce_images(p: int, images, v, lead: int) -> list:
+def _reduce_images(pk: _Packing, images, v: int, lead: int) -> list:
     """The images modulo M + F_p v of the columns before ``lead`` from
     those modulo M, for (v, *rows) in RREF: v is zero on M's pivots, so
     w - w[lead] v is reduced for both.  The child needs no other column,
     and an image beyond ``lead`` is zero at it, so v would leave it alone.
+    One product updates every action block of a column: x holds each
+    block's entry at the lead, and w + v (p - x) is w - x v modulo p.
     Images that v leaves alone are shared with the parent, never copied."""
-    return [[[(s - w[lead] * t) % p for s, t in zip(w, v)] if w[lead] else w for w in ws]
-            for ws in images[:lead]]
+    _, _, n, bits, blocks, tops, reduce, _ = pk
+    shift = bits * lead
+    return [reduce(w + v * (tops - x), n) if (x := w >> shift & blocks) else w
+            for w in images[:lead]]
 
 
-def _socle_lines(p: int, d: int, images, echelon, kernel):
+def _socle_lines(pk: _Packing, images, echelon, kernel):
     """One vector per line of N/M that leads before M's first pivot, with
     N = {v : a v in M for all a}, as triples (lead, v, done) with v[lead] = 1.
 
-    M is the span of RREF rows, and ``images[j]`` lists every a e_j
+    M is the span of RREF rows, and ``images[j]`` packs every a e_j
     reduced modulo M for the columns j before M's first pivot, all free.
     The unit vectors e_j off the pivots represent a basis of V/M, so N/M
-    is the kernel of the map sending such e_j to their images, each laid
-    out as the actions' d coordinates end to end.  It is found by
-    eliminating the images from the last e_j down while tracking e_j, so
-    each kernel vector is 1 at its own j, zero before it and zero on the
-    pivots.  M's parent eliminated the columns from M's first pivot l on
-    and hands over ``echelon`` and ``kernel`` as they stood before l:
-    each image beyond l is zero at l, so M's first row leaves it alone
-    and would give them again.  ``done`` is that hand-over for v's child.
+    is the kernel of the map sending such e_j to their images, each the
+    actions' d coordinates end to end.  It is found by eliminating the
+    images from the last e_j down while tracking e_j, so each kernel
+    vector is 1 at its own j, zero before it and zero on the pivots.  M's
+    parent eliminated the columns from M's first pivot l on and hands
+    over ``echelon`` and ``kernel`` as they stood before l: each image
+    beyond l is zero at l, so M's first row leaves it alone and would give
+    them again.  ``done`` is that hand-over for v's child.
+
+    Vectors are packed as :class:`_Packing` says, and each image carries
+    its tag in the fields above it, so one update w + (p - x) u, reduced,
+    eliminates both; a lead is the lowest nonzero field, and an image
+    with none left is a tag.  The updates, leads and lines are those of
+    the tuple rows, in the same order.
     """
-    echelon = list(echelon)  # (pivot, image, tag) with image[pivot] == 1
+    p, d, n, bits, _, _, reduce, _ = pk
+    tags, m, mask = bits * n, n + d, (1 << bits) - 1
+    echelon = list(echelon)  # (pivot shift, image + tag << tags), pivot entry 1
     kernel = list(kernel)  # tags, j falling
     for j in reversed(range(len(images))):
-        image = [x for w in images[j] for x in w]
-        tag = [0] * d
-        tag[j] = 1
-        for c, u, t in echelon:
-            x = image[c]
+        row = images[j] | 1 << tags + bits * j
+        for s, u in echelon:
+            x = row >> s & mask
             if x:
-                image = [(s - x * y) % p for s, y in zip(image, u)]
-                tag = [(s - x * y) % p for s, y in zip(tag, t)]
-        lead = next((i for i, x in enumerate(image) if x), None)
-        if lead is not None:
-            inv = pow(image[lead], -1, p)
-            echelon.append((lead, [x * inv % p for x in image], [x * inv % p for x in tag]))
+                row = reduce(row + (p - x) * u, m)
+        s = ((row & -row).bit_length() - 1) // bits * bits
+        if s < tags:
+            x = row >> s & mask
+            echelon.append((s, reduce(row * pow(x, -1, p), m) if x > 1 else row))
             continue
+        tag = row >> tags
         done = tuple(echelon), tuple(kernel)  # kernel: the kernel vectors after j
         for coeffs in itertools.product(range(p), repeat=len(kernel)):
             v = tag
-            for k, r in zip(coeffs, kernel):
-                if k:
-                    v = [(s + k * t) % p for s, t in zip(v, r)]
-            yield j, tuple(v), done
+            for c, r in zip(coeffs, kernel):
+                if c:
+                    v = reduce(v + c * r, d)
+            yield j, v, done
         kernel.append(tag)
 
 

@@ -43,7 +43,9 @@ reading them at the pivots, and the state of a lattice module (its
 reduced action images, its socle lines and the RREF basis of the gap
 part of R : T) from scratch instead of carried down the walk one row at
 a time, and the walk's socle elimination redone over every free column
-at each module instead of carried down from the parent, and the reduction
+at each module instead of carried down from the parent, and the walk's
+vectors as tuples, one list comprehension per row update, instead of one
+packed int each, and the reduction
 exponent of the canonical ideal from the products W^j instead of the
 sumsets of K(H), and the probe's colons R : R[t^n + k t^(n+1)] one per
 sample instead of one colon dilated by t -> kt, and the finite-type tag
@@ -753,6 +755,106 @@ def socle_lines_by_fresh_elimination(p: int, images, pivots):
                 if k:
                     v = [(s + k * t) % p for s, t in zip(v, r)]
             yield j, tuple(v)
+
+
+def lattice_by_tuple_rows(p: int, d: int, actions, step=None, state=None):
+    """Every subspace of F_p^d stable under ``actions``, yielded once each
+    as (rows, pivots, state) in the order of the walk: its RREF rows,
+    their pivot columns and the caller's state.
+
+    ``actions`` are linear maps on F_p^d given by column images (``a[j]``
+    is the image of the j-th unit vector); they need only generate the
+    maximal ideal of a local ring with residue field F_p as an algebra (a
+    subspace stable under them is stable under their products), and they
+    raise the index (``a[j]`` is zero up to j).  So a nonzero submodule
+    without its first row is again a submodule, its one parent, and the
+    children of M are M + F_p v for the socle lines of the quotient by M
+    that lead before M's first pivot; (v, *rows) is already in RREF.  A
+    depth-first walk from 0 makes each submodule once (reverse search),
+    and its stack never holds the lattice.
+
+    This is the library engine before its vectors were packed into ints:
+    every row is a tuple of ints in [0, p) and every row update a list
+    comprehension over its entries.
+
+    Each module carries down the tree what its children need, so a tree
+    edge costs one row update and each module eliminates only the columns
+    before its first pivot: ``images[j]`` lists a e_j modulo M over the
+    actions for those columns j, and the child gets the elimination of
+    :func:`socle_lines_by_tuples` as it stood before the child's lead.  ``state``
+    starts as given and becomes ``step(state, rows, pivots)`` along the
+    edge from M to M + F_p v, called with the child's rows and pivots as
+    they are about to be yielded, so ``rows[0]`` is v and ``rows[1:]``,
+    ``pivots[1:]`` are M's.  A step that returns None cuts the child: it
+    is not yielded and its subtree is not walked.  A child's state is
+    made when it leaves the stack, before its images, so the stack holds
+    one set of images per module on the path and a cut child costs no
+    row update.
+    """
+    stack = [((), (), [[a[j] for a in actions] for j in range(d)], state, (), ())]
+    while stack:
+        rows, pivots, images, state, echelon, kernel = stack.pop()
+        if rows:
+            if step:
+                state = step(state, rows, pivots)
+                if state is None:
+                    continue
+            images = images_reduced_by_tuples(p, images, rows[0], pivots[0])
+        yield rows, pivots, state
+        stack += [((v,) + rows, (lead,) + pivots, images, state, *done)
+                  for lead, v, done in socle_lines_by_tuples(p, d, images, echelon, kernel)]
+
+
+def images_reduced_by_tuples(p: int, images, v, lead: int) -> list:
+    """The images modulo M + F_p v of the columns before ``lead`` from
+    those modulo M, for (v, *rows) in RREF: v is zero on M's pivots, so
+    w - w[lead] v is reduced for both.  The child needs no other column,
+    and an image beyond ``lead`` is zero at it, so v would leave it alone.
+    Images that v leaves alone are shared with the parent, never copied."""
+    return [[[(s - w[lead] * t) % p for s, t in zip(w, v)] if w[lead] else w for w in ws]
+            for ws in images[:lead]]
+
+
+def socle_lines_by_tuples(p: int, d: int, images, echelon, kernel):
+    """One vector per line of N/M that leads before M's first pivot, with
+    N = {v : a v in M for all a}, as triples (lead, v, done) with v[lead] = 1.
+
+    M is the span of RREF rows, and ``images[j]`` lists every a e_j
+    reduced modulo M for the columns j before M's first pivot, all free.
+    The unit vectors e_j off the pivots represent a basis of V/M, so N/M
+    is the kernel of the map sending such e_j to their images, each laid
+    out as the actions' d coordinates end to end.  It is found by
+    eliminating the images from the last e_j down while tracking e_j, so
+    each kernel vector is 1 at its own j, zero before it and zero on the
+    pivots.  M's parent eliminated the columns from M's first pivot l on
+    and hands over ``echelon`` and ``kernel`` as they stood before l:
+    each image beyond l is zero at l, so M's first row leaves it alone
+    and would give them again.  ``done`` is that hand-over for v's child.
+    """
+    echelon = list(echelon)  # (pivot, image, tag) with image[pivot] == 1
+    kernel = list(kernel)  # tags, j falling
+    for j in reversed(range(len(images))):
+        image = [x for w in images[j] for x in w]
+        tag = [0] * d
+        tag[j] = 1
+        for c, u, t in echelon:
+            x = image[c]
+            if x:
+                image = [(s - x * y) % p for s, y in zip(image, u)]
+                tag = [(s - x * y) % p for s, y in zip(tag, t)]
+        lead = next((i for i, x in enumerate(image) if x), None)
+        if lead is not None:
+            inv = pow(image[lead], -1, p)
+            echelon.append((lead, [x * inv % p for x in image], [x * inv % p for x in tag]))
+            continue
+        done = tuple(echelon), tuple(kernel)  # kernel: the kernel vectors after j
+        for coeffs in product(range(p), repeat=len(kernel)):
+            v = tag
+            for k, r in zip(coeffs, kernel):
+                if k:
+                    v = [(s + k * t) % p for s, t in zip(v, r)]
+            yield j, tuple(v), done
+        kernel.append(tag)
 
 
 def gap_part_by_rref(q, rows):

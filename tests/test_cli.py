@@ -137,6 +137,11 @@ def test_artin_command(capsys):
     assert code == 0 and "Tr = {0, m, R}" in out
     code, out, _ = run(capsys, "artin", "chain", "--l", "4", "--p", "2")
     assert code == 0 and "(5 trace ideals)" in out
+    # wider than a byte per coordinate in the lattice engine
+    code, out, _ = run(capsys, "artin", "chain", "--l", "3", "--p", "17")
+    assert code == 0 and "(4 trace ideals)" in out
+    code, out, _ = run(capsys, "artin", "chain", "--l", "2", "--p", "257")
+    assert code == 0 and "(3 trace ideals)" in out
     code, out, _ = run(capsys, "artin", "gor4", "--rationals")
     assert code == 0 and "socle dim 1" in out
     # a prime and the rationals name two fields; the default prime conflicts too

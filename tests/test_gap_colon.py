@@ -25,7 +25,7 @@ from _oracles import (_window_basis, _window_vector, gap_part_by_rref, images_by
                       images_reduced_in_full, is_trace_by_rank, socle_lines_by_fresh_elimination,
                       socle_lines_by_reduction)
 from _strategies import capped_semigroups
-from traceforge.artin import (_ideal_lattice, _reduce_images, enumerate_ideals,
+from traceforge.artin import (_ideal_lattice, _packing, _reduce_images, enumerate_ideals,
                               gorenstein_two_generators, semigroup_quotient,
                               square_zero_two_vars, truncated_dvr)
 from traceforge.fields import GF, QQ
@@ -78,29 +78,41 @@ def frozen(images):
     return [None if ws is None else [tuple(w) for w in ws] for ws in images]
 
 
+def unpacked(pk, images):
+    """The packed images of the library's walk as lists of tuples, one
+    tuple of d entries per action."""
+    d, n = pk.d, pk.n
+    return [[ws[i:i + d] for i in range(0, n, d)] for ws in (pk.unpack(w, n) for w in images)]
+
+
 def walk_agrees(p, d, actions, step=None, state=None):
     """The walk with the action images carried beside the caller's state,
-    updated along each edge both by ``_reduce_images``, as the walk
-    updates its own, and by the former engine's ``images_reduced_in_full``;
+    updated along each edge both by ``_reduce_images`` on packed ints, as
+    the walk updates its own, and by the former engine's
+    ``images_reduced_in_full`` on tuples;
     at every module both are checked against the from-scratch oracle, and
     so are the former engine's socle lines.  The children the walk makes
     of each module, in the reverse of the order it yields them, must be
     those lines too, so the step must cut nothing.  Yields the walk's
     (rows, pivots, state)."""
+    pk = _packing(p, d, len(actions))
+
     def both(triple, rows, pivots):
         images, full, inner = triple
         v, lead = rows[0], pivots[0]
-        return (_reduce_images(p, images, v, lead), images_reduced_in_full(p, full, v, lead),
+        return (_reduce_images(pk, images, pk.pack(v), lead),
+                images_reduced_in_full(p, full, v, lead),
                 step(inner, rows, pivots) if step else inner)
 
     start = [[a[j] for a in actions] for j in range(d)]
+    packed = [pk.pack([x for a in actions for x in a[j]]) for j in range(d)]
     lines, made = {}, {}
     for rows, pivots, (images, full, carried) in _ideal_lattice(p, d, actions, both,
-                                                                (start, start, state)):
+                                                                (packed, start, state)):
         expected = images_by_reduction(p, d, actions, rows, pivots)
         assert frozen(full) == expected, rows
         # the columns before the first pivot, all of them free
-        assert frozen(images) == expected[:pivots[0] if pivots else d], rows
+        assert unpacked(pk, images) == expected[:pivots[0] if pivots else d], rows
         lines[rows] = list(socle_lines_by_reduction(p, d, actions, rows, pivots))
         assert list(socle_lines_by_fresh_elimination(p, full, pivots)) == lines[rows], rows
         if rows:
@@ -131,6 +143,10 @@ def test_walk_carries_images_on_artin_presets():
                   semigroup_quotient(S([4, 6, 9]), p)):
             states = [state for _, _, state in walk_agrees(p, A.dim, A.table[1:])]
             assert states == [None] * len(enumerate_ideals(A)), A
+    # byte fields up to p = 13, wider ones from p = 17 on
+    for p in (11, 13, 17, 101, 257):
+        for A in (truncated_dvr(GF(p), 3), gorenstein_two_generators(GF(p))):
+            assert all(state is None for _, _, state in walk_agrees(p, A.dim, A.table[1:])), A
 
 
 def test_named_candidates():

@@ -1,4 +1,4 @@
-"""The reverse-search submodule-lattice engine against two oracles.
+"""The reverse-search submodule-lattice engine against its oracles.
 
 The engine is fed the shifts by the minimal generators below the
 conductor (trace) or the table rows of the generators of m (artin),
@@ -9,16 +9,19 @@ the engine before the reverse search, which climbs by covers and drops
 copies per layer.  RREF bases are unique, so the sorted stream must
 agree with both row for row.  The walk before the socle elimination was
 carried down the tree, which eliminates every free column at every
-module, must give the same stream: rows, pivots, order and step states.
+module, must give the same stream: rows, pivots, order and step states,
+and so must the walk on tuple rows, before vectors were packed into ints.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from _oracles import lattice_by_closure, lattice_by_covers, lattice_by_fresh_elimination
+from _oracles import (lattice_by_closure, lattice_by_covers, lattice_by_fresh_elimination,
+                      lattice_by_tuple_rows)
 from _strategies import capped_semigroups
 from traceforge import artin
-from traceforge.artin import (ArtinAlgebra, _hom_walk, _ideal_lattice, enumerate_ideals,
+from traceforge.artin import (ArtinAlgebra, _check_ideal_sweep, _hom_walk, _ideal_lattice,
+                              enumerate_ideals, enumerate_trace_ideals_artinian,
                               gorenstein_two_generators, semigroup_quotient,
                               socle, square_zero_two_vars, truncated_dvr)
 from traceforge.errors import WorkloadExceeded
@@ -141,16 +144,17 @@ def test_step_returning_none_cuts_the_subtree():
 
 
 def same_streams(H, p):
-    """The two engines' streams on R/c over F_p, with no step, with the
-    trace step from mu_1, which carries the gap part of R : T and cuts
-    nothing, and with it from mu_(p-1), which cuts children over odd p, so
-    the streams must agree on cut walks too."""
+    """The engine's stream on R/c over F_p against both former engines',
+    with no step, with the trace step from mu_1, which carries the gap
+    part of R : T and cuts nothing, and with it from mu_(p-1), which cuts
+    children over odd p, so the streams must agree on cut walks too."""
     q = _quotient(GF(p), H)
     d = len(q.exps)
     for step, state in ((None, None), (q.step, (q.gap_units, 1)),
                         (q.step, (q.gap_units, p - 1))):
-        assert (list(_ideal_lattice(p, d, q.shifts, step, state))
-                == list(lattice_by_fresh_elimination(p, d, q.shifts, step, state))), (H, p, step)
+        stream = list(_ideal_lattice(p, d, q.shifts, step, state))
+        for former in (lattice_by_fresh_elimination, lattice_by_tuple_rows):
+            assert stream == list(former(p, d, q.shifts, step, state)), (H, p, step, former)
 
 
 def test_stream_matches_fresh_elimination():
@@ -164,17 +168,63 @@ def test_stream_matches_fresh_elimination_on_artin_presets(monkeypatch):
     for A in presets:
         p, d = A.field.p, A.dim
         actions = [A.table[g] for g in A.generators]
-        assert (list(_ideal_lattice(p, d, actions))
-                == list(lattice_by_fresh_elimination(p, d, actions))), A
+        stream = list(_ideal_lattice(p, d, actions))
+        assert stream == list(lattice_by_fresh_elimination(p, d, actions)), A
+        assert stream == list(lattice_by_tuple_rows(p, d, actions)), A
     carried = [list(_hom_walk(A)) for A in presets]
-    monkeypatch.setattr(artin, "_ideal_lattice", lattice_by_fresh_elimination)
-    assert [list(_hom_walk(A)) for A in presets] == carried
+    for former in (lattice_by_fresh_elimination, lattice_by_tuple_rows):
+        monkeypatch.setattr(artin, "_ideal_lattice", former)
+        assert [list(_hom_walk(A)) for A in presets] == carried, former
 
 
 @settings(max_examples=40, deadline=None)
 @given(capped_semigroups)
 def test_stream_matches_fresh_elimination_random_semigroups(case):
     same_streams(*case)
+
+
+def rescaled(A, scales):
+    """A on the basis scales[i] b_i, whose table has entries other than 0
+    and 1: b_i b_j = sum_k x_k b_k gives the coefficient
+    scales[i] scales[j] x_k / scales[k] at the new b_k."""
+    p = A.field.p
+    inv = [pow(c, -1, p) for c in scales]
+    table = [[[scales[i] * scales[j] * x * inv[k] % p for k, x in enumerate(cell)]
+              for j, cell in enumerate(row)] for i, row in enumerate(A.table)]
+    return ArtinAlgebra.create(A.field, A.labels, table)
+
+
+def test_byte_and_wide_fields(monkeypatch):
+    # p <= 13 packs a byte per coordinate and p >= 17 wider fields; an
+    # entry of GF(257) does not fit a byte.  Each chain length L is inside
+    # the p^L guard.  The chain has L + 1 ideals; gor4 has 0, its socle,
+    # the p + 1 lines of m over it, m and A; sq0 (m^2 = 0) has 0, the
+    # p + 1 lines of m, m and A.
+    cases = []
+    for p, L in ((11, 4), (13, 4), (17, 3), (101, 3), (257, 2)):
+        _check_ideal_sweep(p, L)
+        f = GF(p)
+        cases += [(truncated_dvr(f, L), L + 1), (gorenstein_two_generators(f), p + 5),
+                  (rescaled(square_zero_two_vars(f), (1, p - 3, p - 4)), p + 4)]
+    walkable = []
+    for A, count in cases:
+        p, d = A.field.p, A.dim
+        actions = [A.table[g] for g in A.generators]
+        stream = list(_ideal_lattice(p, d, actions))
+        assert len(stream) == count, A
+        assert stream == list(lattice_by_fresh_elimination(p, d, actions)), A
+        assert stream == list(lattice_by_tuple_rows(p, d, actions)), A
+        if p ** d <= artin.IDEAL_ENUMERATION_GUARD:
+            walkable.append(A)
+        else:  # gor4 over GF(101) and GF(257), sq0 over GF(257)
+            with pytest.raises(WorkloadExceeded):
+                enumerate_ideals(A)
+    assert len(walkable) == 12
+    ideals = [[I.rows for I in enumerate_ideals(A)] for A in walkable]
+    traces = [[I.rows for I in enumerate_trace_ideals_artinian(A)] for A in walkable]
+    monkeypatch.setattr(artin, "_ideal_lattice", lattice_by_tuple_rows)
+    assert ideals == [[I.rows for I in enumerate_ideals(A)] for A in walkable]
+    assert traces == [[I.rows for I in enumerate_trace_ideals_artinian(A)] for A in walkable]
 
 
 def test_natural_semigroup_has_zero_quotient():
