@@ -18,8 +18,8 @@ generators of H below c, the actions of the trace-ideal enumeration of
 :mod:`traceforge.trace`.
 
 This module also holds the one submodule-lattice engine of the package,
-used by :func:`enumerate_ideals` and the Hom walk here and by that
-trace-ideal enumeration.  It is a reverse search: each nonzero module
+entered by each walk of an algebra through ``ArtinAlgebra._walk`` and by
+that trace-ideal enumeration.  It is a reverse search: each nonzero module
 has one parent, itself without its first echelon row, and a depth-first
 walk from 0 streams every module once, adding to M each line of the
 socle of the quotient by M that leads before M's first pivot.  Each
@@ -148,6 +148,19 @@ class ArtinAlgebra:
         coordinate r of b_g b_c: the matrix of multiplication by b_g."""
         return tuple((g, tuple(zip(*self.table[g]))) for g in self.generators)
 
+    def _walk(self, step=None, state=None):
+        """The walk of :func:`_ideal_lattice`, with its ``step`` and ``state``,
+        over the ideals of A acted on by the b_g of ``generators``; it refuses
+        at once an A over an infinite field, past the p^d guard, or with some
+        b_i * b_j (i >= 1) nonzero up to index j, which the engine cannot walk."""
+        f = self.field
+        if not f.finite:
+            raise InfiniteField("exhaustive ideal enumeration needs a finite field")
+        _check_ideal_sweep(f.p, self.dim)
+        if any(any(cell[:j + 1]) for row in self.table[1:] for j, cell in enumerate(row)):
+            raise ValueError("some product b_i * b_j (i >= 1) is nonzero at an index up to j")
+        return _ideal_lattice(f.p, self.dim, [self.table[g] for g in self.generators], step, state)
+
     def basis_vector(self, i: int) -> tuple:
         return _unit_row(self.field, self.dim, i)
 
@@ -196,15 +209,16 @@ def _span(A: ArtinAlgebra, vectors) -> tuple:
     return red.rows[:len(piv)]
 
 
-def _residue(rows, pivots, w) -> list:
-    """w minus each RREF row times w's entry at the row's pivot, with no
-    reduction mod p.  The rows are zero at each other's pivots, so w lies
-    in their span exactly when this residue is zero (mod p over F_p)."""
+def _in_span(rows, pivots, w, p: int) -> bool:
+    """Whether w lies in the span of RREF ``rows`` with these ``pivots``,
+    over F_p, or over QQ for p = 0.  The rows are zero at each other's
+    pivots, so it does exactly when w less each row times w's entry at
+    that row's pivot, not reduced mod p, is zero (mod p over F_p)."""
     for c, row in zip(pivots, rows):
         x = w[c]
         if x:
             w = [a - x * b for a, b in zip(w, row)]
-    return w
+    return not any(a % p for a in w) if p else not any(w)
 
 
 @dataclass(frozen=True)
@@ -231,10 +245,10 @@ class SubIdeal:
     def _coordinates(self, w: tuple):
         """:meth:`coordinates` of a vector w with canonical entries: the
         rows are reduced, so each is w's entry at its row's pivot."""
-        A = self.algebra
-        p = A.field.p if A.field.finite else 0
-        rest = _residue(self.rows, self.pivots, w)
-        return None if any(x % p if p else x for x in rest) else [w[j] for j in self.pivots]
+        f = self.algebra.field
+        if _in_span(self.rows, self.pivots, w, f.p if f.finite else 0):
+            return [w[j] for j in self.pivots]
+        return None
 
     def contains(self, v: tuple) -> bool:
         return self.coordinates(v) is not None
@@ -368,10 +382,10 @@ class _Packing(NamedTuple):
     field of ``bits`` bits per coordinate, coordinate 0 lowest.  Entries
     are kept in [0, p), and an update w + x u (x <= p) before its
     reduction holds at most (p - 1) + p (p - 1) = p^2 - 1 in a field, so
-    p <= 13 takes bytes, which a byte table reduces; wider fields are
-    reduced one coordinate at a time.  A column's action images are n
-    fields, a block of d per action; ``blocks`` masks each block's first
-    field and ``tops`` holds p there."""
+    p <= 13 takes bytes, which that prime's table in ``_BYTE_TABLES``
+    reduces; wider fields are reduced one coordinate at a time.  A
+    column's action images are n fields, a block of d per action;
+    ``blocks`` masks each block's first field and ``tops`` holds p there."""
     p: int
     d: int
     n: int
@@ -385,12 +399,15 @@ class _Packing(NamedTuple):
         return sum(x << self.bits * c for c, x in enumerate(entries))
 
 
+_BYTE_TABLES = {p: bytes(b % p for b in range(256)) for p in (2, 3, 5, 7, 11, 13)}
+
+
 def _packing(p: int, d: int, k: int) -> _Packing:
     """The packing of vectors of length d over F_p, with k actions."""
     bits = 8 * ((p * p - 1).bit_length() + 7 >> 3)
     mask = (1 << bits) - 1
     if bits == 8:
-        table = bytes(b % p for b in range(256))
+        table = _BYTE_TABLES[p]
 
         def reduce(w, n):
             return int.from_bytes(w.to_bytes(n, "little").translate(table), "little")
@@ -524,25 +541,10 @@ def _socle_lines(pk: _Packing, images, echelon, kernel):
         kernel.append(tag)
 
 
-def _check_walkable(A: ArtinAlgebra) -> None:
-    """Refuse an algebra the lattice engine cannot walk: one over an
-    infinite field, one past the p^d guard, or one whose products
-    b_i * b_j (i >= 1) are not zero up to index j."""
-    f = A.field
-    if not f.finite:
-        raise InfiniteField("exhaustive ideal enumeration needs a finite field")
-    _check_ideal_sweep(f.p, A.dim)
-    if any(any(cell[:j + 1]) for row in A.table[1:] for j, cell in enumerate(row)):
-        raise ValueError("some product b_i * b_j (i >= 1) is nonzero at an index up to j")
-
-
 def enumerate_ideals(A: ArtinAlgebra) -> list[SubIdeal]:
-    """All ideals of A over a finite field, duplicate-free, sorted by dimension.
-
-    The lattice engine needs b_i * b_j (i >= 1) to be zero up to index j."""
-    _check_walkable(A)
-    actions = [A.table[g] for g in A.generators]
-    lattice = [rows for rows, _, _ in _ideal_lattice(A.field.p, A.dim, actions)]
+    """All ideals of A over a finite field, duplicate-free, sorted by dimension;
+    the lattice engine needs b_i * b_j (i >= 1) to be zero up to index j."""
+    lattice = [rows for rows, _, _ in A._walk()]
     return [SubIdeal(A, rows) for rows in sorted(lattice, key=lambda r: (len(r), r))]
 
 
@@ -557,11 +559,10 @@ def _hom_walk(A: ArtinAlgebra):
     parent, whose rows and pivots are ``rows[1:]`` and ``pivots[1:]``.
     The root carries the empty basis.
     """
-    f = A.field
-    p, d = f.p, A.dim
+    f, d = A.field, A.dim
 
     def step(homs, rows, pivots):
-        v = rows[0]
+        p, v = f.p, rows[0]
         pad = (0,) * len(homs)
         eqs = []
         for _, M in A.generator_matrices:
@@ -591,7 +592,7 @@ def _hom_walk(A: ArtinAlgebra):
             extended.append(sol[:d] + tuple([x % p for x in phi]))
         return tuple(extended)
 
-    return _ideal_lattice(p, d, [A.table[g] for g in A.generators], step, ())
+    return A._walk(step, ())
 
 
 def enumerate_trace_ideals_artinian(A: ArtinAlgebra) -> list[SubIdeal]:
@@ -616,11 +617,11 @@ def enumerate_trace_ideals_artinian(A: ArtinAlgebra) -> list[SubIdeal]:
     onto Hom(I', A) on their null space, so it takes the null space's
     basis to a basis of Hom(I', A).
     """
-    _check_walkable(A)
+    walk = _hom_walk(A)  # refuses A before A.field.p is read
     p, d = A.field.p, A.dim
-    fixed = [rows for rows, pivots, homs in _hom_walk(A)
-             if not any(a % p for phi in homs for at in range(0, len(phi), d)
-                        for a in _residue(rows, pivots, phi[at:at + d]))]
+    fixed = [rows for rows, pivots, homs in walk
+             if all(_in_span(rows, pivots, phi[at:at + d], p)
+                    for phi in homs for at in range(0, len(phi), d))]
     return [SubIdeal(A, rows) for rows in sorted(fixed, key=lambda r: (len(r), r))]
 
 

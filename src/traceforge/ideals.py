@@ -333,11 +333,9 @@ def _canonical(field, H, polys, tail: int) -> FractionalIdeal:
 
 
 def _module_from(field, H, gens, tail: int) -> FractionalIdeal:
-    """The R-module generated by ``gens`` together with t^tail K[[t]]."""
+    """The R-module generated by the nonzero generators ``gens`` and t^tail K[[t]]."""
     vectors = []
     for g in gens:
-        if g.is_zero():
-            continue
         v = g.valuation
         for h in H.members(max(tail - v, 0)):
             vectors.append(g.shift(h))

@@ -33,7 +33,7 @@ from functools import reduce
 from math import gcd
 from operator import index, mul
 
-from .artin import _check_quotient_dim, _ideal_lattice, _monomial_table, _residue, _unit_row
+from .artin import _check_quotient_dim, _ideal_lattice, _in_span, _monomial_table, _unit_row
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
 from .fields import QQ, GF
 from .ideals import (FractionalIdeal, LaurentPoly, _colon, _powers, colon,
@@ -212,7 +212,7 @@ def _gap_fixed_point(q: _Quotient, rows, pivots, G) -> bool:
                 y = b[i]
                 if y:
                     v[k] += x * y
-            if any(a % p for a in _residue(rows, pivots, v)):
+            if not _in_span(rows, pivots, v, p):
                 return False
     return True
 

@@ -47,6 +47,9 @@ def test_square_zero_two_vars():
 
 
 def test_algebra_validation():
+    with pytest.raises(ValueError, match="dim x dim x dim"):
+        # the cell of x * x has one entry, not two
+        ArtinAlgebra.create(GF(2), ("1", "x"), [[[1, 0], [0, 1]], [[0, 1], [0]]])
     with pytest.raises(ValueError, match="nilpotent"):
         # x*x = 1 is a unit product, so the non-unit span is not nilpotent
         ArtinAlgebra.create(GF(2), ("1", "x"), [[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
@@ -460,8 +463,9 @@ def test_walk_carries_hom_modules():
             check_carried_homs(A)
 
 
-@pytest.mark.parametrize("walk", [enumerate_ideals, enumerate_trace_ideals_artinian])
+@pytest.mark.parametrize("walk", [enumerate_ideals, enumerate_trace_ideals_artinian, _hom_walk])
 def test_walks_share_one_guard(walk):
+    # ArtinAlgebra._walk refuses on the call, before the walk's first module
     with pytest.raises(InfiniteField):
         walk(truncated_dvr(QQ, 2))
     with pytest.raises(WorkloadExceeded):
@@ -510,6 +514,10 @@ def test_gorenstein_family_separation():
         assert hom_trace(I) == I, a
     with pytest.raises(DependentGenerators):
         gorenstein_family_separation(truncated_dvr(QQ, 3), (0, 1, 0), (0, 0, 1), [0, 1])
+    # a unit is outside m, as u or as v
+    for outside in ((A.basis_vector(0), v), (u, A.basis_vector(0))):
+        with pytest.raises(DependentGenerators, match="maximal ideal"):
+            gorenstein_family_separation(A, *outside, [0, 1])
     with pytest.raises(NotGorenstein):
         gorenstein_family_separation(square_zero_two_vars(QQ),
                                      (0, 1, 0), (0, 0, 1), [0, 1])

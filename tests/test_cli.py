@@ -154,6 +154,8 @@ def test_artin_command(capsys):
     for argv in (("sq0", "--l", "9"), ("gor4", "--rationals", "--l", "40")):
         code, _, err = run(capsys, "artin", *argv)
         assert code == 2 and err.startswith("error: ") and "'chain'" in err, argv
+    code, out, err = run(capsys, "artin", "chain", "--l", "0")
+    assert code == 2 and "length must be at least 1" in err and not out
 
 
 def test_artin_chain_guard_exits_3_before_building_the_ring(capsys, monkeypatch):
@@ -262,6 +264,21 @@ def test_survey_lists_failed_checks_in_table_order(monkeypatch):
     assert {key for key, ok in record["checks"].items() if ok is False} == \
         {"kunz_class_consistent", "arf_value_set_condition"}
     assert set(batch.THEOREM_CHECKS) == set(record["checks"])
+
+
+def test_survey_exits_4_on_theorem_violations(tmp_path, capsys, monkeypatch):
+    # a forced Kunz failure on every semigroup with a gap: each lands in
+    # run.json's violations and on one stdout line, and the survey exits 4
+    monkeypatch.setattr(batch, "kunz_cone_classify", lambda kv: EXTERIOR)
+    out_dir = tmp_path / "sv"
+    code, out, _ = run(capsys, "survey", "--max-genus", "2", "--p", "2",
+                       "--out", str(out_dir))
+    assert code == 4 and "THEOREM VIOLATIONS FOUND:" in out
+    failing = [{"gens": gens, "violations": ["kunz-classification"]}
+               for gens in ("2,3", "3,4,5", "2,5")]  # in the survey's order
+    assert json.loads((out_dir / "run.json").read_text())["record"]["violations"] == failing
+    lines = out.splitlines()
+    assert all(f"  <{v['gens']}>: kunz-classification" in lines for v in failing)
 
 
 def test_survey_bound(tmp_path, capsys):

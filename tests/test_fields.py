@@ -31,6 +31,8 @@ def test_inversion_of_zero_raises():
         GF(5).inv(0)
     with pytest.raises(DivisionByZero):
         GF(7).div(3, 0)
+    with pytest.raises(DivisionByZero):
+        QQ.div(Fraction(3), Fraction(0))
 
 
 def test_gf_rejects_composites():
@@ -38,6 +40,9 @@ def test_gf_rejects_composites():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+    # 2^31 + 11 is prime, but too wide for a field element
+    with pytest.raises(ValueError, match="must fit in 31 bits"):
+        GF(2147483659)
 
 
 def test_fields_take_only_integers():

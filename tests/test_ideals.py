@@ -160,6 +160,10 @@ def test_equals_and_contains():
     assert not contains(m, P(QQ, "1"))
     with pytest.raises(FieldMismatch):
         equals(m, maximal_ideal(GF(2), H))
+    with pytest.raises(FieldMismatch):
+        contains(m, P(GF(2), "t^4"))
+    with pytest.raises(FieldMismatch, match="ideals over"):
+        add(m, maximal_ideal(QQ, S([3, 5])))
 
 
 def test_value_set():

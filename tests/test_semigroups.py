@@ -157,6 +157,8 @@ def test_kunz_examples():
     assert S([2, 3]).kunz_coordinates(2).coords == (1,)
     # e need not be the multiplicity; zero coordinates are then possible
     assert S([2, 3]).kunz_coordinates(4).coords == (1, 0, 0)
+    with pytest.raises(NotAMember):
+        S([2, 3]).kunz_coordinates(1)
 
 
 def test_kunz_cone_examples():
@@ -166,6 +168,10 @@ def test_kunz_cone_examples():
     # minimal multiplicity <=> interior, so <3,4,5>'s coordinates are interior
     assert kunz_cone_classify(KunzVector(3, (1, 1))) == INTERIOR
     assert kunz_cone_classify(S([4, 5, 11]).kunz_coordinates(4)) == BOUNDARY
+    # e < 2, a wrong number of coordinates, a negative coordinate
+    for e, coords in ((1, ()), (3, (1,)), (3, (1, 2, 3)), (3, (1, -1))):
+        with pytest.raises(ValueError):
+            KunzVector(e, coords)
 
 
 def test_kunz_layer_sweep():

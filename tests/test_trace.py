@@ -61,6 +61,8 @@ def test_has_free_summand():
     assert has_free_summand(ideal_from_generators(QQ, H, [P(QQ, "t^4")]))
     assert not has_free_summand(maximal_ideal(QQ, H))
     assert has_free_summand(unit_ideal(QQ, H))
+    with pytest.raises(ValueError, match="integral"):
+        has_free_summand(shift(unit_ideal(QQ, H), -1))
 
 
 def _random_integral_poly(rng, f, H_, width=5):
