@@ -26,9 +26,11 @@ qq-colons (BENCH_35.json)
     m : m), the best time over all inputs and the colons solved (the
     colon's ``solve_homogeneous`` calls) with the summed rows, columns,
     rows x columns and nonzero cells of their systems.
-frontier (BENCH_36.json, BENCH_37.json)
+frontier (BENCH_36.json, BENCH_37.json, BENCH_39.json)
     For each of ``FRONTIER``: the census, the trace ideals (zero
-    included) and the modules tested of one in-process enumeration, and
+    included), the modules tested and, from BENCH_39.json on, the modules
+    multiplied (``trace._gap_products_in_span`` calls: those the
+    value-set test does not rule out) of one in-process enumeration, and
     the best time and the peak RSS (``goldens.peak_rss_mb``) of a child
     ``python -m traceforge.cli trace enum GENS --p P``.
 """
@@ -98,24 +100,27 @@ def wrapped(module, name: str, hook):
 
 
 def enumerate_counted(text: str, p: int):
-    """H = <TEXT>, ``trace.enumerate_trace_ideals(H, p)`` and the number
-    of modules it tests (``_gap_fixed_point`` calls)."""
+    """H = <TEXT>, ``trace.enumerate_trace_ideals(H, p)``, the number of
+    modules it tests (``_gap_fixed_point`` calls) and the number it
+    multiplies (``_gap_products_in_span`` calls)."""
     H = NumericalSemigroup.from_generators(parse_generators(text))
-    tested = 0
+    calls = dict.fromkeys(("_gap_fixed_point", "_gap_products_in_span"), 0)
 
-    def count(*args):
-        nonlocal tested
-        tested += 1
+    def counter(name):
+        def count(*args):
+            calls[name] += 1
+        return count
 
-    with wrapped(trace, "_gap_fixed_point", count):
+    with (wrapped(trace, "_gap_fixed_point", counter("_gap_fixed_point")),
+          wrapped(trace, "_gap_products_in_span", counter("_gap_products_in_span"))):
         found = trace.enumerate_trace_ideals(H, p)
-    return H, found, tested
+    return H, found, *calls.values()
 
 
 def trace_walk(repeats: int) -> dict:
     cases = []
     for text, p in CASES:
-        H, found, tested = enumerate_counted(text, p)
+        H, found, tested, _ = enumerate_counted(text, p)
         census, rows = trace_ideals_by_full_walk(H, p)
         if (census, len(rows)) != (found.census, len(found.ideals)):
             raise AssertionError(f"{text}/F_{p}: the two walks disagree")
@@ -177,13 +182,15 @@ def frontier(repeats: int) -> dict:
     times = best_of(repeats, *(partial(subprocess.run, argv, check=True,
                                        stdout=subprocess.DEVNULL) for argv in argvs))
     cases = []
-    for (text, p), (_, found, tested), best_s, argv in zip(FRONTIER, counted, times, argvs):
+    for (text, p), (_, found, tested, multiplied), best_s, argv in zip(
+            FRONTIER, counted, times, argvs):
         rss = peak_rss_mb(argv, timeout=600)
-        print(f"{text}/F_{p}: {best_s:.2f} s, {rss:.1f} MB, "
-              f"{tested} of {found.census} modules tested", file=sys.stderr)
+        print(f"{text}/F_{p}: {best_s:.2f} s, {rss:.1f} MB, {tested} of {found.census} "
+              f"modules tested, {multiplied} multiplied", file=sys.stderr)
         cases.append({"case": f"{text}/F_{p}", "census": found.census,
                       "trace_ideals_with_zero": found.count_with_zero,
-                      "modules_tested": tested, "best_s": best_s, "peak_rss_mb": rss})
+                      "modules_tested": tested, "modules_multiplied": multiplied,
+                      "best_s": best_s, "peak_rss_mb": rss})
     return {"cases": cases}
 
 
@@ -196,7 +203,8 @@ BENCHES = {
                   "systems each stage solves", qq_colons),
     "frontier": ("best-of-N wall time and peak RSS of a child `python -m traceforge.cli "
                  "trace enum GENS --p P` on the frontier cases, with the census, trace "
-                 "ideals and modules tested of one in-process enumeration", frontier),
+                 "ideals, modules tested and modules multiplied of one in-process "
+                 "enumeration", frontier),
 }
 
 

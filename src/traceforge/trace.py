@@ -12,10 +12,16 @@ fixed-point test on one module per orbit of the torus t -> lam t,
 lam in F_p^*, which permutes Tr(R); the rest of each orbit is counted
 and, for a trace ideal, listed by rescaling its rows.  R : T is R plus
 its part on the gaps of H, so the test takes only that gap part and
-stops at the first product with T that falls outside T.  Each module
-carries the gap part's RREF basis and its stabilizer in the torus down
-from its parent, both cut in one scan of the new row, and only the trace
-ideals are lifted back to fractional ideals.
+stops at the first product with T that falls outside T.  Before any
+product it compares value sets: a trace ideal T has
+v(R : T) + v(T) inside v(T) u [c, oo), since gamma b lies in T and its
+lowest term sits at the sum of those of gamma and b, and most modules
+fail that on one shift of a bitmask per basis vector of the gap part
+(the same valuation argument as the paper's condition for finite
+Tr(R); by Lindo, T is a trace ideal exactly when R : T = T : T).
+Each module carries the gap part's RREF basis and its stabilizer in the
+torus down from its parent, both cut in one scan of the new row, and
+only the trace ideals are lifted back to fractional ideals.
 Whole-theorem checks sit on top: the blowup bijection for minimal
 multiplicity, the normalization as a union of endomorphism rings, and
 the colon separation probe that certifies infinite families over the
@@ -79,20 +85,22 @@ def trace(I: FractionalIdeal) -> FractionalIdeal:
 class _Quotient:
     """R/c for R = F_p[[H]], the one coordinate system of the trace kernel.
 
-    ``exps`` are the members below c, the coordinates of R/c.  ``shifts``
-    holds multiplication by t^g on R/c for each minimal generator g below
-    c (those past it act as zero): the rows of R/c's product table at g,
-    column images for the lattice engine.  The gaps are numbered in
-    increasing order: ``reach[i]`` lists the pairs (g, j) of gap numbers
-    with exps[i] + gap j = gap g, and ``spread[j]`` the pairs (i, k) with
-    exps[i] + gap j = exps[k].  ``gap_units`` are the unit vectors of the
-    gaps, the gap part of R : c = K[[t]] (see :meth:`step`), and
-    ``roots[g]`` lists the lam != 1 of mu_g = {lam : lam^g = 1} for g < p.
+    ``exps`` are the members below c, the coordinates of R/c, and ``gaps``
+    the gaps of H, numbered in increasing order.  ``shifts`` holds
+    multiplication by t^g on R/c for each minimal generator g below c
+    (those past it act as zero): the rows of R/c's product table at g,
+    column images for the lattice engine.  ``reach[i]`` lists the pairs
+    (g, j) of gap numbers with exps[i] + gap j = gap g, and ``spread[j]``
+    the pairs (i, k) with exps[i] + gap j = exps[k].  ``gap_units`` are
+    the unit vectors of the gaps, the gap part of R : c = K[[t]] (see
+    :meth:`step`), and ``roots[g]`` lists the lam != 1 of
+    mu_g = {lam : lam^g = 1} for g < p.
     """
 
     field: object
     semigroup: NumericalSemigroup
     exps: tuple
+    gaps: tuple
     shifts: tuple
     reach: tuple
     spread: tuple
@@ -186,7 +194,7 @@ def _quotient(f, H: NumericalSemigroup) -> _Quotient:
                    for j in gaps)
     gap_units = tuple(_unit_row(f, len(gaps), j) for j in range(len(gaps)))
     roots = tuple(tuple(lam for lam in range(2, f.p) if pow(lam, g, f.p) == 1) for g in range(f.p))
-    return _Quotient(f, H, exps, shifts, reach, spread, gap_units, roots)
+    return _Quotient(f, H, exps, gaps, shifts, reach, spread, gap_units, roots)
 
 
 def _gap_fixed_point(q: _Quotient, rows, pivots, G) -> bool:
@@ -198,9 +206,36 @@ def _gap_fixed_point(q: _Quotient, rows, pivots, G) -> bool:
     R T lies in T, so R lies in R : T, and modulo c, R : T = R/c + G,
     where G holds the elements of R : T supported on the gaps.  Hence
     tr(T) = T + G T, and T is a trace ideal exactly when gamma b lies in
-    T for every basis vector gamma of G and every row b.  The test stops
-    at the first product outside T.
+    T for every basis vector gamma of G and every row b
+    (:func:`_gap_products_in_span`).
+
+    The value sets reject most modules before any product: a trace ideal
+    T has v(R : T) + v(T) inside v(T) u [c, oo).  For gamma in R : T with
+    lowest term at a and b in T with lowest term at e, gamma b lies in
+    tr(T) = T, and its lowest term, the product of those two, sits at
+    a + e; so a + e < c puts a + e in v(T).  For a in H this holds for
+    every module T, and the other values of R : T are the leads of G's
+    RREF basis, whose first nonzero entries are 1.  v(T) below c is the
+    set of exps at T's pivots, one bitmask, so a basis vector with lead
+    gap a rules T out when v(T) shifted by a meets a value below c outside
+    v(T).  The test is necessary, not sufficient: the products decide the
+    modules that pass it.
     """
+    e = q.exps
+    vt = 0
+    for l in pivots:
+        vt |= 1 << e[l]
+    outside = ((1 << q.semigroup.conductor) - 1) ^ vt  # the values below c outside v(T)
+    for gamma in G:
+        if (vt << q.gaps[gamma.index(1)]) & outside:
+            return False
+    return _gap_products_in_span(q, rows, pivots, G)
+
+
+def _gap_products_in_span(q: _Quotient, rows, pivots, G) -> bool:
+    """Whether gamma b lies in T = span(rows) + c for every basis vector
+    gamma of ``G`` and every row b, with the arguments of
+    :func:`_gap_fixed_point`; it stops at the first product outside T."""
     p = q.field.p
     d = len(q.exps)
     for gamma in G:

@@ -37,7 +37,9 @@ on the generators of m/m^2, the Artinian trace ideals from hom_trace on
 every ideal instead of Hom(I, A) carried down the lattice walk, module closure of a fractional ideal from every
 generator shift of every row instead of trusting the construction, the trace
 fixed-point test from the rank of the whole tr(T)/c instead of the gap
-part of R : T with an early exit, coordinates in an Artinian ideal
+part of R : T with an early exit, and from the products of every basis
+vector of that gap part with every row instead of a value-set test that
+rules most modules out first, coordinates in an Artinian ideal
 from row-by-row elimination through the field's operations instead of
 reading them at the pivots, and the state of a lattice module (its
 reduced action images, its socle lines and the RREF basis of the gap
@@ -61,8 +63,8 @@ from bisect import bisect
 from itertools import combinations, product
 from math import gcd
 
-from traceforge.artin import (SubIdeal, _ideal_lattice, _span, enumerate_ideals, hom_trace,
-                              ideal_generated_by)
+from traceforge.artin import (SubIdeal, _ideal_lattice, _in_span, _span, enumerate_ideals,
+                              hom_trace, ideal_generated_by)
 from traceforge.errors import NotIntegral
 from traceforge.fields import GF, QQ, Matrix, rref, solve_homogeneous
 from traceforge.ideals import (FractionalIdeal, LaurentPoly, _canonical, _check_pair,
@@ -873,6 +875,29 @@ def gap_part_by_rref(q, rows):
                     eqs.setdefault((r, g), [zero] * n)[j] = y
     red, _ = rref(Matrix(f, tuple(map(tuple, eqs.values())), n))
     return tuple(solve_homogeneous(red))
+
+
+def gap_fixed_point_by_products(q, rows, pivots, G) -> bool:
+    """``trace._gap_fixed_point`` from the products alone, with no value-set
+    test first: whether T = span(rows) + c is a trace ideal, for RREF
+    ``rows`` over ``q.exps`` with the given pivot columns and ``G`` the
+    RREF basis of the gap part of R : T.  tr(T) = T + G T, so T is a trace
+    ideal exactly when gamma b lies in T for every basis vector gamma of G
+    and every row b; the test stops at the first product outside T."""
+    p = q.field.p
+    d = len(q.exps)
+    for gamma in G:
+        # gamma spread onto R/c
+        terms = [(i, k, x) for g, x in enumerate(gamma) if x for i, k in q.spread[g]]
+        for b in rows:
+            v = [0] * d
+            for i, k, x in terms:
+                y = b[i]
+                if y:
+                    v[k] += x * y
+            if not _in_span(rows, pivots, v, p):
+                return False
+    return True
 
 
 def trace_ideals_by_full_walk(H, p):

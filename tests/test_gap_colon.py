@@ -12,7 +12,10 @@ lattice walk with the action images reduced one row at a time; both must
 equal their from-scratch oracles at every module: the same basis, not
 only the same span, so a step that drops the wrong vector or changes its
 parent's basis fails.  So must each module's children, which the walk
-finds by carrying the socle elimination down from the parent.
+finds by carrying the socle elimination down from the parent.  Before
+any product the kernel rules modules out by their value sets;
+``_oracles.gap_fixed_point_by_products``, the kernel without that test,
+must give the same verdict at every module of the walk.
 """
 
 from fractions import Fraction
@@ -21,8 +24,9 @@ from functools import reduce
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (_window_basis, _window_vector, gap_part_by_rref, images_by_reduction,
-                      images_reduced_in_full, is_trace_by_rank, socle_lines_by_fresh_elimination,
+from _oracles import (_window_basis, _window_vector, gap_fixed_point_by_products,
+                      gap_part_by_rref, images_by_reduction, images_reduced_in_full,
+                      is_trace_by_rank, socle_lines_by_fresh_elimination,
                       socle_lines_by_reduction)
 from _strategies import capped_semigroups
 from traceforge.artin import (_ideal_lattice, _packing, _reduce_images, enumerate_ideals,
@@ -72,6 +76,28 @@ def test_every_lattice_member_random_semigroups(case):
     H, p = case
     for rows in lattice(H, p):
         agree(GF(p), H, rows)
+
+
+def products_agree(H, p):
+    """The kernel against the products alone at every module of the walk
+    from the trivial stabilizer mu_1, which visits every R-submodule of R/c."""
+    q = _quotient(GF(p), H)
+    for rows, pivots, (G, _) in _ideal_lattice(p, len(q.exps), q.shifts, q.step,
+                                               (q.gap_units, 1)):
+        assert (_gap_fixed_point(q, rows, pivots, G)
+                == gap_fixed_point_by_products(q, rows, pivots, G)), (H, p, rows)
+
+
+def test_value_sets_reject_only_non_trace_modules():
+    for p, genus in ((2, 6), (3, 6), (5, 5), (7, 4)):
+        for H in enumerate_semigroups(genus):
+            products_agree(H, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(capped_semigroups)
+def test_value_sets_reject_only_non_trace_modules_random_semigroups(case):
+    products_agree(*case)
 
 
 def frozen(images):

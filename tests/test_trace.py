@@ -127,6 +127,26 @@ def test_nonzero_trace_ideals_contain_conductor():
                     assert contains_ideal(trace_by_colon(shift(I, k)), C), (H_, I, k)
 
 
+def values_below_conductor(I):
+    """v(I) below c for an I that contains c, read off its canonical rows,
+    which lie below its tail, and the tail."""
+    return {r.valuation for r in I.rows} | set(range(I.tail, I.semigroup.conductor))
+
+
+def test_trace_ideals_satisfy_the_value_set_lemma():
+    # gamma b lies in tr(T) = T for gamma in R : T and b in T, and its lowest
+    # term sits at v(gamma) + v(b): v(R : T) + v(T) lies in v(T) u [c, oo)
+    for p, genus in ((2, 7), (3, 5)):
+        for H_ in enumerate_semigroups(genus):
+            c = H_.conductor
+            R = unit_ideal(GF(p), H_)
+            for info in enumerate_trace_ideals(H_, p).ideals:
+                T = info.ideal
+                vt = values_below_conductor(T)
+                for a in values_below_conductor(colon(R, T)):
+                    assert all(a + e >= c or a + e in vt for e in vt), (H_, p, T, a)
+
+
 GOLDEN = {
     # semigroup -> (distinguished extra pivot, maximal ideal pivots)
     (4, 5, 11): (5, (4, 5)),
