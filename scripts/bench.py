@@ -26,7 +26,7 @@ qq-colons (BENCH_35.json)
     m : m), the best time over all inputs and the colons solved (the
     colon's ``solve_homogeneous`` calls) with the summed rows, columns,
     rows x columns and nonzero cells of their systems.
-frontier (BENCH_36.json, BENCH_37.json, BENCH_39.json)
+frontier (BENCH_36.json, BENCH_37.json, BENCH_39.json, BENCH_40.json)
     For each of ``FRONTIER``: the census, the trace ideals (zero
     included), the modules tested and, from BENCH_39.json on, the modules
     multiplied (``trace._gap_products_in_span`` calls: those the

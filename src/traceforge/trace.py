@@ -21,7 +21,11 @@ fail that on one shift of a bitmask per basis vector of the gap part
 Tr(R); by Lindo, T is a trace ideal exactly when R : T = T : T).
 Each module carries the gap part's RREF basis and its stabilizer in the
 torus down from its parent, both cut in one scan of the new row, and
-only the trace ideals are lifted back to fractional ideals.
+only the trace ideals are lifted back to fractional ideals.  Over F_2
+the torus is trivial and the gap part is kept on bits, one int per
+basis vector: the new row's equations are the XOR of one int per entry,
+and a vector fails an equation when the bits they share are odd in
+number.
 Whole-theorem checks sit on top: the blowup bijection for minimal
 multiplicity, the normalization as a union of endomorphism rings, and
 the colon separation probe that certifies infinite families over the
@@ -36,8 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from math import gcd
-from operator import index, mul
+from operator import index, mul, xor
 
 from .artin import _check_quotient_dim, _ideal_lattice, _in_span, _monomial_table, _unit_row
 from .errors import IsDVR, NotMinimalMultiplicity, PreconditionViolated
@@ -91,9 +96,12 @@ class _Quotient:
     (those past it act as zero): the rows of R/c's product table at g,
     column images for the lattice engine.  ``reach[i]`` lists the pairs
     (g, j) of gap numbers with exps[i] + gap j = gap g, and ``spread[j]``
-    the pairs (i, k) with exps[i] + gap j = exps[k].  ``gap_units`` are
-    the unit vectors of the gaps, the gap part of R : c = K[[t]] (see
-    :meth:`step`), and ``roots[g]`` lists the lam != 1 of
+    the pairs (i, k) with exps[i] + gap j = exps[k]; ``eq_bits[i]`` packs
+    ``reach[i]`` into one int, bit n g + j for each pair (g, j), with n
+    the number of gaps.  ``gap_units`` are the unit vectors of the gaps,
+    the gap part of R : c = K[[t]] (see :meth:`step`): tuples, one entry
+    per gap, for odd p, and the ints 1 << j over F_2, where the walk keeps
+    the gap part on bits.  ``roots[g]`` lists the lam != 1 of
     mu_g = {lam : lam^g = 1} for g < p.
     """
 
@@ -104,6 +112,7 @@ class _Quotient:
     shifts: tuple
     reach: tuple
     spread: tuple
+    eq_bits: tuple
     gap_units: tuple
     roots: tuple
 
@@ -151,10 +160,36 @@ class _Quotient:
         gamma v is zero.  When some basis vectors fail an equation, the
         last of them clears it from the others and is dropped; it is zero
         before its lead and at their leads, so they keep their leads and
-        stay the unique RREF.  The parent's G is shared with its siblings,
-        never changed.
+        stay the unique RREF, whatever the order of the equations.  The
+        parent's G is shared with its siblings, never changed.
+
+        Over F_2 the torus F_2^* = mu_1 is trivial, so g stays 1 and nothing
+        is cut, and G is a tuple of ints, bit j the coordinate at gap j.
+        v's entries are 0 or 1, and its equations are one int E, the XOR of
+        ``eq_bits[i]`` over the i where v is 1; its n-bit field k is the
+        equation at gap k.  exps[i] + gap j = gap k fixes i for each (k, j),
+        so no two entries share a bit and the XOR only collects them.  Over
+        F_2 gamma's value on an equation is the parity of the bits that
+        gamma and the equation share, and the last failing vector is XORed
+        into the others that fail: the same elimination on bits.
         """
         G, g = state
+        if self.field.p == 2:
+            if G:
+                n = len(self.gaps)
+                mask = (1 << n) - 1
+                E = reduce(xor, compress(self.eq_bits, rows[0]), 0)
+                while E and G:
+                    eq = E & mask
+                    E >>= n
+                    if eq:
+                        for last in reversed(range(len(G))):
+                            drop = G[last]
+                            if (drop & eq).bit_count() & 1:
+                                G = tuple(gamma ^ drop if (gamma & eq).bit_count() & 1 else gamma
+                                          for gamma in G[:last]) + G[last + 1:]
+                                break
+            return G, g
         v, lead = rows[0], pivots[0]
         p, e = self.field.p, self.exps
         n = len(self.spread)
@@ -192,9 +227,11 @@ def _quotient(f, H: NumericalSemigroup) -> _Quotient:
                   for e in exps)
     spread = tuple(tuple((i, index[e + j]) for i, e in enumerate(exps) if e + j in index)
                    for j in gaps)
-    gap_units = tuple(_unit_row(f, len(gaps), j) for j in range(len(gaps)))
+    n = len(gaps)
+    eq_bits = tuple(sum(1 << n * k + j for k, j in pairs) for pairs in reach)
+    gap_units = tuple(1 << j if f.p == 2 else _unit_row(f, n, j) for j in range(n))
     roots = tuple(tuple(lam for lam in range(2, f.p) if pow(lam, g, f.p) == 1) for g in range(f.p))
-    return _Quotient(f, H, exps, gaps, shifts, reach, spread, gap_units, roots)
+    return _Quotient(f, H, exps, gaps, shifts, reach, spread, eq_bits, gap_units, roots)
 
 
 def _gap_fixed_point(q: _Quotient, rows, pivots, G) -> bool:
@@ -219,16 +256,22 @@ def _gap_fixed_point(q: _Quotient, rows, pivots, G) -> bool:
     set of exps at T's pivots, one bitmask, so a basis vector with lead
     gap a rules T out when v(T) shifted by a meets a value below c outside
     v(T).  The test is necessary, not sufficient: the products decide the
-    modules that pass it.
+    modules that pass it.  Over F_2, where G packs each basis vector into
+    an int (:meth:`_Quotient.step`), the lead is the lowest set bit, and G
+    becomes tuples only for the products, which few modules reach.
     """
     e = q.exps
     vt = 0
     for l in pivots:
         vt |= 1 << e[l]
     outside = ((1 << q.semigroup.conductor) - 1) ^ vt  # the values below c outside v(T)
+    bits = q.field.p == 2
     for gamma in G:
-        if (vt << q.gaps[gamma.index(1)]) & outside:
+        lead = (gamma & -gamma).bit_length() - 1 if bits else gamma.index(1)
+        if (vt << q.gaps[lead]) & outside:
             return False
+    if bits:
+        G = tuple(tuple(gamma >> j & 1 for j in range(len(q.gaps))) for gamma in G)
     return _gap_products_in_span(q, rows, pivots, G)
 
 

@@ -47,7 +47,9 @@ part of R : T) from scratch instead of carried down the walk one row at
 a time, and the walk's socle elimination redone over every free column
 at each module instead of carried down from the parent, and the walk's
 vectors as tuples, one list comprehension per row update, instead of one
-packed int each, and the reduction
+packed int each, and the walk step's gap part of R : T over F_2 as
+tuples, one dot product per basis vector and equation, instead of one
+int per basis vector and the parity of shared bits, and the reduction
 exponent of the canonical ideal from the products W^j instead of the
 sumsets of K(H), and the probe's colons R : R[t^n + k t^(n+1)] one per
 sample instead of one colon dilated by t -> kt, and the finite-type tag
@@ -62,6 +64,7 @@ from the reflection x -> F - x of every x below c instead of 2g = c.
 from bisect import bisect
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 
 from traceforge.artin import (SubIdeal, _ideal_lattice, _in_span, _span, enumerate_ideals,
                               hom_trace, ideal_generated_by)
@@ -875,6 +878,38 @@ def gap_part_by_rref(q, rows):
                     eqs.setdefault((r, g), [zero] * n)[j] = y
     red, _ = rref(Matrix(f, tuple(map(tuple, eqs.values())), n))
     return tuple(solve_homogeneous(red))
+
+
+def gap_step_by_tuples(q, state, rows, pivots):
+    """``_Quotient.step`` on the quotient tables ``q`` with G as tuples, one
+    entry per gap, over every p: one dict of equations per new row and one
+    dot product per basis vector and equation, instead of the bits that
+    the library keeps over F_2.  Start it from the tuple unit vectors of
+    the gaps."""
+    G, g = state
+    v, lead = rows[0], pivots[0]
+    p, e = q.field.p, q.exps
+    n = len(q.spread)
+    eqs = {}
+    for i, x in enumerate(v):
+        if x:
+            if g > 1 and i != lead:
+                h = gcd(g, e[i] - e[lead])
+                if any(x * r % p < x for r in q.roots[g // h]):
+                    return None
+                g = h
+            if G:  # else gamma = 0 already: R : T = R
+                for k, j in q.reach[i]:
+                    eqs.setdefault(k, [0] * n)[j] = x
+    for eq in eqs.values():
+        vals = [sum(map(mul, gamma, eq)) % p for gamma in G]
+        fail = [k for k, x in enumerate(vals) if x]
+        if fail:
+            last = fail[-1]
+            drop, inv = G[last], pow(vals[last], -1, p)
+            G = tuple(tuple((a - x * inv * b) % p for a, b in zip(gamma, drop)) if x else gamma
+                      for gamma, x in zip(G, vals[:last])) + G[last + 1:]
+    return G, g
 
 
 def gap_fixed_point_by_products(q, rows, pivots, G) -> bool:

@@ -15,7 +15,11 @@ parent's basis fails.  So must each module's children, which the walk
 finds by carrying the socle elimination down from the parent.  Before
 any product the kernel rules modules out by their value sets;
 ``_oracles.gap_fixed_point_by_products``, the kernel without that test,
-must give the same verdict at every module of the walk.
+must give the same verdict at every module of the walk.  Over F_2 the
+step keeps G on bits, one int per basis vector; unpacked, it must equal
+the oracles' tuples, and at every edge of the F_2 walk it must equal
+the basis that ``_oracles.gap_step_by_tuples``, the step on tuples,
+carries beside it.
 """
 
 from fractions import Fraction
@@ -25,9 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (_window_basis, _window_vector, gap_fixed_point_by_products,
-                      gap_part_by_rref, images_by_reduction, images_reduced_in_full,
-                      is_trace_by_rank, socle_lines_by_fresh_elimination,
-                      socle_lines_by_reduction)
+                      gap_part_by_rref, gap_step_by_tuples, images_by_reduction,
+                      images_reduced_in_full, is_trace_by_rank,
+                      socle_lines_by_fresh_elimination, socle_lines_by_reduction)
 from _strategies import capped_semigroups
 from traceforge.artin import (_ideal_lattice, _packing, _reduce_images, enumerate_ideals,
                               gorenstein_two_generators, semigroup_quotient,
@@ -42,6 +46,15 @@ from traceforge.trace import (_gap_fixed_point, _quotient, enumerate_trace_ideal
 S = NumericalSemigroup.from_generators
 
 
+def gap_tuples(q, G) -> tuple:
+    """The walk's G as tuples, one entry per gap: over F_2 each basis
+    vector is an int, bit j its entry at gap j."""
+    if q.field.p != 2:
+        return G
+    n = len(q.gaps)
+    return tuple(tuple(map(int, reversed(format(gamma, f"0{n}b")))) for gamma in G)
+
+
 def agree(f, H, rows) -> bool:
     """The kernel's verdict on span(rows) + c, checked against the oracle;
     ``rows`` are RREF rows of R/c over the members below c."""
@@ -52,7 +65,7 @@ def agree(f, H, rows) -> bool:
     # walk step by step from c, each suffix of the rows the parent of the next
     G, _ = reduce(lambda state, k: q.step(state, rows[k:], pivots[k:]),
                   reversed(range(len(rows))), (q.gap_units, 1))
-    assert G == gap_part_by_rref(q, rows), (H, f, rows)
+    assert gap_tuples(q, G) == gap_part_by_rref(q, rows), (H, f, rows)
     verdict = _gap_fixed_point(q, rows, pivots, G)
     assert verdict == is_trace_by_rank(f, H, basis), (H, f, rows)
     return verdict
@@ -85,7 +98,7 @@ def products_agree(H, p):
     for rows, pivots, (G, _) in _ideal_lattice(p, len(q.exps), q.shifts, q.step,
                                                (q.gap_units, 1)):
         assert (_gap_fixed_point(q, rows, pivots, G)
-                == gap_fixed_point_by_products(q, rows, pivots, G)), (H, p, rows)
+                == gap_fixed_point_by_products(q, rows, pivots, gap_tuples(q, G))), (H, p, rows)
 
 
 def test_value_sets_reject_only_non_trace_modules():
@@ -98,6 +111,40 @@ def test_value_sets_reject_only_non_trace_modules():
 @given(capped_semigroups)
 def test_value_sets_reject_only_non_trace_modules_random_semigroups(case):
     products_agree(*case)
+
+
+def bits_agree_with_tuples(H) -> int:
+    """The F_2 walk with the library's step on bits and the step on tuples
+    of ``_oracles.gap_step_by_tuples`` riding along, each on its own G: at
+    every edge the bits, unpacked, must be the tuples, and neither step may
+    cut.  Returns the number of modules walked."""
+    q = _quotient(GF(2), H)
+    n = len(q.gaps)
+    units = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+
+    def both(state, rows, pivots):
+        bits, tuples = state
+        G, g = q.step(bits, rows, pivots)
+        expected = gap_step_by_tuples(q, tuples, rows, pivots)
+        assert (gap_tuples(q, G), g) == expected, (H, rows)
+        return (G, g), expected
+
+    walk = _ideal_lattice(2, len(q.exps), q.shifts, both, ((q.gap_units, 1), (units, 1)))
+    return sum(1 for _ in walk)
+
+
+def test_bit_step_matches_tuple_step():
+    for H in enumerate_semigroups(7):
+        assert bits_agree_with_tuples(H) == enumerate_trace_ideals(H, 2).census, H
+    # the 8,...,14/F_2 case of BENCH_39.json, its census 29213
+    assert bits_agree_with_tuples(S(range(8, 15))) == 29213
+
+
+@settings(max_examples=60, deadline=None)
+@given(capped_semigroups)
+def test_bit_step_matches_tuple_step_random_semigroups(case):
+    # p = 2 allows every semigroup drawn for any p
+    bits_agree_with_tuples(case[0])
 
 
 def frozen(images):
@@ -156,7 +203,7 @@ def test_walk_carries_images_and_gap_system(case):
     d = len(q.exps)
     exps = q.exps
     for rows, pivots, (G, _) in walk_agrees(p, d, q.shifts, q.step, (q.gap_units, 1)):
-        assert G == gap_part_by_rref(q, rows), rows
+        assert gap_tuples(q, G) == gap_part_by_rref(q, rows), rows
         basis = [_window_vector(f, H.conductor, dict(zip(exps, r))) for r in rows]
         assert _gap_fixed_point(q, rows, pivots, G) == is_trace_by_rank(f, H, basis), rows
 
@@ -199,8 +246,8 @@ def test_natural_semigroup_has_no_gaps():
     N0 = natural_semigroup()
     for f in (GF(2), GF(5)):
         q = _quotient(f, N0)
-        assert q.exps == q.shifts == q.reach == q.spread == q.gap_units == ()
-        assert q.gap_units == gap_part_by_rref(q, [])
+        assert q.exps == q.shifts == q.reach == q.spread == q.eq_bits == q.gap_units == ()
+        assert gap_tuples(q, q.gap_units) == gap_part_by_rref(q, [])
         assert _gap_fixed_point(q, [], [], q.gap_units) and is_trace_by_rank(f, N0, [])
     for f in (GF(2), GF(5), QQ):
         assert is_trace_ideal(unit_ideal(f, N0))
